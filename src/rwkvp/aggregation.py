@@ -1,8 +1,9 @@
 """The three heads that fuse perspective embeddings into vocabulary logits.
 
-All operate position-wise on the n pre-head embeddings p_1..p_n (each
-(T, d)); the shared head (final LN + unembedding) is applied inside each
-aggregator. With n=1 every mode reduces to the plain head.
+All operate position-wise on the stacked pre-head embeddings p
+(n, [B,] T, d), perspective i at p[i]; the shared head (final LN +
+unembedding) is applied inside each aggregator. With n=1 every mode reduces
+to the plain head.
 """
 
 from __future__ import annotations
@@ -13,52 +14,49 @@ from rwkvp.model import ModelConfig, head_logits
 from rwkvp.params import ParamStore
 
 
-def _mean_embedding(p_list: list[Tensor]) -> Tensor:
-    if not p_list:
+def _mean_embedding(p: Tensor) -> Tensor:
+    if p.shape[0] == 0:
         raise ValueError("aggregation requires at least one perspective")
-    acc = p_list[0]
-    for p in p_list[1:]:
-        acc = ag.add(acc, p)
-    return acc * (1.0 / len(p_list))
+    return ag.sum_(p, axis=0) * (1.0 / p.shape[0])
 
 
-def aggregate_average(p_list: list[Tensor], store: ParamStore) -> Tensor:
+def aggregate_average(p: Tensor, store: ParamStore) -> Tensor:
     """head(mean of perspective embeddings)."""
-    return head_logits(store, _mean_embedding(p_list))
+    return head_logits(store, _mean_embedding(p))
 
 
-def aggregate_transformer(p_list: list[Tensor], store: ParamStore) -> Tensor:
+def aggregate_transformer(p: Tensor, store: ParamStore) -> Tensor:
     """head(affine projection of the concatenated embeddings)."""
-    cat = ag.concat(p_list, axis=-1) if len(p_list) > 1 else p_list[0]
+    # ([B,] T, n, d) -> ([B,] T, n*d): each row is [p_1 | p_2 | ... | p_n]
+    cat = ag.reshape(ag.moveaxis(p, 0, -2), p.shape[1:-1] + (p.shape[0] * p.shape[-1],))
     mixed = ag.add(ag.matmul(cat, store["agghead.W"]), store["agghead.b"])
     return head_logits(store, mixed)
 
 
-def aggregate_weighted(p_list: list[Tensor], store: ParamStore) -> tuple[Tensor, Tensor]:
+def aggregate_weighted(p: Tensor, store: ParamStore) -> tuple[Tensor, Tensor]:
     """Learned softmax-weighted combination of per-perspective logits.
 
     weights = softmax(selector(mean of embeddings)) per position; the output
     is the weight-convex combination of head(p_i), so it always lies in the
-    convex hull of the per-perspective logits. Returns (logits, weights).
+    convex hull of the per-perspective logits. Returns (logits, weights
+    ([B,] T, n)).
     """
-    n = len(p_list)
-    mean_p = _mean_embedding(p_list)
+    n = p.shape[0]
+    mean_p = _mean_embedding(p)
     z = ag.add(ag.matmul(mean_p, ag.transpose(store["selector.W"])), store["selector.b"])
-    weights = ag.softmax(z, axis=-1)                       # (T, n)
-    logits = None
-    for i, p in enumerate(p_list):
-        term = ag.mul(ag.slice_cols(weights, i, i + 1), head_logits(store, p))
-        logits = term if logits is None else ag.add(logits, term)
+    weights = ag.softmax(z, axis=-1)
+    per_persp = ag.reshape(ag.moveaxis(weights, -1, 0), (n,) + weights.shape[:-1] + (1,))
+    logits = ag.sum_(ag.mul(per_persp, head_logits(store, p)), axis=0)
     return logits, weights
 
 
-def aggregate(cfg: ModelConfig, store: ParamStore, p_list: list[Tensor]
+def aggregate(cfg: ModelConfig, store: ParamStore, p: Tensor
               ) -> tuple[Tensor, Tensor | None]:
     """Dispatch on cfg.aggregation; returns (logits, weights-or-None)."""
-    if len(p_list) != cfg.n_perspectives:
-        raise ValueError(f"got {len(p_list)} perspectives, config says {cfg.n_perspectives}")
+    if p.shape[0] != cfg.n_perspectives:
+        raise ValueError(f"got {p.shape[0]} perspectives, config says {cfg.n_perspectives}")
     if cfg.aggregation == "average":
-        return aggregate_average(p_list, store), None
+        return aggregate_average(p, store), None
     if cfg.aggregation == "transformer_like":
-        return aggregate_transformer(p_list, store), None
-    return aggregate_weighted(p_list, store)
+        return aggregate_transformer(p, store), None
+    return aggregate_weighted(p, store)

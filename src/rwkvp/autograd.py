@@ -2,8 +2,11 @@
 
 Design: a micrograd-style tape. Every op produces a new Tensor holding its
 value, its parents and a closure that routes the upstream gradient to the
-parents. Tensors are immutable once created, so several graphs may evaluate
-concurrently over shared (read-only) parameters.
+parents. A closure captures arrays and parents but never its own output
+node, so a graph holds no reference cycle and is freed as soon as the loss
+is dropped, without waiting for the cyclic garbage collector. Tensors are
+immutable once created, so several graphs may evaluate concurrently over
+shared (read-only) parameters.
 
 Precision: leaves are created with the module default dtype (float32 unless
 switched); intermediate results follow numpy promotion, so casting the
@@ -80,7 +83,8 @@ class Tensor:
     have strictly smaller ids and the graph is acyclic by construction.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op", "node_id")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op", "node_id",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _op: str = "leaf"):
         if isinstance(data, np.ndarray) and (_op != "leaf" or data.dtype in (np.float32, np.float64)):
@@ -89,7 +93,9 @@ class Tensor:
             self.data = np.asarray(data, dtype=_default_dtype)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents
+        # backward never visits the inputs of a node that needs no gradient;
+        # dropping them lets no_grad (and frozen) intermediates be freed early
+        self._parents = _parents if self.requires_grad else ()
         self._backward = None
         self.op = _op
         self.node_id = next(_node_ids)
@@ -237,13 +243,14 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_same_shape(a, b, "div")
-    out = Tensor(a.data / b.data, _needs_grad(a, b), (a, b), "div")
+    q = a.data / b.data
+    out = Tensor(q, _needs_grad(a, b), (a, b), "div")
     if out.requires_grad:
         def bwd(g):
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g / b.data, a.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * out.data / b.data, b.shape))
+                b._accumulate(_unbroadcast(-g * q / b.data, b.shape))
         out._backward = bwd
     return out
 
@@ -256,9 +263,10 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data), _needs_grad(a), (a,), "exp")
+    e = np.exp(a.data)
+    out = Tensor(e, _needs_grad(a), (a,), "exp")
     if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g * out.data)
+        out._backward = lambda g: a._accumulate(g * e)
     return out
 
 
@@ -270,9 +278,10 @@ def log(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = Tensor(1.0 / (1.0 + np.exp(-a.data)), _needs_grad(a), (a,), "sigmoid")
+    s = 1.0 / (1.0 + np.exp(-a.data))
+    out = Tensor(s, _needs_grad(a), (a,), "sigmoid")
     if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g * out.data * (1.0 - out.data))
+        out._backward = lambda g: a._accumulate(g * s * (1.0 - s))
     return out
 
 
@@ -310,28 +319,23 @@ def maximum(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ShapeError("matmul: operands must be at least 1-D")
+    """(..., d) @ (d, k) or (..., d) @ (d,), as one GEMM over the flattened rows."""
+    if a.data.ndim == 0 or b.data.ndim not in (1, 2):
+        raise ShapeError(f"matmul: need (..., d) @ (d, k) or (d,), got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data, _needs_grad(a, b), (a, b), "matmul")
+    d = b.shape[0]
+    rows = a.data.reshape(-1, d)
+    out = Tensor((rows @ b.data).reshape(a.shape[:-1] + b.shape[1:]),
+                 _needs_grad(a, b), (a, b), "matmul")
     if out.requires_grad:
         def bwd(g):
-            if a.data.ndim == 1 and b.data.ndim == 2:       # (d,) @ (d,k)
-                if a.requires_grad:
-                    a._accumulate(g @ b.data.T)
-                if b.requires_grad:
-                    b._accumulate(np.outer(a.data, g))
-            elif a.data.ndim == 2 and b.data.ndim == 1:     # (t,d) @ (d,)
-                if a.requires_grad:
-                    a._accumulate(np.outer(g, b.data))
-                if b.requires_grad:
-                    b._accumulate(a.data.T @ g)
-            else:                                           # (t,d) @ (d,k)
-                if a.requires_grad:
-                    a._accumulate(g @ b.data.T)
-                if b.requires_grad:
-                    b._accumulate(a.data.T @ g)
+            b2 = b.data.reshape(d, -1)              # a vector b is one column
+            g2 = g.reshape(-1, b2.shape[1])
+            if a.requires_grad:
+                a._accumulate((g2 @ b2.T).reshape(a.shape))
+            if b.requires_grad:
+                b._accumulate((rows.T @ g2).reshape(b.shape))
         out._backward = bwd
     return out
 
@@ -360,10 +364,52 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return out
 
 
-def sum_(a: Tensor) -> Tensor:
-    out = Tensor(np.asarray(a.data.sum()), _needs_grad(a), (a,), "sum")
+def sum_(a: Tensor, axis: int | None = None) -> Tensor:
+    """Sum of all entries, or over one axis."""
+    out = Tensor(np.asarray(a.data.sum(axis=axis)), _needs_grad(a), (a,), "sum")
     if out.requires_grad:
-        out._backward = lambda g: a._accumulate(np.broadcast_to(g, a.shape).copy())
+        def bwd(g):
+            if axis is not None:
+                g = np.expand_dims(g, axis)
+            a._accumulate(np.broadcast_to(g, a.shape))
+        out._backward = bwd
+    return out
+
+
+def stack(tensors) -> Tensor:
+    """Equal-shape tensors stacked along a new leading axis."""
+    tensors = [as_tensor(t) for t in tensors]
+    out = Tensor(np.stack([t.data for t in tensors]), _needs_grad(*tensors),
+                 tuple(tensors), "stack")
+    if out.requires_grad:
+        def bwd(g):
+            for t, piece in zip(tensors, g):
+                if t.requires_grad:
+                    t._accumulate(piece)
+        out._backward = bwd
+    return out
+
+
+def expand(a: Tensor, n: int) -> Tensor:
+    """n copies of a along a new leading axis; the gradient sums over them."""
+    out = Tensor(np.broadcast_to(a.data, (n,) + a.shape).copy(), _needs_grad(a), (a,),
+                 "expand")
+    if out.requires_grad:
+        out._backward = lambda g: a._accumulate(g.sum(axis=0))
+    return out
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    out = Tensor(a.data.reshape(shape), _needs_grad(a), (a,), "reshape")
+    if out.requires_grad:
+        out._backward = lambda g: a._accumulate(g.reshape(a.shape))
+    return out
+
+
+def moveaxis(a: Tensor, source: int, destination: int) -> Tensor:
+    out = Tensor(np.moveaxis(a.data, source, destination), _needs_grad(a), (a,), "moveaxis")
+    if out.requires_grad:
+        out._backward = lambda g: a._accumulate(np.moveaxis(g, destination, source))
     return out
 
 
@@ -435,19 +481,22 @@ def embed(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def shift_rows(a: Tensor, first_row: np.ndarray) -> Tensor:
-    """Shift rows down one step: out[0] = first_row, out[t] = a[t-1].
+    """Shift one step down the time axis (-2) of a (..., T, d) tensor:
+    out[..., 0, :] = first_row, out[..., t, :] = a[..., t-1, :].
 
-    first_row is carried state from the previous chunk; gradients do not
-    propagate across the chunk boundary.
+    first_row (..., d) is carried state from the previous chunk, one row per
+    leading index; gradients do not propagate across the chunk boundary.
     """
+    if a.data.ndim < 2 or np.shape(first_row) != a.shape[:-2] + a.shape[-1:]:
+        raise ShapeError(f"shift_rows: first_row {np.shape(first_row)} vs input {a.shape}")
     data = np.empty_like(a.data)
-    data[0] = first_row
-    data[1:] = a.data[:-1]
+    data[..., 0, :] = first_row
+    data[..., 1:, :] = a.data[..., :-1, :]
     out = Tensor(data, _needs_grad(a), (a,), "shift_rows")
     if out.requires_grad:
         def bwd(g):
             ga = np.zeros_like(a.data)
-            ga[:-1] = g[1:]
+            ga[..., :-1, :] = g[..., 1:, :]
             a._accumulate(ga)
         out._backward = bwd
     return out

@@ -3,9 +3,15 @@
 Composition: embedding -> input LN -> [LN -> time-mix residual ->
 LN -> channel-mix residual] x L -> head (final LN + unembedding).
 
-All sequence-level functions take tokens of shape (T,) and run vectorized
-over the chunk; the recurrent parts (WKV accumulators, previous-token rows)
-cross chunk boundaries through detached numpy state.
+Stacked layout: the n perspectives of cfg.n_perspectives share every heavy
+weight and differ only in their token-shift mu vectors and their recurrent
+state, so they run as one pass with a leading perspective axis. Tokens are
+(T,) for one stream or (B, T) for B independent contexts; the embedding and
+input LN are computed once and expanded to n copies, so every activation
+inside the stack is (n, [B,] T, d). Each perspective's mu vectors are
+stacked to (n, 1..., d) and broadcast over the rest. The recurrent parts
+(WKV accumulators, previous-token rows) cross chunk boundaries through
+detached numpy state: one StreamState per layer, each array (n, [B,] d).
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import numpy as np
 from rwkvp import autograd as ag
 from rwkvp import wkv
 from rwkvp.autograd import Tensor
+from rwkvp.corpus import CorpusError
 from rwkvp.params import FreezeMask, ParamStore
 
 AGGREGATION_MODES = ("average", "transformer_like", "weighted_softmax")
@@ -124,20 +131,22 @@ def init_base_params(cfg: ModelConfig, seed: int) -> tuple[ParamStore, FreezeMas
 
 @dataclass
 class StreamState:
-    """Recurrent state of one layer of one perspective stream."""
+    """Recurrent state of one layer for every stream: arrays (n, [B,] d)."""
     att_prev: np.ndarray          # last post-LN row seen by the time-mix block
     wkv_state: tuple              # (a, b, p)
     ffn_prev: np.ndarray          # last post-LN row seen by the channel-mix block
 
     @classmethod
-    def zeros(cls, d: int, dtype=np.float32) -> "StreamState":
-        return cls(np.zeros(d, dtype=dtype), wkv.empty_state(d, dtype), np.zeros(d, dtype=dtype))
+    def zeros(cls, shape, dtype=np.float32) -> "StreamState":
+        """Empty state; shape is (n, [B,] d)."""
+        return cls(np.zeros(shape, dtype=dtype), wkv.empty_state(shape, dtype),
+                   np.zeros(shape, dtype=dtype))
 
 
 def init_stream_states(cfg: ModelConfig, dtype=np.float32):
-    """states[i][l]: per-perspective, per-layer recurrent state (all independent)."""
-    return [[StreamState.zeros(cfg.d_model, dtype) for _ in range(cfg.n_layers)]
-            for _ in range(cfg.n_perspectives)]
+    """states[l]: layer l's recurrent state for all n perspectives, (n, d)."""
+    return [StreamState.zeros((cfg.n_perspectives, cfg.d_model), dtype)
+            for _ in range(cfg.n_layers)]
 
 
 def token_shift_mix(x_t: Tensor, x_prev: Tensor, mu: Tensor) -> Tensor:
@@ -147,61 +156,77 @@ def token_shift_mix(x_t: Tensor, x_prev: Tensor, mu: Tensor) -> Tensor:
     return ag.add(ag.mul(x_t, mu), ag.mul(x_prev, ag.sub(1.0, mu)))
 
 
-def time_mixing(store: ParamStore, layer: int, persp: int, xx: Tensor,
-                st: StreamState) -> tuple[Tensor, np.ndarray, tuple]:
-    """Time-mix block over a post-LN chunk xx (T, d).
+def _stacked_mu(store: ParamStore, stem: str, xx: Tensor) -> Tensor:
+    """The n perspectives' mu vectors `stem.p<i>` as (n, 1..., d), for xx (n, ..., d)."""
+    n = xx.shape[0]
+    mu = ag.stack([store[f"{stem}.p{i}"] for i in range(n)])
+    return ag.reshape(mu, (n,) + (1,) * (xx.data.ndim - 2) + mu.shape[1:])
 
-    Returns (residual delta, new att_prev row, new wkv state).
+
+def time_mixing(store: ParamStore, layer: int, xx: Tensor,
+                st: StreamState) -> tuple[Tensor, np.ndarray, tuple]:
+    """Time-mix block over post-LN chunks xx (n, [B,] T, d), one per perspective.
+
+    Returns (residual delta, new att_prev rows, new wkv state).
     """
     pre = f"layer{layer}.att"
     xprev = ag.shift_rows(xx, st.att_prev)
-    xr = token_shift_mix(xx, xprev, store[f"{pre}.mu_r.p{persp}"])
-    xk = token_shift_mix(xx, xprev, store[f"{pre}.mu_k.p{persp}"])
-    xv = token_shift_mix(xx, xprev, store[f"{pre}.mu_v.p{persp}"])
+    xr = token_shift_mix(xx, xprev, _stacked_mu(store, f"{pre}.mu_r", xx))
+    xk = token_shift_mix(xx, xprev, _stacked_mu(store, f"{pre}.mu_k", xx))
+    xv = token_shift_mix(xx, xprev, _stacked_mu(store, f"{pre}.mu_v", xx))
     r = ag.matmul(xr, store[f"{pre}.w_r"])
     k = ag.matmul(xk, store[f"{pre}.w_k"])
     v = ag.matmul(xv, store[f"{pre}.w_v"])
     y, wkv_state = wkv.wkv_sequence(k, v, store[f"{pre}.decay"], store[f"{pre}.bonus"],
                                     st.wkv_state)
     out = ag.matmul(ag.mul(ag.sigmoid(r), y), store[f"{pre}.w_o"])
-    return out, xx.data[-1].copy(), wkv_state
+    return out, xx.data[..., -1, :].copy(), wkv_state
 
 
-def channel_mixing(store: ParamStore, layer: int, persp: int, xx: Tensor,
+def channel_mixing(store: ParamStore, layer: int, xx: Tensor,
                    st: StreamState) -> tuple[Tensor, np.ndarray]:
-    """Channel-mix block over a post-LN chunk xx (T, d).
+    """Channel-mix block over post-LN chunks xx (n, [B,] T, d), one per perspective.
 
-    Returns (residual delta, new ffn_prev row).
+    Returns (residual delta, new ffn_prev rows).
     """
     pre = f"layer{layer}.ffn"
     xprev = ag.shift_rows(xx, st.ffn_prev)
-    xr = token_shift_mix(xx, xprev, store[f"{pre}.mu_r.p{persp}"])
-    xk = token_shift_mix(xx, xprev, store[f"{pre}.mu_k.p{persp}"])
+    xr = token_shift_mix(xx, xprev, _stacked_mu(store, f"{pre}.mu_r", xx))
+    xk = token_shift_mix(xx, xprev, _stacked_mu(store, f"{pre}.mu_k", xx))
     kk = ag.square(ag.relu(ag.matmul(xk, store[f"{pre}.w_k"])))
     out = ag.mul(ag.sigmoid(ag.matmul(xr, store[f"{pre}.w_r"])),
                  ag.matmul(kk, store[f"{pre}.w_v"]))
-    return out, xx.data[-1].copy()
+    return out, xx.data[..., -1, :].copy()
 
 
-def run_stream(cfg: ModelConfig, store: ParamStore, tokens: np.ndarray, persp: int,
+def run_stream(cfg: ModelConfig, store: ParamStore, tokens: np.ndarray,
                states: list[StreamState] | None = None) -> tuple[Tensor, list[StreamState]]:
-    """Full stack for one perspective stream; returns pre-head embeddings (T, d)."""
+    """Full stack for all cfg.n_perspectives streams in one pass.
+
+    tokens: (T,) or (B, T). Returns the pre-head embeddings (n, [B,] T, d)
+    and one new StreamState per layer.
+    """
     tokens = np.asarray(tokens)
-    if tokens.size and tokens.max() >= cfg.vocab_size:
+    if tokens.size == 0:
+        raise CorpusError(f"cannot run the model on an empty token array {tokens.shape}")
+    if tokens.max() >= cfg.vocab_size:
         raise IndexError(f"token id {int(tokens.max())} out of range for V={cfg.vocab_size}")
+    n = cfg.n_perspectives
     if states is None:
-        states = [StreamState.zeros(cfg.d_model, store["emb.weight"].data.dtype)
+        shape = (n,) + tokens.shape[:-1] + (cfg.d_model,)
+        states = [StreamState.zeros(shape, store["emb.weight"].data.dtype)
                   for _ in range(cfg.n_layers)]
     x = ag.embed(store["emb.weight"], tokens)
     x = ag.layer_norm(x, store["ln0.g"], store["ln0.b"])
+    x = ag.expand(x, n)
     new_states = []
     for l in range(cfg.n_layers):
         st = states[l]
         xx = ag.layer_norm(x, store[f"layer{l}.ln1.g"], store[f"layer{l}.ln1.b"])
-        delta, att_prev, wkv_state = time_mixing(store, l, persp, xx, st)
+        delta, att_prev, wkv_state = time_mixing(store, l, xx, st)
         x = ag.add(x, delta)
         xx = ag.layer_norm(x, store[f"layer{l}.ln2.g"], store[f"layer{l}.ln2.b"])
-        delta, ffn_prev = channel_mixing(store, l, persp, xx, st)
+        delta, ffn_prev = channel_mixing(store, l, xx, st)
         x = ag.add(x, delta)
         new_states.append(StreamState(att_prev, wkv_state, ffn_prev))
     return x, new_states
@@ -215,9 +240,15 @@ def head_logits(store: ParamStore, p: Tensor) -> Tensor:
 
 def model_forward(cfg: ModelConfig, store: ParamStore, tokens: np.ndarray,
                   states: list[StreamState] | None = None) -> tuple[Tensor, list[StreamState]]:
-    """Plain single-stream RWKV-v4 path (the n=1 reference)."""
-    p, new_states = run_stream(cfg, store, tokens, persp=0, states=states)
-    return head_logits(store, p), new_states
+    """Plain single-stream RWKV-v4 path (the n=1 reference).
+
+    tokens: (T,) or (B, T); returns logits ([B,] T, V) and new states.
+    """
+    if cfg.n_perspectives != 1:
+        raise ConfigError(f"model_forward runs one stream, got n_perspectives="
+                          f"{cfg.n_perspectives}")
+    p, new_states = run_stream(cfg, store, tokens, states)
+    return head_logits(store, ag.reshape(p, p.shape[1:])), new_states
 
 
 @dataclass
@@ -230,19 +261,17 @@ class Model:
     def forward(self, tokens, states=None):
         """Multi-perspective forward with the configured aggregation.
 
-        Returns (logits Tensor (T, V), weights ndarray (T, n) or None,
-        new states).
+        tokens: (T,) or (B, T). Returns (logits Tensor ([B,] T, V), weights
+        ndarray ([B,] T, n) or None, new states: one StreamState per layer).
         """
         from rwkvp import aggregation, perspectives
         if self.config.n_perspectives == 1 and not any(
                 is_aggregator(n) for n in self.store.names()):
             # bare base model (pretraining/eval before extension)
-            states0 = states[0] if states is not None else None
-            logits, new0 = model_forward(self.config, self.store, tokens, states0)
-            return logits, None, [new0]
-        p_list, new_states = perspectives.multi_forward(self.config, self.store,
-                                                        tokens, states)
-        logits, weights = aggregation.aggregate(self.config, self.store, p_list)
+            logits, new_states = model_forward(self.config, self.store, tokens, states)
+            return logits, None, new_states
+        p, new_states = perspectives.multi_forward(self.config, self.store, tokens, states)
+        logits, weights = aggregation.aggregate(self.config, self.store, p)
         return logits, (None if weights is None else weights.data), new_states
 
     def init_states(self):

@@ -2,8 +2,9 @@
 
 Each perspective owns only its token-shift coefficients (five d-vectors per
 layer) and its recurrent state; everything heavy is referenced from the
-shared store. Streams are pure functions of (read-only weights, own mu, own
-state), so they are independent and safe to evaluate concurrently.
+shared store. The streams never mix before the aggregation head, so they run
+as one stacked pass (see rwkvp.model): activations (n, [B,] T, d), state
+arrays (n, [B,] d) per layer, perspective i at index i of the leading axis.
 """
 
 from __future__ import annotations
@@ -66,13 +67,9 @@ def extend_to_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
 
 
 def multi_forward(cfg: m.ModelConfig, store: ParamStore, tokens: np.ndarray,
-                  states=None) -> tuple[list[Tensor], list]:
-    """Run all n perspective streams; returns ([p_i (T, d)], new states)."""
-    if states is None:
-        states = m.init_stream_states(cfg, store["emb.weight"].data.dtype)
-    p_list, new_states = [], []
-    for i in range(cfg.n_perspectives):
-        p, st = m.run_stream(cfg, store, tokens, persp=i, states=states[i])
-        p_list.append(p)
-        new_states.append(st)
-    return p_list, new_states
+                  states=None) -> tuple[Tensor, list]:
+    """Run all n perspective streams over tokens (T,) or (B, T) in one pass.
+
+    Returns (p (n, [B,] T, d), new states: one StreamState per layer).
+    """
+    return m.run_stream(cfg, store, tokens, states)

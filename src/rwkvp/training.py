@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from rwkvp import autograd as ag
 from rwkvp import corpus as corpus_mod
 from rwkvp import model as m
 from rwkvp import perspectives as persp_mod
@@ -151,8 +152,10 @@ def inject_temporal_noise(store: ParamStore, cfg: m.ModelConfig, std: float,
 
 
 def _train_loop(cfg: m.ModelConfig, store: ParamStore, mask: FreezeMask,
-                forward_loss, train_tokens: np.ndarray, val_tokens: np.ndarray,
+                logits_fn, train_tokens: np.ndarray, val_tokens: np.ndarray,
                 tc: TrainConfig) -> TrainLog:
+    """Adam steps over batches of sampled contexts; logits_fn maps (B, T)
+    tokens to (B, T, V) logits."""
     from rwkvp import evaluation
 
     log = TrainLog(seeds=[tc.seed])
@@ -166,12 +169,8 @@ def _train_loop(cfg: m.ModelConfig, store: ParamStore, mask: FreezeMask,
         for _ in range(steps_per_epoch):
             lr = lr_schedule(step, total_steps, tc.lr_max, tc.lr_min)
             store.zero_grad()
-            loss = None
-            for _ in range(tc.batch_size):
-                ctx = next(sampler)
-                part = forward_loss(ctx)
-                loss = part if loss is None else loss + part
-            loss = loss * (1.0 / tc.batch_size)
+            batch = np.stack([next(sampler) for _ in range(tc.batch_size)])
+            loss = _batch_loss(logits_fn, batch)
             value = loss.item()
             if not math.isfinite(value):
                 raise DivergenceError(step, value)
@@ -187,9 +186,11 @@ def _train_loop(cfg: m.ModelConfig, store: ParamStore, mask: FreezeMask,
     return log
 
 
-def _context_loss(model_fn, ctx: np.ndarray):
-    logits = model_fn(ctx[:-1])
-    return cross_entropy(logits, ctx[1:])
+def _batch_loss(logits_fn, batch: np.ndarray):
+    """Mean next-token NLL over every position of the (B, T+1) contexts."""
+    logits = logits_fn(batch[:, :-1])
+    return cross_entropy(ag.reshape(logits, (-1, logits.shape[-1])),
+                         batch[:, 1:].reshape(-1))
 
 
 def pretrain_base(base_cfg: m.ModelConfig, train_tokens: np.ndarray,
@@ -200,8 +201,7 @@ def pretrain_base(base_cfg: m.ModelConfig, train_tokens: np.ndarray,
         raise m.ConfigError("pretraining runs with n_perspectives=1")
     store, mask = m.init_base_params(base_cfg, seed=tc.seed)
     log = _train_loop(base_cfg, store, mask,
-                      lambda ctx: _context_loss(
-                          lambda t: m.model_forward(base_cfg, store, t)[0], ctx),
+                      lambda t: m.model_forward(base_cfg, store, t)[0],
                       train_tokens, val_tokens, tc)
     return store, mask, log
 
@@ -224,9 +224,7 @@ def finetune_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
     frozen = mask.frozen_names()
     before = store.digest(frozen)
     model = m.Model(cfg, store, mask)
-    log = _train_loop(cfg, store, mask,
-                      lambda ctx: _context_loss(
-                          lambda t: model.forward(t)[0], ctx),
+    log = _train_loop(cfg, store, mask, lambda t: model.forward(t)[0],
                       train_tokens, val_tokens, tc)
     if store.digest(frozen) != before:
         raise FreezeViolationError("frozen base parameters changed during fine-tuning")

@@ -4,13 +4,19 @@ State per channel is (a, b, p): the true accumulators are A = a*e^p and
 B = b*e^p, with p a running log-scale maximum that keeps every exp argument
 <= 0. The empty state is a = b = 0, p = -inf.
 
-`wkv_step` is the plain one-token update used by stepwise decoding and as
-the reference for tests. `wkv_sequence` runs a whole (T, d) chunk inside a
-single autograd node with a hand-written backward over k, v, w, u; the
-chunk-boundary state is a detached numpy triple (gradients never cross it).
+`wkv_step` is the plain one-token update, kept as the reference the tests
+compare against; no model path calls it. `wkv_sequence` runs a whole
+(..., T, d) chunk inside a single autograd node with a hand-written backward
+over k, v, w, u. Its leading axes (perspectives, batch contexts) are
+independent sequences that share w and u; they run side by side as one
+(T, G*d) channel-stacked loop, so the Python loop over time is paid once per
+chunk, not once per sequence. The chunk-boundary state is a detached numpy
+triple (gradients never cross it).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -18,10 +24,11 @@ from rwkvp import autograd as ag
 from rwkvp.autograd import Tensor
 
 
-def empty_state(d: int, dtype=np.float32):
-    return (np.zeros(d, dtype=dtype),
-            np.zeros(d, dtype=dtype),
-            np.full(d, -np.inf, dtype=dtype))
+def empty_state(shape, dtype=np.float32):
+    """The (a, b, p) triple with no history; shape is d or (..., d)."""
+    return (np.zeros(shape, dtype=dtype),
+            np.zeros(shape, dtype=dtype),
+            np.full(shape, -np.inf, dtype=dtype))
 
 
 def wkv_step(state, k_t: np.ndarray, v_t: np.ndarray, w: np.ndarray, u: np.ndarray):
@@ -40,22 +47,34 @@ def wkv_step(state, k_t: np.ndarray, v_t: np.ndarray, w: np.ndarray, u: np.ndarr
     return y, (f1 * a + f2 * v_t, f1 * b + f2, q2)
 
 
-def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
-    """Run the recurrence over a (T, d) chunk.
+def _to_channels(x: np.ndarray) -> np.ndarray:
+    """(..., T, d) -> (T, G*d): time leading, the G sequences side by side."""
+    return np.moveaxis(x, -2, 0).reshape(x.shape[-2], math.prod(x.shape[:-2]) * x.shape[-1])
 
-    Returns (y: Tensor (T, d), final_state) where final_state is a detached
-    (a, b, p) numpy triple for handing off to the next chunk.
+
+def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
+    """Run the recurrence over a (..., T, d) chunk.
+
+    Returns (y: Tensor (..., T, d), final_state) where final_state is a
+    detached (a, b, p) numpy triple, each (..., d), for handing off to the
+    next chunk.
     """
-    if k.shape != v.shape or k.data.ndim != 2:
+    if k.shape != v.shape or k.data.ndim < 2:
         raise ag.ShapeError(f"wkv_sequence: k {k.shape} vs v {v.shape}")
-    T, d = k.shape
+    lead, (T, d) = k.shape[:-2], k.shape[-2:]
     if w.shape != (d,) or u.shape != (d,):
         raise ag.ShapeError(f"wkv_sequence: w {w.shape} / u {u.shape} vs d={d}")
-    kd, vd, wd, ud = k.data, v.data, w.data, u.data
+    dtype = k.data.dtype
     if state is None:
-        state = empty_state(d, dtype=kd.dtype)
-    a, b, p = (np.array(state[0], dtype=kd.dtype), np.array(state[1], dtype=kd.dtype),
-               np.array(state[2], dtype=kd.dtype))
+        state = empty_state(lead + (d,), dtype=dtype)
+    if any(np.shape(s) != lead + (d,) for s in state):
+        raise ag.ShapeError(f"wkv_sequence: state {[np.shape(s) for s in state]} "
+                            f"vs {lead + (d,)}")
+    groups = math.prod(lead)
+    kd, vd = _to_channels(k.data), _to_channels(v.data)
+    wd, ud = np.tile(w.data, groups), np.tile(u.data, groups)
+    a, b, p = (np.array(s, dtype=dtype).reshape(-1) for s in state)
+    D = kd.shape[1]
 
     y = np.empty_like(kd)
     # saved per-step values for the backward pass
@@ -66,8 +85,8 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
     dens = np.empty_like(kd)
     f1s = np.empty_like(kd)
     f2s = np.empty_like(kd)
-    n1s = np.empty((T, d), dtype=bool)   # output max taken at p
-    m1s = np.empty((T, d), dtype=bool)   # update max taken at p - w
+    n1s = np.empty((T, D), dtype=bool)   # output max taken at p
+    m1s = np.empty((T, D), dtype=bool)   # update max taken at p - w
 
     for t in range(T):
         a_in[t], b_in[t] = a, b
@@ -91,18 +110,22 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
         p = q2
         m1s[t], f1s[t], f2s[t] = m1, f1, f2
 
-    out = Tensor(y, ag._needs_grad(k, v, w, u), (k, v, w, u), "wkv_sequence")
-    final_state = (a, b, p)
+    def from_channels(x):
+        return np.moveaxis(x.reshape((T,) + lead + (d,)), 0, -2)
+
+    out = Tensor(from_channels(y), ag._needs_grad(k, v, w, u), (k, v, w, u), "wkv_sequence")
+    final_state = tuple(s.reshape(lead + (d,)) for s in (a, b, p))
 
     if out.requires_grad:
         def bwd(gy):
+            gy = _to_channels(gy)
             dk = np.zeros_like(kd)
             dv = np.zeros_like(vd)
             dw = np.zeros_like(wd)
             du = np.zeros_like(ud)
-            da = np.zeros(d, dtype=kd.dtype)   # grad wrt state after step t
-            db = np.zeros(d, dtype=kd.dtype)
-            dp = np.zeros(d, dtype=kd.dtype)
+            da = np.zeros(D, dtype=dtype)   # grad wrt state after step t
+            db = np.zeros(D, dtype=dtype)
+            dp = np.zeros(D, dtype=dtype)
             for t in range(T - 1, -1, -1):
                 ai, bi = a_in[t], b_in[t]
                 e1, e2, den = e1s[t], e2s[t], dens[t]
@@ -139,13 +162,13 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
 
                 da, db, dp = da_cur, db_cur, dp_cur
             if k.requires_grad:
-                k._accumulate(dk)
+                k._accumulate(from_channels(dk))
             if v.requires_grad:
-                v._accumulate(dv)
+                v._accumulate(from_channels(dv))
             if w.requires_grad:
-                w._accumulate(dw)
+                w._accumulate(dw.reshape(groups, d).sum(axis=0))
             if u.requires_grad:
-                u._accumulate(du)
+                u._accumulate(du.reshape(groups, d).sum(axis=0))
         out._backward = bwd
 
     return out, final_state

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,11 @@ UNARY_OPS = {
     "sum": ag.sum_,
     "neg": lambda t: -t,
     "transpose": ag.transpose,
+    "sum_axis": lambda t: ag.square(ag.sum_(t, axis=0)),
+    "stack": lambda t: ag.stack([t, ag.square(t)]),
+    "expand": lambda t: ag.square(ag.expand(t, 2)),
+    "reshape": lambda t: ag.reshape(t, (4, 3)),
+    "moveaxis": lambda t: ag.moveaxis(t, 0, 1),
 }
 
 
@@ -250,3 +258,74 @@ def test_shift_rows_semantics_and_gradient():
     np.testing.assert_array_equal(out.data, [[9, 9], [1, 2], [3, 4]])
     ag.sum_(ag.mul(out, out)).backward()
     np.testing.assert_array_equal(x.grad, [[2, 4], [6, 8], [0, 0]])
+
+
+def test_shift_rows_leading_axes_use_their_own_first_row():
+    x = np.arange(2 * 3 * 4 * 2, dtype=np.float64).reshape(2, 3, 4, 2)
+    first = -np.arange(2 * 3 * 2, dtype=np.float64).reshape(2, 3, 2) - 1.0
+    t = Tensor(x, requires_grad=True)
+    out = ag.shift_rows(t, first)
+    np.testing.assert_array_equal(out.data[..., 0, :], first)
+    np.testing.assert_array_equal(out.data[..., 1:, :], x[..., :-1, :])
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_array_equal(
+                out.data[i, j], ag.shift_rows(Tensor(x[i, j]), first[i, j]).data)
+    weight = np.random.default_rng(0).uniform(-1, 1, x.shape)
+    ag.sum_(ag.mul(out, Tensor(weight))).backward()
+    np.testing.assert_array_equal(t.grad[..., :-1, :], weight[..., 1:, :])
+    np.testing.assert_array_equal(t.grad[..., -1, :], 0.0)
+    with pytest.raises(ag.ShapeError, match="shift_rows"):
+        ag.shift_rows(t, first[0, 0])      # one row for six slices
+
+
+def test_matmul_leading_axes_match_2d_on_flattened_rows():
+    ag.set_default_dtype(np.float64)
+    rng = np.random.default_rng(9)
+    a = rng.uniform(-1, 1, (3, 2, 5, 4))
+    b = rng.uniform(-1, 1, (4, 6))
+    g = rng.uniform(-1, 1, (3, 2, 5, 6))
+    ta, tb = Tensor(a.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+    out = ag.matmul(ta, tb)
+    ag.sum_(ag.mul(out, Tensor(g))).backward()
+    fa, fb = Tensor(a.reshape(-1, 4), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+    flat = ag.matmul(fa, fb)
+    ag.sum_(ag.mul(flat, Tensor(g.reshape(-1, 6)))).backward()
+    np.testing.assert_array_equal(out.data, flat.data.reshape(3, 2, 5, 6))
+    np.testing.assert_array_equal(ta.grad, fa.grad.reshape(a.shape))
+    np.testing.assert_array_equal(tb.grad, fb.grad)
+
+
+def test_no_grad_outputs_do_not_keep_their_inputs_alive():
+    x = Tensor(np.ones(3))
+    with ag.no_grad():
+        mid = ag.add(Tensor(np.ones(3), requires_grad=True), x)
+        ref = weakref.ref(mid)
+        y = ag.mul(mid, x)
+    del mid
+    assert ref() is None and y._parents == ()
+
+
+def test_model_graph_freed_without_cycle_collector():
+    """Reference counting alone frees every node of a model loss's graph once
+    the loss is dropped after backward(), so memory does not wait for gc."""
+    from rwkvp import model as m
+    from rwkvp import perspectives
+    cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=11, context_length=8)
+    base, _ = m.init_base_params(cfg, seed=0)
+    ft_cfg, store, mask = perspectives.extend_to_perspectives(base, cfg, 2)
+    tokens = np.arange(12).reshape(2, 6) % cfg.vocab_size
+    gc.collect()
+    gc.disable()
+    try:
+        logits, _, _ = m.Model(ft_cfg, store, mask).forward(tokens[:, :-1])
+        loss = ag.cross_entropy(ag.reshape(logits, (-1, cfg.vocab_size)),
+                                tokens[:, 1:].reshape(-1))
+        refs = [weakref.ref(node) for node in ag._toposort(loss) if node.op != "leaf"]
+        del logits
+        loss.backward()
+        del loss
+        alive = [r().op for r in refs if r() is not None]
+    finally:
+        gc.enable()
+    assert refs and not alive, alive

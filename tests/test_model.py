@@ -75,6 +75,15 @@ def test_forward_rejects_out_of_range_token():
         m.model_forward(cfg, store, np.array([cfg.vocab_size]))
 
 
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+def test_empty_token_array_raises_corpus_error(shape):
+    from rwkvp.corpus import CorpusError
+    cfg = tiny_config()
+    store, _ = m.init_base_params(cfg, seed=0)
+    with pytest.raises(CorpusError, match="empty"):
+        m.model_forward(cfg, store, np.zeros(shape, dtype=np.int64))
+
+
 def test_causality():
     """Changing future tokens never changes past logits."""
     cfg = tiny_config()
@@ -132,25 +141,25 @@ def test_handworked_channel_mix_d2():
     store["layer0.ffn.w_r"].data = np.zeros((2, 2), dtype=np.float32)
     store["layer0.ffn.w_k"].data = np.hstack([np.eye(2)] * 4).astype(np.float32)
     store["layer0.ffn.w_v"].data = np.vstack([np.eye(2)] * 4).astype(np.float32)
-    xx = Tensor(np.array([[0.5, -1.0]], dtype=np.float32))
-    st = m.StreamState.zeros(2)
+    xx = Tensor(np.array([[[0.5, -1.0]]], dtype=np.float32))    # (n=1, T=1, d=2)
+    st = m.StreamState.zeros((1, 2))
     with ag.no_grad():
-        out, prev = m.channel_mixing(store, 0, 0, xx, st)
+        out, prev = m.channel_mixing(store, 0, xx, st)
     # sigmoid(0)=0.5; relu(x)^2 per copy, 4 copies summed back
     expected = 0.5 * 4 * np.maximum(np.array([0.5, -1.0]), 0.0) ** 2
-    np.testing.assert_allclose(out.data[0], expected, rtol=1e-6)
-    np.testing.assert_array_equal(prev, [0.5, -1.0])
+    np.testing.assert_allclose(out.data[0, 0], expected, rtol=1e-6)
+    np.testing.assert_array_equal(prev[0], [0.5, -1.0])
 
 
 def test_time_mixing_state_advances():
     cfg = tiny_config()
     store, _ = m.init_base_params(cfg, seed=0)
-    xx = Tensor(np.random.default_rng(0).uniform(-1, 1, (3, cfg.d_model)).astype(np.float32))
-    st = m.StreamState.zeros(cfg.d_model)
+    xx = Tensor(np.random.default_rng(0).uniform(-1, 1, (1, 3, cfg.d_model)).astype(np.float32))
+    st = m.StreamState.zeros((1, cfg.d_model))
     with ag.no_grad():
-        out, att_prev, wkv_state = m.time_mixing(store, 0, 0, xx, st)
-    assert out.shape == (3, cfg.d_model)
-    np.testing.assert_array_equal(att_prev, xx.data[-1])
+        out, att_prev, wkv_state = m.time_mixing(store, 0, xx, st)
+    assert out.shape == (1, 3, cfg.d_model)
+    np.testing.assert_array_equal(att_prev[0], xx.data[0, -1])
     assert np.all(np.isfinite(wkv_state[0]))
 
 

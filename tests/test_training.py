@@ -191,3 +191,33 @@ def test_pretrain_rejects_multi_perspective_config():
     with pytest.raises(m.ConfigError):
         training.pretrain_base(cfg, np.zeros(32, dtype=np.int64),
                                np.zeros(16, dtype=np.int64), tc)
+
+
+def test_batched_loss_equals_mean_of_context_losses():
+    """One (B, T) forward gives the mean of the B per-context losses and the
+    mean of their gradients."""
+    from rwkvp.autograd import cross_entropy
+    cfg, store, mask = _noisy_extended(n=3)
+    training.inject_selector_noise(store, 0.5, 0.0, seed=0)
+    training.inject_temporal_noise(store, cfg, 0.05, 0.0, seed=1)
+    model = m.Model(cfg, store, mask)
+    batch = np.random.default_rng(0).integers(0, cfg.vocab_size, (3, 10))
+
+    store.zero_grad()
+    loss = training._batch_loss(lambda t: model.forward(t)[0], batch)
+    loss.backward()
+    batched = store.collect_grads(mask)
+
+    per_context, summed = [], {}
+    for ctx in batch:
+        store.zero_grad()
+        part = cross_entropy(model.forward(ctx[:-1])[0], ctx[1:])
+        part.backward()
+        per_context.append(part.item())
+        for name, g in store.collect_grads(mask).items():
+            summed[name] = summed.get(name, 0.0) + g
+    assert abs(loss.item() - np.mean(per_context)) <= 1e-6
+    assert batched.keys() == summed.keys()
+    for name, g in batched.items():
+        np.testing.assert_allclose(g, summed[name] / len(batch), rtol=0, atol=1e-5,
+                                   err_msg=name)

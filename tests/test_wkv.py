@@ -161,3 +161,46 @@ def test_strong_decay_and_bonus():
         y, _ = wkv.wkv_sequence(Tensor(k), Tensor(v), Tensor(w),
                                 Tensor(np.full(d, 50.0)))
         np.testing.assert_allclose(y.data[-1], v[-1], atol=1e-8)
+
+
+def test_stacked_sequences_match_per_slice_calls():
+    """One call on (n, B, T, d) equals one call per (i, b) slice: bitwise for
+    y, dk, dv and the final state; dw and du sum the slices in another order."""
+    rng = np.random.default_rng(7)
+    n, B, T, d = 3, 2, 9, 4
+    k, v, k0, v0, weight = (rng.uniform(-1, 1, (n, B, T, d)).astype(np.float32)
+                            for _ in range(5))
+    w = rng.uniform(0.05, 2.0, d).astype(np.float32)
+    u = rng.uniform(-1, 1, d).astype(np.float32)
+    with ag.no_grad():
+        _, state = wkv.wkv_sequence(Tensor(k0), Tensor(v0), Tensor(w), Tensor(u))
+
+    def run(kk, vv, st, wt):
+        ts = [Tensor(x.copy(), requires_grad=True) for x in (kk, vv, w, u)]
+        y, final = wkv.wkv_sequence(*ts, state=st)
+        ag.sum_(ag.mul(y, Tensor(wt))).backward()
+        return y.data, final, [t.grad for t in ts]
+
+    y, final, (dk, dv, dw, du) = run(k, v, state, weight)
+    assert y.shape == (n, B, T, d) and all(s.shape == (n, B, d) for s in final)
+    dw_sum, du_sum = np.zeros_like(w), np.zeros_like(u)
+    for i in range(n):
+        for b in range(B):
+            ys, fs, (dks, dvs, dws, dus) = run(k[i, b], v[i, b],
+                                               tuple(s[i, b] for s in state), weight[i, b])
+            assert np.array_equal(y[i, b], ys)
+            assert np.array_equal(dk[i, b], dks)
+            assert np.array_equal(dv[i, b], dvs)
+            for got, want in zip(final, fs):
+                assert np.array_equal(got[i, b], want)
+            dw_sum += dws
+            du_sum += dus
+    np.testing.assert_allclose(dw, dw_sum, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(du, du_sum, rtol=0, atol=1e-6)
+
+
+def test_state_shape_must_match_leading_axes():
+    k = Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(ag.ShapeError, match="state"):
+        wkv.wkv_sequence(k, k, Tensor(np.ones(4)), Tensor(np.ones(4)),
+                         state=wkv.empty_state(4, np.float64))
