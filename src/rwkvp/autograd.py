@@ -15,7 +15,6 @@ leaves to float64 is enough to run a whole graph in double precision.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -32,7 +31,6 @@ class NonFiniteError(FloatingPointError):
 _default_dtype = np.float32
 _grad_enabled = True
 _debug_checks = False
-_node_ids = itertools.count()
 
 
 def set_default_dtype(dtype) -> None:
@@ -44,18 +42,6 @@ def set_default_dtype(dtype) -> None:
 
 def get_default_dtype():
     return _default_dtype
-
-
-@contextmanager
-def double_precision():
-    """Create leaves in float64 inside the block (gradient-check mode)."""
-    global _default_dtype
-    prev = _default_dtype
-    _default_dtype = np.float64
-    try:
-        yield
-    finally:
-        _default_dtype = prev
 
 
 @contextmanager
@@ -79,12 +65,12 @@ def set_debug(flag: bool) -> None:
 class Tensor:
     """A dense array plus its position in the computation graph.
 
-    Node ids increase monotonically as ops execute, so every node's parents
-    have strictly smaller ids and the graph is acyclic by construction.
+    An op only ever takes existing tensors as parents, so the graph is
+    acyclic by construction and the DFS post-order of _toposort lists every
+    node after all of its parents.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op", "node_id",
-                 "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _op: str = "leaf"):
         if isinstance(data, np.ndarray) and (_op != "leaf" or data.dtype in (np.float32, np.float64)):
@@ -98,7 +84,6 @@ class Tensor:
         self._parents = _parents if self.requires_grad else ()
         self._backward = None
         self.op = _op
-        self.node_id = next(_node_ids)
         if _debug_checks and not np.all(np.isfinite(self.data)):
             raise NonFiniteError(f"non-finite output from op '{_op}'")
 
@@ -163,7 +148,6 @@ def _toposort(root: Tensor):
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    order.sort(key=lambda n: n.node_id)
     return order
 
 
@@ -240,40 +224,10 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_same_shape(a, b, "div")
-    q = a.data / b.data
-    out = Tensor(q, _needs_grad(a, b), (a, b), "div")
-    if out.requires_grad:
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * q / b.data, b.shape))
-        out._backward = bwd
-    return out
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c, _needs_grad(a), (a,), "scale")
     if out.requires_grad:
         out._backward = lambda g: a._accumulate(g * c)
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    e = np.exp(a.data)
-    out = Tensor(e, _needs_grad(a), (a,), "exp")
-    if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g * e)
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data), _needs_grad(a), (a,), "log")
-    if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g / a.data)
     return out
 
 
@@ -296,21 +250,6 @@ def square(a: Tensor) -> Tensor:
     out = Tensor(a.data * a.data, _needs_grad(a), (a,), "square")
     if out.requires_grad:
         out._backward = lambda g: a._accumulate(g * 2.0 * a.data)
-    return out
-
-
-def maximum(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_same_shape(a, b, "maximum")
-    out = Tensor(np.maximum(a.data, b.data), _needs_grad(a, b), (a, b), "maximum")
-    if out.requires_grad:
-        mask = a.data >= b.data
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * mask, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * (~mask), b.shape))
-        out._backward = bwd
     return out
 
 
@@ -344,23 +283,6 @@ def transpose(a: Tensor) -> Tensor:
     out = Tensor(a.data.T, _needs_grad(a), (a,), "transpose")
     if out.requires_grad:
         out._backward = lambda g: a._accumulate(g.T)
-    return out
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat: empty input list")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 _needs_grad(*tensors), tuple(tensors), "concat")
-    if out.requires_grad:
-        sizes = [t.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
-        def bwd(g):
-            for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-                if t.requires_grad:
-                    t._accumulate(piece)
-        out._backward = bwd
     return out
 
 
@@ -410,19 +332,6 @@ def moveaxis(a: Tensor, source: int, destination: int) -> Tensor:
     out = Tensor(np.moveaxis(a.data, source, destination), _needs_grad(a), (a,), "moveaxis")
     if out.requires_grad:
         out._backward = lambda g: a._accumulate(np.moveaxis(g, destination, source))
-    return out
-
-
-def mean(a: Tensor, axis=None) -> Tensor:
-    out = Tensor(np.asarray(a.data.mean(axis=axis)), _needs_grad(a), (a,), "mean")
-    if out.requires_grad:
-        count = a.data.size if axis is None else a.shape[axis]
-        def bwd(g):
-            if axis is None:
-                a._accumulate(np.broadcast_to(g / count, a.shape).copy())
-            else:
-                a._accumulate(np.broadcast_to(np.expand_dims(g, axis) / count, a.shape).copy())
-        out._backward = bwd
     return out
 
 
@@ -497,17 +406,6 @@ def shift_rows(a: Tensor, first_row: np.ndarray) -> Tensor:
         def bwd(g):
             ga = np.zeros_like(a.data)
             ga[..., :-1, :] = g[..., 1:, :]
-            a._accumulate(ga)
-        out._backward = bwd
-    return out
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.data[:, start:stop], _needs_grad(a), (a,), "slice_cols")
-    if out.requires_grad:
-        def bwd(g):
-            ga = np.zeros_like(a.data)
-            ga[:, start:stop] = g
             a._accumulate(ga)
         out._backward = bwd
     return out

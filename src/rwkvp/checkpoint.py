@@ -72,8 +72,10 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
     raw = Path(path).read_bytes()
     if raw[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    (mlen,) = struct.unpack_from("<I", raw, len(MAGIC))
     mstart = len(MAGIC) + 4
+    if len(raw) < mstart:
+        raise TruncatedPayloadError(f"{path}: header truncated ({len(raw)} of {mstart} bytes)")
+    (mlen,) = struct.unpack_from("<I", raw, len(MAGIC))
     try:
         manifest = json.loads(raw[mstart:mstart + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -99,7 +101,10 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
                                   f"does not match shape {shape}")
         data = np.frombuffer(payload[lo:hi], dtype="<f4").reshape(shape)
         store.add(name, data.copy())
-    config = ModelConfig.from_dict(manifest["config"])
+    try:
+        config = ModelConfig.from_dict(manifest["config"])
+    except TypeError as e:
+        raise CheckpointError(f"{path}: invalid model config: {e}") from None
     mask = FreezeMask({k: bool(v) for k, v in manifest["freeze_mask"].items()})
     if set(mask) != set(store.names()):
         raise CheckpointError(f"{path}: freeze mask does not cover tensor directory")

@@ -41,11 +41,3 @@ def sample_contexts(tokens: np.ndarray, context_length: int, count: int, seed: i
     for start in rng.integers(0, n_starts, size=count):
         yield tokens[start:start + context_length]
 
-
-def fixed_windows(tokens: np.ndarray, context_length: int):
-    """Non-overlapping evaluation windows covering the corpus prefix."""
-    n = (len(tokens) // context_length) * context_length
-    if n == 0:
-        raise CorpusError(f"corpus ({len(tokens)} tokens) shorter than "
-                          f"context_length ({context_length})")
-    return tokens[:n].reshape(-1, context_length)

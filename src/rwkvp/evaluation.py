@@ -21,6 +21,19 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def _stream(model: m.Model, tokens: np.ndarray, chunk: int):
+    """Yield (start, piece, logits, weights) per chunk of a no-grad forward
+    over the stream, handing the recurrent state from chunk to chunk."""
+    if tokens.size == 0:
+        raise CorpusError("cannot stream an empty token array")
+    states = model.init_states()
+    for start in range(0, len(tokens), chunk):
+        piece = tokens[start:start + chunk]
+        with ag.no_grad():     # not held across the yield
+            logits, weights, states = model.forward(piece, states)
+        yield start, piece, logits.data, weights
+
+
 def perplexity(model: m.Model, tokens: np.ndarray, chunk: int | None = None) -> float:
     """exp(mean next-token NLL, natural log) over the whole stream.
 
@@ -30,26 +43,13 @@ def perplexity(model: m.Model, tokens: np.ndarray, chunk: int | None = None) -> 
     tokens = np.asarray(tokens)
     if tokens.size < 2:
         raise CorpusError("perplexity needs at least two tokens")
-    chunk = chunk or model.config.context_length
-    states = model.init_states()
-    nll_sum, count = 0.0, 0
-    prev_logit = None
-    with ag.no_grad():
-        for start in range(0, len(tokens), chunk):
-            piece = tokens[start:start + chunk]
-            logits, _, states = model.forward(piece, states)
-            ld = logits.data
-            if prev_logit is not None:
-                # the last row of the previous chunk predicts this chunk's
-                # first token
-                ld = np.vstack([prev_logit, ld])
-            logp = _log_softmax(ld)
-            targets = piece if prev_logit is not None else piece[1:]
-            rows = logp[: len(targets)] if prev_logit is not None else logp[:-1]
-            nll_sum -= rows[np.arange(len(targets)), targets].sum()
-            count += len(targets)
-            prev_logit = logits.data[-1]
-    return float(np.exp(nll_sum / count))
+    nll_sum = 0.0
+    for start, _, logits, _ in _stream(model, tokens, chunk or model.config.context_length):
+        # row t predicts token start + t + 1; the stream's last row predicts nothing
+        targets = tokens[start + 1:start + 1 + len(logits)]
+        logp = _log_softmax(logits[:len(targets)])
+        nll_sum -= logp[np.arange(len(targets)), targets].sum()
+    return float(np.exp(nll_sum / (len(tokens) - 1)))
 
 
 def cloze_accuracy(model: m.Model, items) -> float:
@@ -120,19 +120,12 @@ def trace_weights(model: m.Model, tokens: np.ndarray) -> list[TraceRecord]:
     if model.config.aggregation != "weighted_softmax":
         raise m.ConfigError("trace_weights requires aggregation='weighted_softmax', "
                             f"got {model.config.aggregation!r}")
-    tokens = np.asarray(tokens)
     records = []
-    states = model.init_states()
-    chunk = model.config.context_length
-    with ag.no_grad():
-        for start in range(0, len(tokens), chunk):
-            piece = tokens[start:start + chunk]
-            _, weights, states = model.forward(piece, states)
-            for t, tok in enumerate(piece):
-                wv = weights[t]
-                records.append(TraceRecord(position=start + t, token=int(tok),
-                                           weights=wv.copy(),
-                                           top_perspective=int(np.argmax(wv))))
+    for start, piece, _, weights in _stream(model, np.asarray(tokens),
+                                            model.config.context_length):
+        for t, (tok, wv) in enumerate(zip(piece, weights)):
+            records.append(TraceRecord(position=start + t, token=int(tok),
+                                       weights=wv.copy(), top_perspective=int(np.argmax(wv))))
     return records
 
 
@@ -145,18 +138,6 @@ def trace_to_csv(records: list[TraceRecord]) -> str:
         writer.writerow([r.position, r.token] + [f"{w:.9g}" for w in r.weights]
                         + [r.top_perspective])
     return out.getvalue()
-
-
-def trace_from_csv(text: str) -> list[TraceRecord]:
-    rows = list(csv.reader(io.StringIO(text)))
-    header = rows[0]
-    n = sum(1 for h in header if h.startswith("weight_"))
-    records = []
-    for row in rows[1:]:
-        records.append(TraceRecord(position=int(row[0]), token=int(row[1]),
-                                   weights=np.array([float(x) for x in row[2:2 + n]]),
-                                   top_perspective=int(row[2 + n])))
-    return records
 
 
 def render_trace_svg(records: list[TraceRecord], width: int = 900,

@@ -59,9 +59,6 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def remove(self, name: str) -> None:
-        del self._params[name]
-
     def total_size(self) -> int:
         return sum(t.data.size for t in self._params.values())
 

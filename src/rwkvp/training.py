@@ -151,13 +151,13 @@ def inject_temporal_noise(store: ParamStore, cfg: m.ModelConfig, std: float,
             p.data = p.data + rng.normal(mean, std, size=p.shape).astype(p.data.dtype)
 
 
-def _train_loop(cfg: m.ModelConfig, store: ParamStore, mask: FreezeMask,
-                logits_fn, train_tokens: np.ndarray, val_tokens: np.ndarray,
+def _train_loop(model: m.Model, train_tokens: np.ndarray, val_tokens: np.ndarray,
                 tc: TrainConfig) -> TrainLog:
-    """Adam steps over batches of sampled contexts; logits_fn maps (B, T)
-    tokens to (B, T, V) logits."""
+    """Adam steps on the model's trainable parameters over batches of
+    sampled contexts, then validation perplexity after each mini-epoch."""
     from rwkvp import evaluation
 
+    store, mask = model.store, model.mask
     log = TrainLog(seeds=[tc.seed])
     steps_per_epoch = math.ceil(tc.contexts_per_mini_epoch / tc.batch_size)
     total_steps = steps_per_epoch * tc.mini_epochs
@@ -170,7 +170,7 @@ def _train_loop(cfg: m.ModelConfig, store: ParamStore, mask: FreezeMask,
             lr = lr_schedule(step, total_steps, tc.lr_max, tc.lr_min)
             store.zero_grad()
             batch = np.stack([next(sampler) for _ in range(tc.batch_size)])
-            loss = _batch_loss(logits_fn, batch)
+            loss = _batch_loss(model, batch)
             value = loss.item()
             if not math.isfinite(value):
                 raise DivergenceError(step, value)
@@ -180,15 +180,14 @@ def _train_loop(cfg: m.ModelConfig, store: ParamStore, mask: FreezeMask,
             opt.step(store, grads, lr)
             log.steps.append((step, lr, value))
             step += 1
-        ppl = evaluation.perplexity(m.Model(cfg, store, mask), val_tokens,
-                                    chunk=tc.context_length)
+        ppl = evaluation.perplexity(model, val_tokens, chunk=tc.context_length)
         log.val_ppl.append((epoch, ppl))
     return log
 
 
-def _batch_loss(logits_fn, batch: np.ndarray):
+def _batch_loss(model: m.Model, batch: np.ndarray):
     """Mean next-token NLL over every position of the (B, T+1) contexts."""
-    logits = logits_fn(batch[:, :-1])
+    logits, _, _ = model.forward(batch[:, :-1])
     return cross_entropy(ag.reshape(logits, (-1, logits.shape[-1])),
                          batch[:, 1:].reshape(-1))
 
@@ -200,9 +199,7 @@ def pretrain_base(base_cfg: m.ModelConfig, train_tokens: np.ndarray,
     if base_cfg.n_perspectives != 1:
         raise m.ConfigError("pretraining runs with n_perspectives=1")
     store, mask = m.init_base_params(base_cfg, seed=tc.seed)
-    log = _train_loop(base_cfg, store, mask,
-                      lambda t: m.model_forward(base_cfg, store, t)[0],
-                      train_tokens, val_tokens, tc)
+    log = _train_loop(m.Model(base_cfg, store, mask), train_tokens, val_tokens, tc)
     return store, mask, log
 
 
@@ -223,9 +220,7 @@ def finetune_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
 
     frozen = mask.frozen_names()
     before = store.digest(frozen)
-    model = m.Model(cfg, store, mask)
-    log = _train_loop(cfg, store, mask, lambda t: model.forward(t)[0],
-                      train_tokens, val_tokens, tc)
+    log = _train_loop(m.Model(cfg, store, mask), train_tokens, val_tokens, tc)
     if store.digest(frozen) != before:
         raise FreezeViolationError("frozen base parameters changed during fine-tuning")
     return cfg, store, mask, log

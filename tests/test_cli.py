@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rwkvp import checkpoint as ckpt
-from rwkvp import cli, synth
+from rwkvp import cli, perspectives, synth
+from rwkvp import model as m
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +122,18 @@ def test_bad_checkpoint_errors(tmp_path, capsys, corpus_file, micro_config):
                    "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "CheckpointError" in capsys.readouterr().err
+
+
+def test_trace_empty_prompt_errors(tmp_path, capsys):
+    base_cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
+    base_store, _ = m.init_base_params(base_cfg, seed=0)
+    cfg, store, mask = perspectives.extend_to_perspectives(base_store, base_cfg, 2)
+    path = tmp_path / "ft.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    rc = cli.main(["trace", "--checkpoint", str(path), "--prompt", "",
+                   "--out", str(tmp_path / "tr")])
+    assert rc == 1
+    assert "CorpusError" in capsys.readouterr().err
 
 
 def test_invalid_config_field_errors(tmp_path, capsys, corpus_file):

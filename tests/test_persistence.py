@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -121,15 +122,6 @@ def test_sample_contexts_corpus_too_short():
         list(corpus_mod.sample_contexts(np.arange(4), 8, 1, seed=0))
 
 
-def test_fixed_windows_cover_prefix():
-    tokens = np.arange(103)
-    windows = corpus_mod.fixed_windows(tokens, 10)
-    assert windows.shape == (10, 10)
-    np.testing.assert_array_equal(windows.reshape(-1), tokens[:100])
-    with pytest.raises(corpus_mod.CorpusError):
-        corpus_mod.fixed_windows(np.arange(4), 10)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -202,6 +194,29 @@ def test_checkpoint_rejects_garbage_manifest(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(ckpt.MAGIC + struct.pack("<I", 5) + b"{{{{{")
     with pytest.raises(ckpt.CheckpointError, match="manifest"):
+        ckpt.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_truncated_header(tmp_path):
+    path = tmp_path / "short.ckpt"
+    path.write_bytes(ckpt.MAGIC + b"\x01")
+    with pytest.raises(ckpt.TruncatedPayloadError, match="header"):
+        ckpt.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_unknown_config_key(tmp_path):
+    cfg, store, mask = _small_model()
+    path = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack_from("<I", raw, len(ckpt.MAGIC))
+    start = len(ckpt.MAGIC) + 4
+    manifest = json.loads(raw[start:start + mlen])
+    manifest["config"]["no_such_field"] = 1
+    mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:len(ckpt.MAGIC)] + struct.pack("<I", len(mbytes)) + mbytes
+                     + raw[start + mlen:])
+    with pytest.raises(ckpt.CheckpointError, match="config"):
         ckpt.load_checkpoint(path)
 
 

@@ -3,13 +3,15 @@
 perfbench/tracer.py wraps these from the outside by module and attribute
 name, and only when the function is defined in that module. If one is
 renamed, moved, or re-exported from elsewhere, its layer silently reads zero.
+It reads its boundary functions and methods with owner.__dict__[attr], so
+deleting one or moving it to another class makes the benchmark fail to install.
 """
 
 import inspect
 
 import pytest
 
-from rwkvp import model, perspectives, wkv
+from rwkvp import autograd, model, params, perspectives, training, wkv
 
 TRACE_POINTS = [
     (wkv, "wkv_sequence"),
@@ -31,3 +33,18 @@ def test_traced_function_is_defined_in_its_module(module, name):
 
 def test_model_forward_is_a_method_of_model():
     assert inspect.isfunction(vars(model.Model).get("forward"))
+
+
+BOUNDARIES = [
+    (autograd, "_toposort"),
+    (autograd.Tensor, "backward"),
+    (training.Adam, "step"),
+    (params.ParamStore, "zero_grad"),
+    (params.ParamStore, "collect_grads"),
+]
+
+
+@pytest.mark.parametrize("owner, name", BOUNDARIES,
+                         ids=[f"{owner.__name__}.{name}" for owner, name in BOUNDARIES])
+def test_boundary_is_defined_on_its_owner(owner, name):
+    assert inspect.isfunction(vars(owner).get(name)), f"{owner.__name__}.{name} is missing"

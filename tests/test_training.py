@@ -204,7 +204,7 @@ def test_batched_loss_equals_mean_of_context_losses():
     batch = np.random.default_rng(0).integers(0, cfg.vocab_size, (3, 10))
 
     store.zero_grad()
-    loss = training._batch_loss(lambda t: model.forward(t)[0], batch)
+    loss = training._batch_loss(model, batch)
     loss.backward()
     batched = store.collect_grads(mask)
 
