@@ -68,6 +68,38 @@ def save_checkpoint(store: ParamStore, config: ModelConfig, mask: FreezeMask,
             f.write(blob)
 
 
+_MANIFEST_KEYS = ("config", "tensors", "freeze_mask")
+_TENSOR_KEYS = ("name", "shape", "offset", "length")
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _check_manifest(path, manifest) -> None:
+    """Raise CheckpointError unless the manifest has the shape save_checkpoint writes."""
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is a JSON {type(manifest).__name__}, "
+                              "not an object")
+    if manifest.get("version") != FORMAT_VERSION:
+        raise VersionMismatchError(f"{path}: format version {manifest.get('version')}, "
+                                   f"expected {FORMAT_VERSION}")
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise CheckpointError(f"{path}: manifest lacks {', '.join(missing)}")
+    if not (isinstance(manifest["tensors"], list) and isinstance(manifest["freeze_mask"], dict)
+            and isinstance(manifest.get("seeds", []), list)):
+        raise CheckpointError(f"{path}: manifest tensors and seeds must be lists "
+                              "and freeze_mask an object")
+    for entry in manifest["tensors"]:
+        if not (isinstance(entry, dict) and all(key in entry for key in _TENSOR_KEYS)
+                and isinstance(entry["name"], str) and isinstance(entry["shape"], list)
+                and all(_is_count(n) for n in entry["shape"])
+                and _is_count(entry["offset"]) and _is_count(entry["length"])):
+            raise CheckpointError(f"{path}: malformed tensor entry {entry!r}; expected "
+                                  f"{', '.join(_TENSOR_KEYS)}")
+
+
 def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
     raw = Path(path).read_bytes()
     if raw[:len(MAGIC)] != MAGIC:
@@ -80,9 +112,7 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
         manifest = json.loads(raw[mstart:mstart + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable manifest: {e}") from None
-    if manifest.get("version") != FORMAT_VERSION:
-        raise VersionMismatchError(f"{path}: format version {manifest.get('version')}, "
-                                   f"expected {FORMAT_VERSION}")
+    _check_manifest(path, manifest)
     payload = raw[mstart + mlen:]
     store = ParamStore()
     seen = set()
@@ -100,6 +130,8 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
             raise CheckpointError(f"{path}: tensor {name!r} length {entry['length']} "
                                   f"does not match shape {shape}")
         data = np.frombuffer(payload[lo:hi], dtype="<f4").reshape(shape)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         store.add(name, data.copy())
     try:
         config = ModelConfig.from_dict(manifest["config"])

@@ -8,10 +8,31 @@ B = b*e^p, with p a running log-scale maximum that keeps every exp argument
 compare against; no model path calls it. `wkv_sequence` runs a whole
 (..., T, d) chunk inside a single autograd node with a hand-written backward
 over k, v, w, u. Its leading axes (perspectives, batch contexts) are
-independent sequences that share w and u; they run side by side as one
-(T, G*d) channel-stacked loop, so the Python loop over time is paid once per
-chunk, not once per sequence. The chunk-boundary state is a detached numpy
+independent sequences that share w and u; they run side by side as G*d
+channels of one (T, G*d) array. The chunk-boundary state is a detached numpy
 triple (gradients never cross it).
+
+`wkv_sequence` splits the recurrence into two cheap scans and whole-chunk
+array ops, so the Python loop over time costs two ufunc calls per step per
+scan instead of a few dozen:
+
+- The log-scale p' = max(p - w, k) depends on neither a nor b. Scan 1 runs
+  it alone and gives p for all T + 1 positions.
+- With p known, the output factors e1, e2 and the update factors f1, f2 are
+  one array op each over the chunk, and (a, b) follow the linear recurrence
+  ab[t + 1] = f1[t] * ab[t] + (f2 v, f2)[t]. Scan 2 runs it on the stacked
+  (2, G*d) pair; y = (e1 a + e2 v) / (e1 b + e2) is then one expression.
+
+Every value is the same formula, in the same order, as in `wkv_step`, so y
+and the final state are bitwise equal to stepping token by token. That is
+why p stays a loop: its closed form, max over s of (k[s] + s*w) less
+(t - 1)*w via `np.maximum.accumulate`, rounds differently (and loses bits
+as t*w grows), and breaks that equality.
+
+The backward mirrors the forward: one reverse scan for the gradient of
+(a, b), whose coefficient is f1, one for the gradient of p, whose
+coefficient is the 0/1 mask of steps where p' took p - w, and dk, dv, dw, du
+as whole-chunk expressions. Under `no_grad` nothing is kept for it.
 """
 
 from __future__ import annotations
@@ -57,7 +78,8 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
 
     Returns (y: Tensor (..., T, d), final_state) where final_state is a
     detached (a, b, p) numpy triple, each (..., d), for handing off to the
-    next chunk.
+    next chunk. The final state owns its memory: a view into the chunk's
+    scan buffers would keep them alive for as long as the state is carried.
     """
     if k.shape != v.shape or k.data.ndim < 2:
         raise ag.ShapeError(f"wkv_sequence: k {k.shape} vs v {v.shape}")
@@ -73,102 +95,122 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
     groups = math.prod(lead)
     kd, vd = _to_channels(k.data), _to_channels(v.data)
     wd, ud = np.tile(w.data, groups), np.tile(u.data, groups)
-    a, b, p = (np.array(s, dtype=dtype).reshape(-1) for s in state)
     D = kd.shape[1]
 
-    y = np.empty_like(kd)
-    # saved per-step values for the backward pass
-    a_in = np.empty_like(kd)
-    b_in = np.empty_like(kd)
-    e1s = np.empty_like(kd)
-    e2s = np.empty_like(kd)
-    dens = np.empty_like(kd)
-    f1s = np.empty_like(kd)
-    f2s = np.empty_like(kd)
-    n1s = np.empty((T, D), dtype=bool)   # output max taken at p
-    m1s = np.empty((T, D), dtype=bool)   # update max taken at p - w
+    # scan 1: p[t + 1] = max(p[t] - w, k[t]); row t is the log-scale entering step t
+    p = np.empty((T + 1, D), dtype=dtype)
+    p[0] = np.reshape(state[2], D)
+    for cur, nxt, kt in zip(p[:-1], p[1:], kd):
+        np.subtract(cur, wd, out=nxt)
+        np.maximum(nxt, kt, out=nxt)
+    p_in, p_out = p[:-1], p[1:]
 
-    for t in range(T):
-        a_in[t], b_in[t] = a, b
-        kt, vt = kd[t], vd[t]
-        uk = ud + kt
-        n1 = p >= uk
-        q = np.where(n1, p, uk)
-        e1 = np.exp(p - q)
-        e2 = np.exp(uk - q)
-        den = e1 * b + e2
-        y[t] = (e1 * a + e2 * vt) / den
-        n1s[t], e1s[t], e2s[t], dens[t] = n1, e1, e2, den
+    # every exp factor of the chunk at once
+    uk = kd + ud
+    e1 = np.maximum(p_in, uk)                    # q, the output's log-scale
+    e2 = np.subtract(uk, e1, out=uk)
+    np.subtract(p_in, e1, out=e1)
+    np.exp(e1, out=e1)                           # e1 = exp(p - q)
+    np.exp(e2, out=e2)                           # e2 = exp(u + k - q)
+    f1 = np.subtract(p_in, wd)
+    np.subtract(f1, p_out, out=f1)
+    np.exp(f1, out=f1)                           # f1 = exp(p - w - p')
+    inc = np.empty((T, 2, D), dtype=dtype)       # what step t adds to (a, b)
+    f2 = inc[:, 1]
+    np.subtract(kd, p_out, out=f2)
+    np.exp(f2, out=f2)                           # f2 = exp(k - p')
+    np.multiply(f2, vd, out=inc[:, 0])
 
-        pw = p - wd
-        m1 = pw >= kt
-        q2 = np.where(m1, pw, kt)
-        f1 = np.exp(pw - q2)
-        f2 = np.exp(kt - q2)
-        a = f1 * a + f2 * vt
-        b = f1 * b + f2
-        p = q2
-        m1s[t], f1s[t], f2s[t] = m1, f1, f2
+    # scan 2: with p known, (a, b) is linear: ab[t + 1] = f1[t] * ab[t] + (f2 v, f2)[t]
+    ab = np.empty((T + 1, 2, D), dtype=dtype)
+    ab[0, 0] = np.reshape(state[0], D)
+    ab[0, 1] = np.reshape(state[1], D)
+    for cur, nxt, f, i in zip(ab[:-1], ab[1:], f1, inc):
+        np.multiply(cur, f, out=nxt)
+        np.add(nxt, i, out=nxt)
+    a_in, b_in = ab[:-1, 0], ab[:-1, 1]
+
+    # y = (e1 a + e2 v) / (e1 b + e2)
+    den = np.multiply(e1, b_in)
+    den += e2
+    y = np.multiply(e1, a_in)
+    y += e2 * vd
+    y /= den
 
     def from_channels(x):
         return np.moveaxis(x.reshape((T,) + lead + (d,)), 0, -2)
 
     out = Tensor(from_channels(y), ag._needs_grad(k, v, w, u), (k, v, w, u), "wkv_sequence")
-    final_state = tuple(s.reshape(lead + (d,)) for s in (a, b, p))
+    final_state = tuple(s.reshape(lead + (d,)).copy() for s in (ab[T, 0], ab[T, 1], p[T]))
 
     if out.requires_grad:
         def bwd(gy):
-            gy = _to_channels(gy)
-            dk = np.zeros_like(kd)
-            dv = np.zeros_like(vd)
-            dw = np.zeros_like(wd)
-            du = np.zeros_like(ud)
-            da = np.zeros(D, dtype=dtype)   # grad wrt state after step t
-            db = np.zeros(D, dtype=dtype)
-            dp = np.zeros(D, dtype=dtype)
-            for t in range(T - 1, -1, -1):
-                ai, bi = a_in[t], b_in[t]
-                e1, e2, den = e1s[t], e2s[t], dens[t]
-                f1, f2 = f1s[t], f2s[t]
-                m1 = m1s[t]
-                m2 = ~m1
-                n1 = n1s[t]
-                n2 = ~n1
-                vt = vd[t]
-                g = gy[t]
+            g = _to_channels(gy)
+            dN = g / den
+            dD = -g * y / den
 
-                # state update: a' = f1*a + f2*v, b' = f1*b + f2, p' = q2
-                g1 = (da * ai + db * bi) * f1
-                g2 = (da * vt + db) * f2
-                da_cur = da * f1
-                db_cur = db * f1
-                dv[t] += da * f2
-                dk[t] += -g1 * m2 + g2 * m1 + dp * m2
-                dw += -g1 * m2 + g2 * m1 - dp * m1
-                dp_cur = g1 * m2 - g2 * m1 + dp * m1
+            # reverse scan 1: dab[t] is the gradient of (a, b) entering step t
+            dab = np.empty((T + 1, 2, D), dtype=dtype)
+            dab[T] = 0
+            np.multiply(dN, e1, out=dab[:-1, 0])
+            np.multiply(dD, e1, out=dab[:-1, 1])
+            for cur, nxt, f in zip(dab[-2::-1], dab[:0:-1], f1[::-1]):
+                cur += nxt * f
+            da, db = dab[1:, 0], dab[1:, 1]      # gradient of the state after step t
 
-                # output: y = (e1*a + e2*v) / (e1*b + e2)
-                dN = g / den
-                dD = -g * y[t] / den
-                da_cur += dN * e1
-                db_cur += dD * e1
-                dv[t] += dN * e2
-                g1o = (dN * ai + dD * bi) * e1
-                g2o = (dN * vt + dD) * e2
-                duk = -g1o * n2 + g2o * n1
-                du += duk
-                dk[t] += duk
-                dp_cur += g1o * n2 - g2o * n1
+            # Gradients of the exp arguments, each routed through the max that
+            # set its log-scale. The 0/1 masks of which argument a max took are
+            # floats: a mask multiply is an exact select, and much cheaper than
+            # np.where on masks without long runs.
+            uk = kd + ud
+            n1 = np.greater_equal(p_in, uk, out=np.empty_like(kd))  # q = p
+            n2 = np.less(p_in, uk, out=uk)                          # q = u + k
+            duk = dN * vd
+            duk += dD
+            duk *= e2
+            duk *= n1                            # via u + k - q, where q = p
+            g1o = np.multiply(dD, b_in, out=dD)
+            g1o += dN * a_in
+            g1o *= e1
+            g1o *= n2                            # via p - q, where q = u + k
+            duk -= g1o                           # what u + k gets from the output
+            del uk, n1, n2, dD, g1o              # free before the update side
 
-                da, db, dp = da_cur, db_cur, dp_cur
+            pw = p_in - wd
+            m1 = np.greater_equal(pw, kd, out=np.empty_like(kd))    # p' = p - w
+            m2 = np.less(pw, kd, out=pw)                            # p' = k
+            g1 = da * a_in
+            g1 += db * b_in
+            g1 *= f1
+            g1 *= m2                             # via p - w - p', where p' = k
+            h = da * vd
+            h += db
+            h *= f2
+            h *= m1                              # via k - p', where p' = p - w
+            h -= g1                              # what k gets from the update
+
+            # reverse scan 2: dp[t] = m1[t] * dp[t + 1] - (h + duk)[t]
+            s = np.add(h, duk, out=g1)
+            dp = np.empty((T + 1, D), dtype=dtype)
+            dp[T] = 0
+            np.negative(s, out=dp[:-1])
+            for cur, nxt, m in zip(dp[-2::-1], dp[:0:-1], m1[::-1]):
+                cur += nxt * m
+            dp_out = dp[1:]
+
             if k.requires_grad:
+                dk = np.multiply(dp_out, m2, out=m2)
+                dk += s
                 k._accumulate(from_channels(dk))
             if v.requires_grad:
+                dv = da * f2
+                dv += dN * e2
                 v._accumulate(from_channels(dv))
             if w.requires_grad:
-                w._accumulate(dw.reshape(groups, d).sum(axis=0))
+                h -= np.multiply(dp_out, m1, out=m1)
+                w._accumulate(h.sum(axis=0).reshape(groups, d).sum(axis=0))
             if u.requires_grad:
-                u._accumulate(du.reshape(groups, d).sum(axis=0))
+                u._accumulate(duk.sum(axis=0).reshape(groups, d).sum(axis=0))
         out._backward = bwd
 
     return out, final_state

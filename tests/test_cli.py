@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -122,6 +123,32 @@ def test_bad_checkpoint_errors(tmp_path, capsys, corpus_file, micro_config):
                    "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "CheckpointError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest", [
+    b"5",
+    b"[1,2]",
+    b'{"version":1}',
+    b'{"config":{},"freeze_mask":{},"tensors":[{"name":"x"}],"version":1}',
+], ids=["number", "list", "no-tensors", "tensor-entry-lacks-keys"])
+def test_eval_malformed_manifest_errors(tmp_path, capsys, corpus_file, manifest):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(ckpt.MAGIC + struct.pack("<I", len(manifest)) + manifest)
+    rc = cli.main(["eval", "--checkpoint", str(path), "--corpus", str(corpus_file)])
+    assert rc == 1
+    assert "CheckpointError" in capsys.readouterr().err
+
+
+def test_eval_non_finite_weight_errors(tmp_path, capsys, corpus_file):
+    cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
+    store, mask = m.init_base_params(cfg, seed=0)
+    store["emb.weight"].data[3, 5] = np.nan
+    path = tmp_path / "nan.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    rc = cli.main(["eval", "--checkpoint", str(path), "--corpus", str(corpus_file)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and "emb.weight" in err
 
 
 def test_trace_empty_prompt_errors(tmp_path, capsys):

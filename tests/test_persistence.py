@@ -220,6 +220,16 @@ def test_checkpoint_rejects_unknown_config_key(tmp_path):
         ckpt.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_weights(tmp_path, value):
+    cfg, store, mask = _small_model()
+    store["emb.weight"].data[0, 0] = value
+    path = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    with pytest.raises(ckpt.CheckpointError, match="'emb.weight'.*non-finite"):
+        ckpt.load_checkpoint(path)
+
+
 def test_checkpoint_preserves_freeze_partition(tmp_path):
     from rwkvp import perspectives
     base_cfg = tiny_config()

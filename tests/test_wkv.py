@@ -79,23 +79,18 @@ def test_extreme_keys_stay_finite(extreme):
     assert np.all(np.isfinite(final[0])) and np.all(np.isfinite(final[1]))
 
 
-def test_sequence_gradients_match_finite_differences():
-    ag.set_default_dtype(np.float64)
-    rng = np.random.default_rng(5)
-    T, d = 6, 3
-    k, v, w, u = _random_case(rng, T, d)
-    weight = rng.uniform(-1, 1, (T, d))
-    parts = {"k": k, "v": v, "w": w, "u": u}
-
+def _assert_gradients_match_fd(parts, weight, state=None):
+    """Analytic dk, dv, dw, du of sum(y * weight) vs central differences."""
     tensors = {n: Tensor(a.copy(), requires_grad=True) for n, a in parts.items()}
-    y, _ = wkv.wkv_sequence(tensors["k"], tensors["v"], tensors["w"], tensors["u"])
+    y, _ = wkv.wkv_sequence(tensors["k"], tensors["v"], tensors["w"], tensors["u"],
+                            state=state)
     ag.sum_(ag.mul(y, Tensor(weight))).backward()
 
     def value(override):
         args = {n: override.get(n, parts[n]) for n in parts}
         with ag.no_grad():
             out, _ = wkv.wkv_sequence(Tensor(args["k"]), Tensor(args["v"]),
-                                      Tensor(args["w"]), Tensor(args["u"]))
+                                      Tensor(args["w"]), Tensor(args["u"]), state=state)
         return float((out.data * weight).sum())
 
     eps = 1e-6
@@ -113,6 +108,15 @@ def test_sequence_gradients_match_finite_differences():
         an = tensors[name].grad
         denom = np.maximum(np.maximum(np.abs(an), np.abs(fd)), 1e-8)
         assert (np.abs(an - fd) / denom).max() < 1e-5, name
+
+
+def test_sequence_gradients_match_finite_differences():
+    ag.set_default_dtype(np.float64)
+    rng = np.random.default_rng(5)
+    T, d = 6, 3
+    k, v, w, u = _random_case(rng, T, d)
+    weight = rng.uniform(-1, 1, (T, d))
+    _assert_gradients_match_fd({"k": k, "v": v, "w": w, "u": u}, weight)
 
 
 def test_gradient_flows_through_chunk_output_not_state():
@@ -204,3 +208,72 @@ def test_state_shape_must_match_leading_axes():
     with pytest.raises(ag.ShapeError, match="state"):
         wkv.wkv_sequence(k, k, Tensor(np.ones(4)), Tensor(np.ones(4)),
                          state=wkv.empty_state(4, np.float64))
+
+
+def _carried_state(rng, lead, d, dtype):
+    """A non-empty (a, b, p) state: the end of a random 5-token chunk."""
+    k0, v0 = (rng.uniform(-1, 1, lead + (5, d)).astype(dtype) for _ in range(2))
+    w = rng.uniform(0.05, 2.0, d).astype(dtype)
+    u = rng.uniform(-1, 1, d).astype(dtype)
+    with ag.no_grad():
+        _, state = wkv.wkv_sequence(Tensor(k0), Tensor(v0), Tensor(w), Tensor(u))
+    return state
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("T", [1, 7])
+def test_leading_axes_from_carried_state_match_stepwise_bitwise(dtype, T):
+    rng = np.random.default_rng(8)
+    lead, d = (2, 3), 4
+    k, v = (rng.uniform(-2, 2, lead + (T, d)).astype(dtype) for _ in range(2))
+    w = rng.uniform(0.05, 2.0, d).astype(dtype)
+    u = rng.uniform(-1, 1, d).astype(dtype)
+    state = _carried_state(rng, lead, d, dtype)
+    with ag.no_grad():
+        y, final = wkv.wkv_sequence(Tensor(k), Tensor(v), Tensor(w), Tensor(u), state=state)
+    assert y.data.dtype == dtype and y.shape == lead + (T, d)
+    for i in range(lead[0]):
+        for j in range(lead[1]):
+            st = tuple(s[i, j] for s in state)
+            for t in range(T):
+                yt, st = wkv.wkv_step(st, k[i, j, t], v[i, j, t], w, u)
+                assert np.array_equal(y.data[i, j, t], yt)
+            for got, want in zip(final, st):
+                assert np.array_equal(got[i, j], want)
+
+
+@pytest.mark.parametrize("T", [1, 5])
+def test_gradients_with_leading_axes_and_carried_state(T):
+    ag.set_default_dtype(np.float64)
+    rng = np.random.default_rng(9)
+    lead, d = (2, 2), 3
+    k, v = (rng.uniform(-1, 1, lead + (T, d)) for _ in range(2))
+    w = rng.uniform(0.05, 2.0, d)
+    u = rng.uniform(-1, 1, d)
+    state = _carried_state(rng, lead, d, np.float64)
+    weight = rng.uniform(-1, 1, lead + (T, d))
+    _assert_gradients_match_fd({"k": k, "v": v, "w": w, "u": u}, weight, state)
+
+
+def test_no_grad_output_keeps_no_backward():
+    rng = np.random.default_rng(10)
+    k, v, w, u = (Tensor(x, requires_grad=True) for x in _random_case(rng, 6, 3))
+    with ag.no_grad():
+        y, _ = wkv.wkv_sequence(k, v, w, u)
+    assert not y.requires_grad and y._backward is None
+    y, _ = wkv.wkv_sequence(k, v, w, u)
+    assert y.requires_grad and y._backward is not None
+
+
+def test_final_state_owns_its_memory():
+    # a view into the chunk's scan buffers would keep them alive for as long
+    # as the state is carried from chunk to chunk
+    rng = np.random.default_rng(11)
+    k, v = (rng.uniform(-1, 1, (2, 3, 16, 4)) for _ in range(2))
+    w, u = rng.uniform(0.05, 2.0, 4), rng.uniform(-1, 1, 4)
+    for grad in (False, True):
+        ts = [Tensor(x, requires_grad=grad) for x in (k, v, w, u)]
+        y, final = wkv.wkv_sequence(*ts, state=_carried_state(rng, (2, 3), 4, np.float64))
+        for s in final:
+            assert s.shape == (2, 3, 4) and s.base is None
+            assert not np.shares_memory(s, y.data)
