@@ -8,6 +8,11 @@ is dropped, without waiting for the cyclic garbage collector. Tensors are
 immutable once created, so several graphs may evaluate concurrently over
 shared (read-only) parameters.
 
+Fused primitives: token_shift, sigmoid_mul and relu_square each run a chain
+of the RWKV block's elementwise ops as one node with a hand-written backward,
+because at the model's sizes a node costs more in dispatch and temporaries
+than in arithmetic. They keep the chains' operation order and bitwise output.
+
 Precision: leaves are created with the module default dtype (float32 unless
 switched); intermediate results follow numpy promotion, so casting the
 leaves to float64 is enough to run a whole graph in double precision.
@@ -96,8 +101,12 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # an owned copy, never g itself (add hands both parents one g, sum_ a
+            # read-only broadcast view); copyto broadcasts and casts as it copies
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse-accumulate d(self)/d(leaf) for every requires_grad leaf."""
@@ -231,25 +240,58 @@ def scale(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def sigmoid_mul(a: Tensor, b: Tensor) -> Tensor:
+    """sigmoid(a) * b, the receptance gate, as one node."""
+    _check_same_shape(a, b, "sigmoid_mul")
     s = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(s, _needs_grad(a), (a,), "sigmoid")
+    out = Tensor(s * b.data, _needs_grad(a, b), (a, b), "sigmoid_mul")
     if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g * s * (1.0 - s))
+        def bwd(g):
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g * b.data * s * (1.0 - s), a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(g * s, b.shape))
+        out._backward = bwd
     return out
 
 
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), _needs_grad(a), (a,), "relu")
+def relu_square(a: Tensor) -> Tensor:
+    """max(a, 0) ** 2, the channel-mix key activation, as one node."""
+    r = np.maximum(a.data, 0.0)
+    out = Tensor(r * r, _needs_grad(a), (a,), "relu_square")
     if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g * (a.data > 0))
+        out._backward = lambda g: a._accumulate(g * 2.0 * r)
     return out
 
 
-def square(a: Tensor) -> Tensor:
-    out = Tensor(a.data * a.data, _needs_grad(a), (a,), "square")
+def token_shift(a: Tensor, first_row: np.ndarray, mus) -> Tensor:
+    """mu_i * a[i] + (1 - mu_i) * prev[i] for a (n, ..., T, d) and mus, n (d,) tensors.
+
+    prev is a shifted one step down the time axis (-2) behind first_row (n, ..., d),
+    the previous chunk's last rows; no gradient crosses the chunk boundary.
+    """
+    n = len(mus)
+    if (a.data.ndim < 3 or a.shape[0] != n or any(m.shape != a.shape[-1:] for m in mus)
+            or np.shape(first_row) != a.shape[:-2] + a.shape[-1:]):
+        raise ShapeError(f"token_shift: input {a.shape}, first_row {np.shape(first_row)}, "
+                         f"mus {[m.shape for m in mus]}")
+    prev = np.empty_like(a.data)
+    prev[..., 0, :] = first_row
+    prev[..., 1:, :] = a.data[..., :-1, :]
+    mu = np.stack([m.data for m in mus]).reshape((n,) + (1,) * (a.data.ndim - 2) + a.shape[-1:])
+    out = Tensor(a.data * mu + prev * (1.0 - mu), _needs_grad(a, *mus), (a, *mus),
+                 "token_shift")
     if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g * 2.0 * a.data)
+        def bwd(g):
+            if a.requires_grad:
+                ga = g * mu
+                ga[..., :-1, :] += g[..., 1:, :] * (1.0 - mu)
+                a._accumulate(ga)
+            gmu = (g * (a.data - prev)).reshape(n, -1, a.shape[-1]).sum(axis=1)
+            for m, gm in zip(mus, gmu):
+                if m.requires_grad:
+                    m._accumulate(gm)
+        out._backward = bwd
     return out
 
 
@@ -294,20 +336,6 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
             if axis is not None:
                 g = np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(g, a.shape))
-        out._backward = bwd
-    return out
-
-
-def stack(tensors) -> Tensor:
-    """Equal-shape tensors stacked along a new leading axis."""
-    tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.stack([t.data for t in tensors]), _needs_grad(*tensors),
-                 tuple(tensors), "stack")
-    if out.requires_grad:
-        def bwd(g):
-            for t, piece in zip(tensors, g):
-                if t.requires_grad:
-                    t._accumulate(piece)
         out._backward = bwd
     return out
 
@@ -385,28 +413,6 @@ def embed(table: Tensor, ids: np.ndarray) -> Tensor:
             gt = np.zeros_like(table.data)
             np.add.at(gt, ids, g)
             table._accumulate(gt)
-        out._backward = bwd
-    return out
-
-
-def shift_rows(a: Tensor, first_row: np.ndarray) -> Tensor:
-    """Shift one step down the time axis (-2) of a (..., T, d) tensor:
-    out[..., 0, :] = first_row, out[..., t, :] = a[..., t-1, :].
-
-    first_row (..., d) is carried state from the previous chunk, one row per
-    leading index; gradients do not propagate across the chunk boundary.
-    """
-    if a.data.ndim < 2 or np.shape(first_row) != a.shape[:-2] + a.shape[-1:]:
-        raise ShapeError(f"shift_rows: first_row {np.shape(first_row)} vs input {a.shape}")
-    data = np.empty_like(a.data)
-    data[..., 0, :] = first_row
-    data[..., 1:, :] = a.data[..., :-1, :]
-    out = Tensor(data, _needs_grad(a), (a,), "shift_rows")
-    if out.requires_grad:
-        def bwd(g):
-            ga = np.zeros_like(a.data)
-            ga[..., :-1, :] = g[..., 1:, :]
-            a._accumulate(ga)
         out._backward = bwd
     return out
 

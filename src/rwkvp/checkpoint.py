@@ -16,6 +16,7 @@ byte-identical and the format is platform independent.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -60,12 +61,19 @@ def save_checkpoint(store: ParamStore, config: ModelConfig, mask: FreezeMask,
         "seeds": list(seeds),
     }
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(mbytes)))
-        f.write(mbytes)
-        for blob in blobs:
-            f.write(blob)
+    # renamed onto path once whole: a failed save leaves an earlier file there intact
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", len(mbytes)))
+            f.write(mbytes)
+            for blob in blobs:
+                f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _MANIFEST_KEYS = ("config", "tensors", "freeze_mask")
@@ -133,6 +141,9 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         store.add(name, data.copy())
+    end = max((e["offset"] + e["length"] for e in manifest["tensors"]), default=0)
+    if len(payload) != end:
+        raise CheckpointError(f"{path}: {len(payload) - end} trailing bytes after the last tensor")
     try:
         config = ModelConfig.from_dict(manifest["config"])
     except TypeError as e:

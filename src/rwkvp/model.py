@@ -8,8 +8,8 @@ weight and differ only in their token-shift mu vectors and their recurrent
 state, so they run as one pass with a leading perspective axis. Tokens are
 (T,) for one stream or (B, T) for B independent contexts; the embedding and
 input LN are computed once and expanded to n copies, so every activation
-inside the stack is (n, [B,] T, d). Each perspective's mu vectors are
-stacked to (n, 1..., d) and broadcast over the rest. The recurrent parts
+inside the stack is (n, [B,] T, d). The token shift, ag.token_shift, mixes
+slice i with perspective i's mu vector, one node per mix. The recurrent parts
 (WKV accumulators, previous-token rows) cross chunk boundaries through
 detached numpy state: one StreamState per layer, each array (n, [B,] d).
 """
@@ -149,37 +149,22 @@ def init_stream_states(cfg: ModelConfig, dtype=np.float32):
             for _ in range(cfg.n_layers)]
 
 
-def token_shift_mix(x_t: Tensor, x_prev: Tensor, mu: Tensor) -> Tensor:
-    """mu * x_t + (1 - mu) * x_prev, elementwise over the channel axis."""
-    if x_t.shape != x_prev.shape:
-        raise ag.ShapeError(f"token_shift_mix: {x_t.shape} vs {x_prev.shape}")
-    return ag.add(ag.mul(x_t, mu), ag.mul(x_prev, ag.sub(1.0, mu)))
-
-
-def _stacked_mu(store: ParamStore, stem: str, xx: Tensor) -> Tensor:
-    """The n perspectives' mu vectors `stem.p<i>` as (n, 1..., d), for xx (n, ..., d)."""
-    n = xx.shape[0]
-    mu = ag.stack([store[f"{stem}.p{i}"] for i in range(n)])
-    return ag.reshape(mu, (n,) + (1,) * (xx.data.ndim - 2) + mu.shape[1:])
-
-
 def time_mixing(store: ParamStore, layer: int, xx: Tensor,
                 st: StreamState) -> tuple[Tensor, np.ndarray, tuple]:
     """Time-mix block over post-LN chunks xx (n, [B,] T, d), one per perspective.
 
     Returns (residual delta, new att_prev rows, new wkv state).
     """
-    pre = f"layer{layer}.att"
-    xprev = ag.shift_rows(xx, st.att_prev)
-    xr = token_shift_mix(xx, xprev, _stacked_mu(store, f"{pre}.mu_r", xx))
-    xk = token_shift_mix(xx, xprev, _stacked_mu(store, f"{pre}.mu_k", xx))
-    xv = token_shift_mix(xx, xprev, _stacked_mu(store, f"{pre}.mu_v", xx))
+    pre, n = f"layer{layer}.att", xx.shape[0]
+    xr = ag.token_shift(xx, st.att_prev, [store[f"{pre}.mu_r.p{i}"] for i in range(n)])
+    xk = ag.token_shift(xx, st.att_prev, [store[f"{pre}.mu_k.p{i}"] for i in range(n)])
+    xv = ag.token_shift(xx, st.att_prev, [store[f"{pre}.mu_v.p{i}"] for i in range(n)])
     r = ag.matmul(xr, store[f"{pre}.w_r"])
     k = ag.matmul(xk, store[f"{pre}.w_k"])
     v = ag.matmul(xv, store[f"{pre}.w_v"])
     y, wkv_state = wkv.wkv_sequence(k, v, store[f"{pre}.decay"], store[f"{pre}.bonus"],
                                     st.wkv_state)
-    out = ag.matmul(ag.mul(ag.sigmoid(r), y), store[f"{pre}.w_o"])
+    out = ag.matmul(ag.sigmoid_mul(r, y), store[f"{pre}.w_o"])
     return out, xx.data[..., -1, :].copy(), wkv_state
 
 
@@ -189,13 +174,11 @@ def channel_mixing(store: ParamStore, layer: int, xx: Tensor,
 
     Returns (residual delta, new ffn_prev rows).
     """
-    pre = f"layer{layer}.ffn"
-    xprev = ag.shift_rows(xx, st.ffn_prev)
-    xr = token_shift_mix(xx, xprev, _stacked_mu(store, f"{pre}.mu_r", xx))
-    xk = token_shift_mix(xx, xprev, _stacked_mu(store, f"{pre}.mu_k", xx))
-    kk = ag.square(ag.relu(ag.matmul(xk, store[f"{pre}.w_k"])))
-    out = ag.mul(ag.sigmoid(ag.matmul(xr, store[f"{pre}.w_r"])),
-                 ag.matmul(kk, store[f"{pre}.w_v"]))
+    pre, n = f"layer{layer}.ffn", xx.shape[0]
+    xr = ag.token_shift(xx, st.ffn_prev, [store[f"{pre}.mu_r.p{i}"] for i in range(n)])
+    xk = ag.token_shift(xx, st.ffn_prev, [store[f"{pre}.mu_k.p{i}"] for i in range(n)])
+    kk = ag.relu_square(ag.matmul(xk, store[f"{pre}.w_k"]))
+    out = ag.sigmoid_mul(ag.matmul(xr, store[f"{pre}.w_r"]), ag.matmul(kk, store[f"{pre}.w_v"]))
     return out, xx.data[..., -1, :].copy()
 
 

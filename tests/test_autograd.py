@@ -25,16 +25,13 @@ def _fd_scalar(fn, x, eps=1e-6):
 
 
 UNARY_OPS = {
-    "sigmoid": ag.sigmoid,
-    "relu": ag.relu,
-    "square": ag.square,
+    "relu_square": ag.relu_square,
     "softmax": lambda t: ag.softmax(t, axis=-1),
     "sum": ag.sum_,
     "neg": lambda t: -t,
     "transpose": ag.transpose,
-    "sum_axis": lambda t: ag.square(ag.sum_(t, axis=0)),
-    "stack": lambda t: ag.stack([t, ag.square(t)]),
-    "expand": lambda t: ag.square(ag.expand(t, 2)),
+    "sum_axis": lambda t: (lambda s: ag.mul(s, s))(ag.sum_(t, axis=0)),
+    "expand": lambda t: (lambda e: ag.mul(e, e))(ag.expand(t, 2)),
     "reshape": lambda t: ag.reshape(t, (4, 3)),
     "moveaxis": lambda t: ag.moveaxis(t, 0, 1),
 }
@@ -69,6 +66,7 @@ BINARY_OPS = {
     "sub": ag.sub,
     "mul": ag.mul,
     "matmul": ag.matmul,
+    "sigmoid_mul": ag.sigmoid_mul,
 }
 
 
@@ -97,6 +95,75 @@ def test_binary_gradients_match_finite_differences(name):
             fd = _fd_scalar(fn, arr.copy())
             denom = np.maximum(np.maximum(np.abs(t.grad), np.abs(fd)), 1e-8)
             assert (np.abs(t.grad - fd) / denom).max() < 1e-4, name
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 3, 4), (2, 2, 1, 4), (3, 5, 2)],
+                         ids=["n-B-T-d", "T1", "n-T-d"])
+def test_token_shift_gradients_match_finite_differences(shape):
+    ag.set_default_dtype(np.float64)
+    rng = np.random.default_rng(11)
+    n, d = shape[0], shape[-1]
+    for _ in range(20):
+        x = rng.uniform(-2, 2, shape)
+        first = rng.uniform(-2, 2, shape[:-2] + shape[-1:])
+        mus = rng.uniform(0, 1, (n, d))
+        weight = rng.uniform(-1, 1, shape)
+        tx = Tensor(x.copy(), requires_grad=True)
+        tmus = [Tensor(mu.copy(), requires_grad=True) for mu in mus]
+        ag.sum_(ag.mul(ag.token_shift(tx, first, tmus), Tensor(weight))).backward()
+
+        def loss(xx, mm):
+            with ag.no_grad():
+                out = ag.token_shift(Tensor(xx.copy()), first, [Tensor(m) for m in mm])
+            return float((out.data * weight).sum())
+
+        fd_x = _fd_scalar(lambda arr: loss(arr, mus), x.copy())
+        fd_mu = _fd_scalar(lambda arr: loss(x, arr), mus.copy())
+        for got, fd in ((tx.grad, fd_x), (np.stack([t.grad for t in tmus]), fd_mu)):
+            denom = np.maximum(np.maximum(np.abs(got), np.abs(fd)), 1e-8)
+            assert (np.abs(got - fd) / denom).max() < 1e-5
+
+
+def _shifted(x, first):
+    """Reference shift: row 0 of each slice is first, row t is x row t-1."""
+    prev = np.empty_like(x)
+    for idx in np.ndindex(x.shape[:-2]):
+        prev[idx][0] = first[idx]
+        for t in range(1, x.shape[-2]):
+            prev[idx][t] = x[idx][t - 1]
+    return prev
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_forwards_bitwise_equal_unfused_composition(dtype):
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-3, 3, (4, 2, 5, 6)).astype(dtype)
+    y = rng.uniform(-3, 3, (4, 2, 5, 6)).astype(dtype)
+    first = rng.uniform(-3, 3, (4, 2, 6)).astype(dtype)
+    mus = rng.uniform(0, 1, (4, 6)).astype(dtype)
+
+    sig = (1.0 / (1.0 + np.exp(-x))) * y
+    assert np.array_equal(ag.sigmoid_mul(Tensor(x), Tensor(y)).data, sig)
+    r = np.maximum(x, 0.0)
+    assert np.array_equal(ag.relu_square(Tensor(x)).data, r * r)
+    mu = mus[:, None, None, :]
+    mix = x * mu + _shifted(x, first) * (1.0 - mu)
+    out = ag.token_shift(Tensor(x), first, [Tensor(m) for m in mus])
+    assert out.data.dtype == dtype and np.array_equal(out.data, mix)
+
+
+def test_token_shift_rejects_bad_shapes():
+    x = Tensor(np.ones((2, 3, 4)))
+    mus = [Tensor(np.full(4, 0.5)), Tensor(np.full(4, 0.5))]
+    ag.token_shift(x, np.zeros((2, 4)), mus)
+    with pytest.raises(ag.ShapeError, match="first_row"):
+        ag.token_shift(x, np.zeros(4), mus)               # one row for two slices
+    with pytest.raises(ag.ShapeError, match="mus"):
+        ag.token_shift(x, np.zeros((2, 4)), mus[:1])      # one mu for two slices
+    with pytest.raises(ag.ShapeError, match="mus"):
+        ag.token_shift(x, np.zeros((2, 4)), [Tensor(np.ones(3))] * 2)
+    with pytest.raises(ag.ShapeError):
+        ag.token_shift(Tensor(np.ones((3, 4))), np.zeros((4,)), [Tensor(np.ones(4))] * 3)
 
 
 def test_layer_norm_gradients():
@@ -167,7 +234,7 @@ def test_quadratic_gradient():
 
 def test_sigmoid_gradient_at_zero():
     x = Tensor(np.array([0.0]), requires_grad=True)
-    ag.sum_(ag.sigmoid(x)).backward()
+    ag.sum_(ag.sigmoid_mul(x, Tensor(np.array([1.0])))).backward()
     np.testing.assert_allclose(x.grad, [0.25])
 
 
@@ -193,8 +260,9 @@ def test_embed_out_of_range():
 def test_debug_mode_flags_non_finite():
     ag.set_debug(True)
     try:
-        with np.errstate(over="ignore"), pytest.raises(ag.NonFiniteError, match="square"):
-            ag.square(Tensor(np.array([1e30], dtype=np.float32)))
+        with np.errstate(over="ignore"), pytest.raises(ag.NonFiniteError, match="mul"):
+            t = Tensor(np.array([1e30], dtype=np.float32))
+            ag.mul(t, t)
     finally:
         ag.set_debug(False)
 
@@ -218,7 +286,7 @@ def test_graph_evaluation_deterministic():
 
     def run():
         t = Tensor(x.copy(), requires_grad=True)
-        out = ag.sum_(ag.softmax(ag.matmul(t, ag.sigmoid(t))))
+        out = ag.sum_(ag.softmax(ag.matmul(t, ag.sigmoid_mul(t, t))))
         out.backward()
         return out.data.copy(), t.grad.copy()
 
@@ -228,31 +296,72 @@ def test_graph_evaluation_deterministic():
 
 
 def test_shift_rows_semantics_and_gradient():
-    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), requires_grad=True)
-    first = np.array([9.0, 9.0])
-    out = ag.shift_rows(x, first)
-    np.testing.assert_array_equal(out.data, [[9, 9], [1, 2], [3, 4]])
+    """token_shift with mu = 0 is the input shifted one row down."""
+    x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]), requires_grad=True)
+    first = np.array([[9.0, 9.0]])
+    mu = Tensor(np.zeros(2), requires_grad=True)
+    out = ag.token_shift(x, first, [mu])
+    np.testing.assert_array_equal(out.data, [[[9, 9], [1, 2], [3, 4]]])
     ag.sum_(ag.mul(out, out)).backward()
-    np.testing.assert_array_equal(x.grad, [[2, 4], [6, 8], [0, 0]])
+    np.testing.assert_array_equal(x.grad, [[[2, 4], [6, 8], [0, 0]]])
+    # d/dmu of sum(out^2) at mu = 0 is sum_t 2 * prev * (x - prev)
+    np.testing.assert_array_equal(mu.grad, [2 * (9 * -8 + 1 * 2 + 3 * 2),
+                                            2 * (9 * -7 + 2 * 2 + 4 * 2)])
 
 
 def test_shift_rows_leading_axes_use_their_own_first_row():
+    """token_shift's shift uses each leading slice's own first row (mu = 0)."""
     x = np.arange(2 * 3 * 4 * 2, dtype=np.float64).reshape(2, 3, 4, 2)
     first = -np.arange(2 * 3 * 2, dtype=np.float64).reshape(2, 3, 2) - 1.0
+    zeros = [Tensor(np.zeros(2)), Tensor(np.zeros(2))]
     t = Tensor(x, requires_grad=True)
-    out = ag.shift_rows(t, first)
+    out = ag.token_shift(t, first, zeros)
     np.testing.assert_array_equal(out.data[..., 0, :], first)
     np.testing.assert_array_equal(out.data[..., 1:, :], x[..., :-1, :])
     for i in range(2):
         for j in range(3):
             np.testing.assert_array_equal(
-                out.data[i, j], ag.shift_rows(Tensor(x[i, j]), first[i, j]).data)
+                out.data[i, j], ag.token_shift(Tensor(x[i, j][None]), first[i, j][None],
+                                               zeros[:1]).data[0])
     weight = np.random.default_rng(0).uniform(-1, 1, x.shape)
     ag.sum_(ag.mul(out, Tensor(weight))).backward()
     np.testing.assert_array_equal(t.grad[..., :-1, :], weight[..., 1:, :])
     np.testing.assert_array_equal(t.grad[..., -1, :], 0.0)
-    with pytest.raises(ag.ShapeError, match="shift_rows"):
-        ag.shift_rows(t, first[0, 0])      # one row for six slices
+    with pytest.raises(ag.ShapeError, match="token_shift"):
+        ag.token_shift(t, first[0, 0], zeros)      # one row for six slices
+
+
+def test_token_shift_mu_one_is_identity():
+    rng = np.random.default_rng(2)
+    x = rng.uniform(-1, 1, (3, 2, 4, 5))
+    t = Tensor(x, requires_grad=True)
+    out = ag.token_shift(t, rng.uniform(-1, 1, (3, 2, 5)), [Tensor(np.ones(5))] * 3)
+    np.testing.assert_array_equal(out.data, x)
+    weight = rng.uniform(-1, 1, x.shape)
+    ag.sum_(ag.mul(out, Tensor(weight))).backward()
+    np.testing.assert_array_equal(t.grad, weight)
+
+
+def test_first_gradient_is_an_owned_copy():
+    """A node's first gradient is copied, never stored as the array handed
+    over: add gives both parents one array, sum_ gives a read-only view."""
+    x = Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float32), requires_grad=True)
+    s = ag.add(x, x)                          # x reached twice through one add
+    p = ag.mul(s, x)                          # and again through a mul
+    c = Tensor(np.array([0.5, 0.5, 0.5]))     # float64: x's gradient is cast back
+    loss = ag.add(ag.sum_(ag.add(p, p)), ag.sum_(ag.mul(x, c)))
+    loss.backward()
+    # loss = 4 * sum(x^2) + 0.5 * sum(x)
+    np.testing.assert_array_equal(x.grad, 8 * x.data + 0.5)
+    assert x.grad.dtype == np.float32
+    grads = [node.grad for node in ag._toposort(loss) if node.grad is not None]
+    assert len(grads) == 8
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+    y = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    ag.sum_(ag.mul(y, c)).backward()          # a float64 first gradient
+    assert y.grad.dtype == np.float32
 
 
 def test_matmul_leading_axes_match_2d_on_flattened_rows():

@@ -151,6 +151,18 @@ def test_eval_non_finite_weight_errors(tmp_path, capsys, corpus_file):
     assert "CheckpointError" in err and "emb.weight" in err
 
 
+def test_eval_trailing_bytes_errors(tmp_path, capsys, corpus_file):
+    cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
+    store, mask = m.init_base_params(cfg, seed=0)
+    path = tmp_path / "tail.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    path.write_bytes(path.read_bytes() + b"garbage")
+    rc = cli.main(["eval", "--checkpoint", str(path), "--corpus", str(corpus_file)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and "trailing" in err
+
+
 def test_trace_empty_prompt_errors(tmp_path, capsys):
     base_cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
     base_store, _ = m.init_base_params(base_cfg, seed=0)

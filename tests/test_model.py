@@ -24,18 +24,18 @@ def test_config_roundtrip():
 
 
 def test_token_shift_mix_examples():
-    x_t = Tensor(np.array([[1.0, 2.0]]))
-    x_prev = Tensor(np.array([[3.0, 4.0]]))
+    x_t = Tensor(np.array([[[1.0, 2.0]]]))        # one perspective, one token
+    x_prev = np.array([[3.0, 4.0]])               # the previous chunk's last row
     mu = Tensor(np.array([0.25, 0.75]))
-    out = m.token_shift_mix(x_t, x_prev, mu)
-    np.testing.assert_allclose(out.data, [[0.25 * 1 + 0.75 * 3, 0.75 * 2 + 0.25 * 4]])
+    out = ag.token_shift(x_t, x_prev, [mu])
+    np.testing.assert_allclose(out.data, [[[0.25 * 1 + 0.75 * 3, 0.75 * 2 + 0.25 * 4]]])
     # mu=1 passes the current token through, mu=0 passes the previous one
     np.testing.assert_array_equal(
-        m.token_shift_mix(x_t, x_prev, Tensor(np.ones(2))).data, x_t.data)
+        ag.token_shift(x_t, x_prev, [Tensor(np.ones(2))]).data, x_t.data)
     np.testing.assert_array_equal(
-        m.token_shift_mix(x_t, x_prev, Tensor(np.zeros(2))).data, x_prev.data)
+        ag.token_shift(x_t, x_prev, [Tensor(np.zeros(2))]).data, x_prev[None])
     with pytest.raises(ag.ShapeError):
-        m.token_shift_mix(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2))), mu)
+        ag.token_shift(x_t, np.ones((1, 3)), [mu])
 
 
 def test_base_init_deterministic_and_counted():

@@ -230,6 +230,34 @@ def test_checkpoint_rejects_non_finite_weights(tmp_path, value):
         ckpt.load_checkpoint(path)
 
 
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    cfg, store, mask = _small_model()
+    path = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(ckpt.CheckpointError, match="7 trailing bytes"):
+        ckpt.load_checkpoint(path)
+
+
+def test_failed_save_leaves_previous_checkpoint_whole(tmp_path, monkeypatch):
+    cfg, store, mask = _small_model()
+    path = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ckpt.struct, "pack", fail)   # fails after the magic is written
+    other, _ = m.init_base_params(cfg, seed=1)
+    with pytest.raises(OSError, match="disk full"):
+        ckpt.save_checkpoint(other, cfg, mask, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]    # no temp file left
+    assert ckpt.load_checkpoint(path)[0].digest() == store.digest()
+
+
 def test_checkpoint_preserves_freeze_partition(tmp_path):
     from rwkvp import perspectives
     base_cfg = tiny_config()
