@@ -24,8 +24,13 @@ def _fd_scalar(fn, x, eps=1e-6):
     return g
 
 
+_W_KEY = np.random.default_rng(3).uniform(-1, 1, size=(4, 4))
+
 UNARY_OPS = {
     "relu_square": ag.relu_square,
+    # the relu's zero branch masking the gradient into a matmul, as in the channel-mix key
+    "relu": lambda t: ag.relu_square(ag.matmul(t, Tensor(_W_KEY))),
+    "square": lambda t: ag.mul(t, t),
     "softmax": lambda t: ag.softmax(t, axis=-1),
     "sum": ag.sum_,
     "neg": lambda t: -t,
