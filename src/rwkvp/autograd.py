@@ -264,33 +264,30 @@ def relu_square(a: Tensor) -> Tensor:
     return out
 
 
-def token_shift(a: Tensor, first_row: np.ndarray, mus) -> Tensor:
-    """mu_i * a[i] + (1 - mu_i) * prev[i] for a (n, ..., T, d) and mus, n (d,) tensors.
+def token_shift(a: Tensor, first_row: np.ndarray, mu: Tensor) -> Tensor:
+    """mu[i] * a[i] + (1 - mu[i]) * prev[i] for a (n, ..., T, d) and mu (n, d).
 
     prev is a shifted one step down the time axis (-2) behind first_row (n, ..., d),
     the previous chunk's last rows; no gradient crosses the chunk boundary.
     """
-    n = len(mus)
-    if (a.data.ndim < 3 or a.shape[0] != n or any(m.shape != a.shape[-1:] for m in mus)
+    if (a.data.ndim < 3 or mu.shape != (a.shape[0], a.shape[-1])
             or np.shape(first_row) != a.shape[:-2] + a.shape[-1:]):
         raise ShapeError(f"token_shift: input {a.shape}, first_row {np.shape(first_row)}, "
-                         f"mus {[m.shape for m in mus]}")
+                         f"mu {mu.shape}")
+    n = a.shape[0]
     prev = np.empty_like(a.data)
     prev[..., 0, :] = first_row
     prev[..., 1:, :] = a.data[..., :-1, :]
-    mu = np.stack([m.data for m in mus]).reshape((n,) + (1,) * (a.data.ndim - 2) + a.shape[-1:])
-    out = Tensor(a.data * mu + prev * (1.0 - mu), _needs_grad(a, *mus), (a, *mus),
-                 "token_shift")
+    m = mu.data.reshape((n,) + (1,) * (a.data.ndim - 2) + a.shape[-1:])
+    out = Tensor(a.data * m + prev * (1.0 - m), _needs_grad(a, mu), (a, mu), "token_shift")
     if out.requires_grad:
         def bwd(g):
             if a.requires_grad:
-                ga = g * mu
-                ga[..., :-1, :] += g[..., 1:, :] * (1.0 - mu)
+                ga = g * m
+                ga[..., :-1, :] += g[..., 1:, :] * (1.0 - m)
                 a._accumulate(ga)
-            gmu = (g * (a.data - prev)).reshape(n, -1, a.shape[-1]).sum(axis=1)
-            for m, gm in zip(mus, gmu):
-                if m.requires_grad:
-                    m._accumulate(gm)
+            if mu.requires_grad:
+                mu._accumulate((g * (a.data - prev)).reshape(n, -1, a.shape[-1]).sum(axis=1))
         out._backward = bwd
     return out
 

@@ -5,16 +5,19 @@ Layout:
     u32 little-endian manifest byte length
     manifest: canonical JSON (sorted keys, no whitespace), holding the
         format version, the model config, the tensor directory
-        (name/shape/offset/length into the payload), the freeze mask, and
-        the seed lineage
+        (name/shape/offset/length into the payload), the payload's SHA-256,
+        the freeze mask, and the seed lineage
     payload: contiguous little-endian float32 tensor data, directory order
 
 Tensors are written sorted by name, so save -> load -> save is
-byte-identical and the format is platform independent.
+byte-identical and the format is platform independent. Version 2 holds
+each token-shift slot as one (n, d) tensor, layer{l}.{att|ffn}.mu_{r,k,v};
+files of other versions are rejected, not converted.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -22,11 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from rwkvp.model import ModelConfig
+from rwkvp.model import ConfigError, ModelConfig
 from rwkvp.params import FreezeMask, ParamStore
 
 MAGIC = b"RWKVPv4MP\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -57,6 +60,7 @@ def save_checkpoint(store: ParamStore, config: ModelConfig, mask: FreezeMask,
         "version": FORMAT_VERSION,
         "config": config.to_dict(),
         "tensors": directory,
+        "payload_sha256": hashlib.sha256(b"".join(blobs)).hexdigest(),
         "freeze_mask": {n: bool(mask[n]) for n in names},
         "seeds": list(seeds),
     }
@@ -76,7 +80,7 @@ def save_checkpoint(store: ParamStore, config: ModelConfig, mask: FreezeMask,
         raise
 
 
-_MANIFEST_KEYS = ("config", "tensors", "freeze_mask")
+_MANIFEST_KEYS = ("config", "tensors", "freeze_mask", "payload_sha256")
 _TENSOR_KEYS = ("name", "shape", "offset", "length")
 
 
@@ -96,9 +100,10 @@ def _check_manifest(path, manifest) -> None:
     if missing:
         raise CheckpointError(f"{path}: manifest lacks {', '.join(missing)}")
     if not (isinstance(manifest["tensors"], list) and isinstance(manifest["freeze_mask"], dict)
-            and isinstance(manifest.get("seeds", []), list)):
-        raise CheckpointError(f"{path}: manifest tensors and seeds must be lists "
-                              "and freeze_mask an object")
+            and isinstance(manifest.get("seeds", []), list)
+            and isinstance(manifest["payload_sha256"], str)):
+        raise CheckpointError(f"{path}: manifest tensors and seeds must be lists, "
+                              "freeze_mask an object and payload_sha256 a string")
     for entry in manifest["tensors"]:
         if not (isinstance(entry, dict) and all(key in entry for key in _TENSOR_KEYS)
                 and isinstance(entry["name"], str) and isinstance(entry["shape"], list)
@@ -144,9 +149,11 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
     end = max((e["offset"] + e["length"] for e in manifest["tensors"]), default=0)
     if len(payload) != end:
         raise CheckpointError(f"{path}: {len(payload) - end} trailing bytes after the last tensor")
+    if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:
+        raise CheckpointError(f"{path}: payload does not match its SHA-256 (corrupted file)")
     try:
         config = ModelConfig.from_dict(manifest["config"])
-    except TypeError as e:
+    except (TypeError, ConfigError) as e:
         raise CheckpointError(f"{path}: invalid model config: {e}") from None
     mask = FreezeMask({k: bool(v) for k, v in manifest["freeze_mask"].items()})
     if set(mask) != set(store.names()):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from rwkvp import autograd as ag
 from rwkvp import checkpoint as ckpt
 from rwkvp import corpus as corpus_mod
 from rwkvp import evaluation, gradcheck, training
@@ -42,11 +43,11 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
-def _build_configs(args) -> tuple[m.ModelConfig, training.TrainConfig]:
-    """File values first, then flag overrides."""
+def _build_configs(args, **model_defaults) -> tuple[m.ModelConfig, training.TrainConfig]:
+    """Defaults, then file values, then flag overrides."""
     file_cfg = _load_config_file(getattr(args, "config", None))
     try:
-        model_cfg = m.ModelConfig(**file_cfg.get("model", {}))
+        model_cfg = m.ModelConfig(**{**model_defaults, **file_cfg.get("model", {})})
         train_cfg = training.TrainConfig(**file_cfg.get("train", {}))
     except (TypeError, m.ConfigError) as e:
         raise CliError(f"invalid config field: {e}")
@@ -90,7 +91,8 @@ def _load_split_corpus(args, train_cfg):
 
 def cmd_pretrain(args) -> int:
     model_cfg, train_cfg = _build_configs(args)
-    model_cfg = replace(model_cfg, n_perspectives=1)
+    # a base has no aggregator leaves; the file's aggregation is for finetune
+    model_cfg = replace(model_cfg, n_perspectives=1, aggregation="average")
     out = _outdir(args)
     _echo_config(out, model_cfg, train_cfg)
     train_tokens, val_tokens = _load_split_corpus(args, train_cfg)
@@ -102,7 +104,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    model_cfg, train_cfg = _build_configs(args)
+    model_cfg, train_cfg = _build_configs(args, aggregation="weighted_softmax")
     out = _outdir(args)
     base_store, base_cfg, _, base_seeds = ckpt.load_checkpoint(args.checkpoint)
     n = model_cfg.n_perspectives
@@ -181,8 +183,7 @@ def cmd_count_params(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     from rwkvp import perspectives
-    cfg = m.ModelConfig(n_layers=2, d_model=8, vocab_size=11, n_perspectives=1,
-                        aggregation="weighted_softmax", context_length=8)
+    cfg = m.ModelConfig(n_layers=2, d_model=8, vocab_size=11, context_length=8)
     store, _ = m.init_base_params(cfg, seed=args.seed or 0)
     ft_cfg, ft_store, ft_mask = perspectives.extend_to_perspectives(store, cfg, n=3)
     # perturb away from the symmetric init: identical perspectives make the
@@ -269,7 +270,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (CliError, m.ConfigError, ckpt.CheckpointError, corpus_mod.CorpusError,
-            training.DivergenceError) as e:
+            training.DivergenceError, ag.NonFiniteError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,13 @@ class CorpusError(ValueError):
     pass
 
 
+def check_token_range(tokens: np.ndarray, vocab_size: int) -> None:
+    """Raise CorpusError unless every token id lies in [0, vocab_size)."""
+    if tokens.min() < 0 or tokens.max() >= vocab_size:
+        raise CorpusError(f"token ids must lie in [0, {vocab_size}) for vocab_size="
+                          f"{vocab_size}, got ids {int(tokens.min())}..{int(tokens.max())}")
+
+
 def load_corpus(path) -> np.ndarray:
     data = Path(path).read_bytes()
     if not data:

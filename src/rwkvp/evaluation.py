@@ -38,7 +38,8 @@ def perplexity(model: m.Model, tokens: np.ndarray, chunk: int | None = None) -> 
     """exp(mean next-token NLL, natural log) over the whole stream.
 
     The stream is processed in chunks with recurrent-state handoff, so the
-    result is invariant to the chunk size.
+    result is invariant to the chunk size. Raises ag.NonFiniteError if the
+    NLL is not finite (non-finite or overflowing logits).
     """
     tokens = np.asarray(tokens)
     if tokens.size < 2:
@@ -49,6 +50,9 @@ def perplexity(model: m.Model, tokens: np.ndarray, chunk: int | None = None) -> 
         targets = tokens[start + 1:start + 1 + len(logits)]
         logp = _log_softmax(logits[:len(targets)])
         nll_sum -= logp[np.arange(len(targets)), targets].sum()
+    if not math.isfinite(nll_sum):
+        raise ag.NonFiniteError(f"perplexity: the summed NLL over {len(tokens) - 1} "
+                                f"predictions is {nll_sum}")
     return float(np.exp(nll_sum / (len(tokens) - 1)))
 
 

@@ -8,14 +8,20 @@ weight and differ only in their token-shift mu vectors and their recurrent
 state, so they run as one pass with a leading perspective axis. Tokens are
 (T,) for one stream or (B, T) for B independent contexts; the embedding and
 input LN are computed once and expanded to n copies, so every activation
-inside the stack is (n, [B,] T, d). The token shift, ag.token_shift, mixes
-slice i with perspective i's mu vector, one node per mix. The recurrent parts
+inside the stack is (n, [B,] T, d). Each token-shift slot holds one (n, d)
+leaf, layer{l}.{att|ffn}.mu_{r,k,v}, whose row i is perspective i's mu
+vector (a base model holds (1, d)); ag.token_shift mixes slice i with row i,
+one node per mix. Every model, the base included, runs run_stream and then
+its aggregation head; a base's config says "average", which at n=1 is
+bitwise the plain head of model_forward. The recurrent parts
 (WKV accumulators, previous-token rows) cross chunk boundaries through
 detached numpy state: one StreamState per layer, each array (n, [B,] d).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -23,7 +29,7 @@ import numpy as np
 from rwkvp import autograd as ag
 from rwkvp import wkv
 from rwkvp.autograd import Tensor
-from rwkvp.corpus import CorpusError
+from rwkvp.corpus import CorpusError, check_token_range
 from rwkvp.params import FreezeMask, ParamStore
 
 AGGREGATION_MODES = ("average", "transformer_like", "weighted_softmax")
@@ -33,16 +39,32 @@ class ConfigError(ValueError):
     pass
 
 
+def check_field_types(cfg, ints=(), floats=()) -> None:
+    """Raise ConfigError unless each named int field holds an int that is not a
+    bool, and each float field a finite real number (an int such as 0 counts)."""
+    for name in ints:
+        value = getattr(cfg, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    for name in floats:
+        value = getattr(cfg, name)
+        if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                or not math.isfinite(value)):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     n_layers: int = 4
     d_model: int = 64
     vocab_size: int = 257
     n_perspectives: int = 1
-    aggregation: str = "weighted_softmax"
+    aggregation: str = "average"
     context_length: int = 128
 
     def __post_init__(self):
+        check_field_types(self, ints=("n_layers", "d_model", "vocab_size", "n_perspectives",
+                                      "context_length"))
         if self.n_layers < 1:
             raise ConfigError(f"n_layers must be >= 1, got {self.n_layers}")
         if self.d_model < 2:
@@ -65,13 +87,10 @@ class ModelConfig:
         return cls(**d)
 
 
-# parameter names that hold per-perspective temporal coefficients end in ".p<i>"
-def mu_names(cfg: ModelConfig, persp: int):
-    names = []
-    for l in range(cfg.n_layers):
-        for slot in ("att.mu_r", "att.mu_k", "att.mu_v", "ffn.mu_r", "ffn.mu_k"):
-            names.append(f"layer{l}.{slot}.p{persp}")
-    return names
+def mu_names(cfg: ModelConfig) -> list[str]:
+    """The token-shift leaves, layer by layer; row i of each is perspective i."""
+    return [f"layer{l}.{slot}" for l in range(cfg.n_layers)
+            for slot in ("att.mu_r", "att.mu_k", "att.mu_v", "ffn.mu_r", "ffn.mu_k")]
 
 
 def is_temporal(name: str) -> bool:
@@ -86,6 +105,9 @@ def init_base_params(cfg: ModelConfig, seed: int) -> tuple[ParamStore, FreezeMas
     """From-scratch init of a single-perspective base model (all trainable)."""
     if cfg.n_perspectives != 1:
         raise ConfigError("base models are initialized with n_perspectives=1")
+    if cfg.aggregation != "average":
+        raise ConfigError(f"base models have no aggregator leaves, so their aggregation "
+                          f"is 'average', got {cfg.aggregation!r}")
     rng = np.random.default_rng(seed)
     L, d, V = cfg.n_layers, cfg.d_model, cfg.vocab_size
     store = ParamStore()
@@ -106,10 +128,11 @@ def init_base_params(cfg: ModelConfig, seed: int) -> tuple[ParamStore, FreezeMas
         store.add(f"layer{l}.ln1.b", np.zeros(d))
         store.add(f"layer{l}.ln2.g", np.ones(d))
         store.add(f"layer{l}.ln2.b", np.zeros(d))
-        # depth-graded token-shift coefficients in (0, 1)
-        store.add(f"layer{l}.att.mu_r.p0", 0.5 * pos ** (1.0 - 0.9 * depth))
-        store.add(f"layer{l}.att.mu_k.p0", pos ** (1.0 - 0.9 * depth))
-        store.add(f"layer{l}.att.mu_v.p0", np.clip(pos ** (1.0 - 0.9 * depth) + 0.3 * depth, 0.0, 0.99))
+        # depth-graded token-shift coefficients in (0, 1); one row: perspective 0
+        ramp = pos ** (1.0 - 0.9 * depth)
+        store.add(f"layer{l}.att.mu_r", [0.5 * ramp])
+        store.add(f"layer{l}.att.mu_k", [ramp])
+        store.add(f"layer{l}.att.mu_v", [np.clip(ramp + 0.3 * depth, 0.0, 0.99)])
         store.add(f"layer{l}.att.w_r", uniform((d, d), s_in))
         store.add(f"layer{l}.att.w_k", uniform((d, d), s_in))
         store.add(f"layer{l}.att.w_v", uniform((d, d), s_in))
@@ -117,8 +140,8 @@ def init_base_params(cfg: ModelConfig, seed: int) -> tuple[ParamStore, FreezeMas
         # per-channel decay exponent: channel 0 remembers longest
         store.add(f"layer{l}.att.decay", 0.1 + 6.0 * (np.arange(d) / max(d - 1, 1)) ** 1.5)
         store.add(f"layer{l}.att.bonus", 0.3 + 0.2 * np.cos(np.arange(d)))
-        store.add(f"layer{l}.ffn.mu_r.p0", 0.5 * pos ** (1.0 - 0.9 * depth))
-        store.add(f"layer{l}.ffn.mu_k.p0", pos ** (1.0 - 0.9 * depth))
+        store.add(f"layer{l}.ffn.mu_r", [0.5 * ramp])
+        store.add(f"layer{l}.ffn.mu_k", [ramp])
         store.add(f"layer{l}.ffn.w_r", uniform((d, d), s_in))
         store.add(f"layer{l}.ffn.w_k", uniform((d, 4 * d), s_in))
         store.add(f"layer{l}.ffn.w_v", uniform((4 * d, d), np.sqrt(3.0 / (4 * d)) / np.sqrt(2.0 * L)))
@@ -155,10 +178,10 @@ def time_mixing(store: ParamStore, layer: int, xx: Tensor,
 
     Returns (residual delta, new att_prev rows, new wkv state).
     """
-    pre, n = f"layer{layer}.att", xx.shape[0]
-    xr = ag.token_shift(xx, st.att_prev, [store[f"{pre}.mu_r.p{i}"] for i in range(n)])
-    xk = ag.token_shift(xx, st.att_prev, [store[f"{pre}.mu_k.p{i}"] for i in range(n)])
-    xv = ag.token_shift(xx, st.att_prev, [store[f"{pre}.mu_v.p{i}"] for i in range(n)])
+    pre = f"layer{layer}.att"
+    xr = ag.token_shift(xx, st.att_prev, store[f"{pre}.mu_r"])
+    xk = ag.token_shift(xx, st.att_prev, store[f"{pre}.mu_k"])
+    xv = ag.token_shift(xx, st.att_prev, store[f"{pre}.mu_v"])
     r = ag.matmul(xr, store[f"{pre}.w_r"])
     k = ag.matmul(xk, store[f"{pre}.w_k"])
     v = ag.matmul(xv, store[f"{pre}.w_v"])
@@ -174,9 +197,9 @@ def channel_mixing(store: ParamStore, layer: int, xx: Tensor,
 
     Returns (residual delta, new ffn_prev rows).
     """
-    pre, n = f"layer{layer}.ffn", xx.shape[0]
-    xr = ag.token_shift(xx, st.ffn_prev, [store[f"{pre}.mu_r.p{i}"] for i in range(n)])
-    xk = ag.token_shift(xx, st.ffn_prev, [store[f"{pre}.mu_k.p{i}"] for i in range(n)])
+    pre = f"layer{layer}.ffn"
+    xr = ag.token_shift(xx, st.ffn_prev, store[f"{pre}.mu_r"])
+    xk = ag.token_shift(xx, st.ffn_prev, store[f"{pre}.mu_k"])
     kk = ag.relu_square(ag.matmul(xk, store[f"{pre}.w_k"]))
     out = ag.sigmoid_mul(ag.matmul(xr, store[f"{pre}.w_r"]), ag.matmul(kk, store[f"{pre}.w_v"]))
     return out, xx.data[..., -1, :].copy()
@@ -192,8 +215,7 @@ def run_stream(cfg: ModelConfig, store: ParamStore, tokens: np.ndarray,
     tokens = np.asarray(tokens)
     if tokens.size == 0:
         raise CorpusError(f"cannot run the model on an empty token array {tokens.shape}")
-    if tokens.max() >= cfg.vocab_size:
-        raise IndexError(f"token id {int(tokens.max())} out of range for V={cfg.vocab_size}")
+    check_token_range(tokens, cfg.vocab_size)
     n = cfg.n_perspectives
     if states is None:
         shape = (n,) + tokens.shape[:-1] + (cfg.d_model,)
@@ -242,17 +264,12 @@ class Model:
     mask: FreezeMask
 
     def forward(self, tokens, states=None):
-        """Multi-perspective forward with the configured aggregation.
+        """All n perspective streams, then the configured aggregation head.
 
         tokens: (T,) or (B, T). Returns (logits Tensor ([B,] T, V), weights
         ndarray ([B,] T, n) or None, new states: one StreamState per layer).
         """
         from rwkvp import aggregation, perspectives
-        if self.config.n_perspectives == 1 and not any(
-                is_aggregator(n) for n in self.store.names()):
-            # bare base model (pretraining/eval before extension)
-            logits, new_states = model_forward(self.config, self.store, tokens, states)
-            return logits, None, new_states
         p, new_states = perspectives.multi_forward(self.config, self.store, tokens, states)
         logits, weights = aggregation.aggregate(self.config, self.store, p)
         return logits, (None if weights is None else weights.data), new_states

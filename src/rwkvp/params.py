@@ -62,12 +62,6 @@ class ParamStore:
     def total_size(self) -> int:
         return sum(t.data.size for t in self._params.values())
 
-    def copy(self) -> "ParamStore":
-        out = ParamStore()
-        for name, t in self._params.items():
-            out.add(name, t.data.copy(), t.requires_grad, dtype=t.data.dtype)
-        return out
-
     def astype(self, dtype) -> "ParamStore":
         out = ParamStore()
         for name, t in self._params.items():

@@ -47,6 +47,9 @@ class TrainConfig:
     grad_clip: float = 1.0
 
     def __post_init__(self):
+        m.check_field_types(self, ints=("batch_size", "mini_epochs", "contexts_per_mini_epoch",
+                                        "context_length", "seed"),
+                            floats=("lr_max", "lr_min", "noise_std", "noise_mean", "grad_clip"))
         if not (0 < self.lr_min <= self.lr_max):
             raise m.ConfigError(f"need 0 < lr_min <= lr_max, got {self.lr_min}, {self.lr_max}")
         if self.noise_std < 0:
@@ -141,14 +144,18 @@ def inject_selector_noise(store: ParamStore, std: float, mean: float, seed: int)
 
 def inject_temporal_noise(store: ParamStore, cfg: m.ModelConfig, std: float,
                           mean: float, seed: int) -> None:
-    """One-time Gaussian perturbation of every perspective's mu vectors."""
+    """One-time Gaussian perturbation of every perspective's mu rows.
+
+    Draws run perspective by perspective, then layer by layer and slot by slot.
+    """
     if std < 0:
         raise m.ConfigError(f"noise_std must be >= 0, got {std}")
-    rng = np.random.default_rng(seed)
-    for i in range(cfg.n_perspectives):
-        for name in m.mu_names(cfg, i):
-            p = store[name]
-            p.data = p.data + rng.normal(mean, std, size=p.shape).astype(p.data.dtype)
+    names = m.mu_names(cfg)
+    noise = np.random.default_rng(seed).normal(
+        mean, std, size=(cfg.n_perspectives, len(names), cfg.d_model))
+    for j, name in enumerate(names):
+        p = store[name]
+        p.data = p.data + noise[:, j].astype(p.data.dtype)
 
 
 def _train_loop(model: m.Model, train_tokens: np.ndarray, val_tokens: np.ndarray,
@@ -157,6 +164,8 @@ def _train_loop(model: m.Model, train_tokens: np.ndarray, val_tokens: np.ndarray
     sampled contexts, then validation perplexity after each mini-epoch."""
     from rwkvp import evaluation
 
+    # a context's last token is only a target, which run_stream never sees
+    corpus_mod.check_token_range(train_tokens, model.config.vocab_size)
     store, mask = model.store, model.mask
     log = TrainLog(seeds=[tc.seed])
     steps_per_epoch = math.ceil(tc.contexts_per_mini_epoch / tc.batch_size)
@@ -210,7 +219,7 @@ def finetune_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
     """Frozen-base fine-tuning of the temporal components and aggregator."""
     cfg, store, mask = persp_mod.extend_to_perspectives(base_store, base_cfg, n,
                                                         aggregation)
-    if tc.noise_target == "selector" and any(m.is_aggregator(nm) for nm in store.names()):
+    if tc.noise_target == "selector" and cfg.aggregation != "average":
         inject_selector_noise(store, tc.noise_std, tc.noise_mean, tc.seed)
     else:
         # 'temporal' arm, and the fallback for aggregators with no linear

@@ -100,9 +100,9 @@ def test_criterion_04_freeze_invariant(capsys, synth_split):
     selector_moved = not np.array_equal(store["selector.W"].data,
                                         np.zeros_like(store["selector.W"].data))
     mu_moved = any(
-        not np.array_equal(store[name].data, base_store[base_name].data)
-        for base_name in m.mu_names(base_cfg, 0)
-        for name in (base_name, base_name[:-1] + "1"))
+        not np.array_equal(store[name].data[i], base_store[name].data[0])
+        for name in m.mu_names(base_cfg)
+        for i in range(cfg.n_perspectives))
     ok = frozen_ok and selector_moved and mu_moved
     _report(capsys, 4, ok,
             f"200 steps: frozen bytes identical={frozen_ok}, "

@@ -114,17 +114,17 @@ def test_token_shift_gradients_match_finite_differences(shape):
         mus = rng.uniform(0, 1, (n, d))
         weight = rng.uniform(-1, 1, shape)
         tx = Tensor(x.copy(), requires_grad=True)
-        tmus = [Tensor(mu.copy(), requires_grad=True) for mu in mus]
-        ag.sum_(ag.mul(ag.token_shift(tx, first, tmus), Tensor(weight))).backward()
+        tmu = Tensor(mus.copy(), requires_grad=True)
+        ag.sum_(ag.mul(ag.token_shift(tx, first, tmu), Tensor(weight))).backward()
 
         def loss(xx, mm):
             with ag.no_grad():
-                out = ag.token_shift(Tensor(xx.copy()), first, [Tensor(m) for m in mm])
+                out = ag.token_shift(Tensor(xx.copy()), first, Tensor(mm.copy()))
             return float((out.data * weight).sum())
 
         fd_x = _fd_scalar(lambda arr: loss(arr, mus), x.copy())
         fd_mu = _fd_scalar(lambda arr: loss(x, arr), mus.copy())
-        for got, fd in ((tx.grad, fd_x), (np.stack([t.grad for t in tmus]), fd_mu)):
+        for got, fd in ((tx.grad, fd_x), (tmu.grad, fd_mu)):
             denom = np.maximum(np.maximum(np.abs(got), np.abs(fd)), 1e-8)
             assert (np.abs(got - fd) / denom).max() < 1e-5
 
@@ -153,22 +153,27 @@ def test_fused_forwards_bitwise_equal_unfused_composition(dtype):
     assert np.array_equal(ag.relu_square(Tensor(x)).data, r * r)
     mu = mus[:, None, None, :]
     mix = x * mu + _shifted(x, first) * (1.0 - mu)
-    out = ag.token_shift(Tensor(x), first, [Tensor(m) for m in mus])
+    out = ag.token_shift(Tensor(x), first, Tensor(mus))
     assert out.data.dtype == dtype and np.array_equal(out.data, mix)
+
+
+@pytest.mark.parametrize("mu_shape", [(1, 4), (3, 4), (2, 3), (4,), (2, 4, 1), (8,)],
+                         ids=["one-row-for-two-slices", "three-rows", "short-rows", "one-vector",
+                              "3d", "flat"])
+def test_token_shift_rejects_mu_not_n_by_d(mu_shape):
+    x = Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(ag.ShapeError, match="mu"):
+        ag.token_shift(x, np.zeros((2, 4)), Tensor(np.full(mu_shape, 0.5)))
 
 
 def test_token_shift_rejects_bad_shapes():
     x = Tensor(np.ones((2, 3, 4)))
-    mus = [Tensor(np.full(4, 0.5)), Tensor(np.full(4, 0.5))]
-    ag.token_shift(x, np.zeros((2, 4)), mus)
+    mu = Tensor(np.full((2, 4), 0.5))
+    ag.token_shift(x, np.zeros((2, 4)), mu)
     with pytest.raises(ag.ShapeError, match="first_row"):
-        ag.token_shift(x, np.zeros(4), mus)               # one row for two slices
-    with pytest.raises(ag.ShapeError, match="mus"):
-        ag.token_shift(x, np.zeros((2, 4)), mus[:1])      # one mu for two slices
-    with pytest.raises(ag.ShapeError, match="mus"):
-        ag.token_shift(x, np.zeros((2, 4)), [Tensor(np.ones(3))] * 2)
+        ag.token_shift(x, np.zeros(4), mu)               # one row for two slices
     with pytest.raises(ag.ShapeError):
-        ag.token_shift(Tensor(np.ones((3, 4))), np.zeros((4,)), [Tensor(np.ones(4))] * 3)
+        ag.token_shift(Tensor(np.ones((3, 4))), np.zeros((4,)), Tensor(np.ones((3, 4))))
 
 
 def test_layer_norm_gradients():
@@ -304,21 +309,21 @@ def test_shift_rows_semantics_and_gradient():
     """token_shift with mu = 0 is the input shifted one row down."""
     x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]), requires_grad=True)
     first = np.array([[9.0, 9.0]])
-    mu = Tensor(np.zeros(2), requires_grad=True)
-    out = ag.token_shift(x, first, [mu])
+    mu = Tensor(np.zeros((1, 2)), requires_grad=True)
+    out = ag.token_shift(x, first, mu)
     np.testing.assert_array_equal(out.data, [[[9, 9], [1, 2], [3, 4]]])
     ag.sum_(ag.mul(out, out)).backward()
     np.testing.assert_array_equal(x.grad, [[[2, 4], [6, 8], [0, 0]]])
     # d/dmu of sum(out^2) at mu = 0 is sum_t 2 * prev * (x - prev)
-    np.testing.assert_array_equal(mu.grad, [2 * (9 * -8 + 1 * 2 + 3 * 2),
-                                            2 * (9 * -7 + 2 * 2 + 4 * 2)])
+    np.testing.assert_array_equal(mu.grad, [[2 * (9 * -8 + 1 * 2 + 3 * 2),
+                                             2 * (9 * -7 + 2 * 2 + 4 * 2)]])
 
 
 def test_shift_rows_leading_axes_use_their_own_first_row():
     """token_shift's shift uses each leading slice's own first row (mu = 0)."""
     x = np.arange(2 * 3 * 4 * 2, dtype=np.float64).reshape(2, 3, 4, 2)
     first = -np.arange(2 * 3 * 2, dtype=np.float64).reshape(2, 3, 2) - 1.0
-    zeros = [Tensor(np.zeros(2)), Tensor(np.zeros(2))]
+    zeros = Tensor(np.zeros((2, 2)))
     t = Tensor(x, requires_grad=True)
     out = ag.token_shift(t, first, zeros)
     np.testing.assert_array_equal(out.data[..., 0, :], first)
@@ -327,7 +332,7 @@ def test_shift_rows_leading_axes_use_their_own_first_row():
         for j in range(3):
             np.testing.assert_array_equal(
                 out.data[i, j], ag.token_shift(Tensor(x[i, j][None]), first[i, j][None],
-                                               zeros[:1]).data[0])
+                                               Tensor(np.zeros((1, 2)))).data[0])
     weight = np.random.default_rng(0).uniform(-1, 1, x.shape)
     ag.sum_(ag.mul(out, Tensor(weight))).backward()
     np.testing.assert_array_equal(t.grad[..., :-1, :], weight[..., 1:, :])
@@ -340,7 +345,7 @@ def test_token_shift_mu_one_is_identity():
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, (3, 2, 4, 5))
     t = Tensor(x, requires_grad=True)
-    out = ag.token_shift(t, rng.uniform(-1, 1, (3, 2, 5)), [Tensor(np.ones(5))] * 3)
+    out = ag.token_shift(t, rng.uniform(-1, 1, (3, 2, 5)), Tensor(np.ones((3, 5))))
     np.testing.assert_array_equal(out.data, x)
     weight = rng.uniform(-1, 1, x.shape)
     ag.sum_(ag.mul(out, Tensor(weight))).backward()

@@ -43,6 +43,7 @@ def test_pretrain_outputs(pretrained_dir):
     assert (pretrained_dir / "train_log.txt").read_text().startswith("#")
     eff = json.loads((pretrained_dir / "effective_config.json").read_text())
     assert eff["model"]["n_perspectives"] == 1
+    assert eff["model"]["aggregation"] == "average"
     assert eff["train"]["seed"] == 0
 
 
@@ -128,8 +129,9 @@ def test_bad_checkpoint_errors(tmp_path, capsys, corpus_file, micro_config):
 @pytest.mark.parametrize("manifest", [
     b"5",
     b"[1,2]",
-    b'{"version":1}',
-    b'{"config":{},"freeze_mask":{},"tensors":[{"name":"x"}],"version":1}',
+    b'{"version":%d}' % ckpt.FORMAT_VERSION,
+    b'{"config":{},"freeze_mask":{},"payload_sha256":"","tensors":[{"name":"x"}],'
+    b'"version":%d}' % ckpt.FORMAT_VERSION,
 ], ids=["number", "list", "no-tensors", "tensor-entry-lacks-keys"])
 def test_eval_malformed_manifest_errors(tmp_path, capsys, corpus_file, manifest):
     path = tmp_path / "bad.ckpt"
@@ -175,6 +177,70 @@ def test_trace_empty_prompt_errors(tmp_path, capsys):
     assert "CorpusError" in capsys.readouterr().err
 
 
+def test_eval_version_1_checkpoint_errors(tmp_path, capsys, corpus_file):
+    cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
+    store, mask = m.init_base_params(cfg, seed=0)
+    path = tmp_path / "v1.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack_from("<I", raw, len(ckpt.MAGIC))
+    start = len(ckpt.MAGIC) + 4
+    manifest = raw[start:start + mlen].replace(b'"version":%d' % ckpt.FORMAT_VERSION,
+                                               b'"version":1')
+    path.write_bytes(raw[:start - 4] + struct.pack("<I", len(manifest)) + manifest
+                     + raw[start + mlen:])
+    rc = cli.main(["eval", "--checkpoint", str(path), "--corpus", str(corpus_file)])
+    assert rc == 1
+    assert "VersionMismatchError" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_non_finite_perplexity_errors(tmp_path, capsys, corpus_file):
+    cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
+    store, mask = m.init_base_params(cfg, seed=0)
+    store["head.weight"].data[:] = 1e38      # finite weights, overflowing logits
+    path = tmp_path / "huge.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    rc = cli.main(["eval", "--checkpoint", str(path), "--corpus", str(corpus_file)])
+    assert rc == 1
+    assert "NonFiniteError" in capsys.readouterr().err
+
+
+def test_trace_base_checkpoint_errors(tmp_path, capsys, pretrained_dir):
+    rc = cli.main(["trace", "--checkpoint", str(pretrained_dir / "base.ckpt"),
+                   "--prompt", "abc:123=abc;", "--out", str(tmp_path / "tr")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "weighted_softmax" in err
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("model", "d_model", 48.5), ("model", "n_layers", True), ("model", "vocab_size", "257"),
+    ("train", "batch_size", 1.5), ("train", "mini_epochs", False),
+    ("train", "lr_max", "1e-3"), ("train", "noise_std", None)])
+def test_pretrain_wrongly_typed_config_errors(tmp_path, capsys, corpus_file, micro_config,
+                                              section, field, value):
+    cfg = json.loads(micro_config.read_text())
+    cfg[section][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main(["pretrain", "--config", str(path), "--corpus", str(corpus_file),
+                   "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert field in capsys.readouterr().err
+
+
+def test_pretrain_corpus_beyond_vocab_errors(tmp_path, capsys, corpus_file, micro_config):
+    cfg = json.loads(micro_config.read_text())
+    cfg["model"]["vocab_size"] = 2
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main(["pretrain", "--config", str(path), "--corpus", str(corpus_file),
+                   "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert "CorpusError" in capsys.readouterr().err
+
+
 def test_invalid_config_field_errors(tmp_path, capsys, corpus_file):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"model": {"n_layers": 0}}))
@@ -194,6 +260,10 @@ def test_cli_does_not_mutate_inputs(tmp_path, corpus_file, micro_config,
               "--n-perspectives", "2", "--seed", "0"])
     assert corpus_file.read_bytes() == corpus_before
     assert (pretrained_dir / "base.ckpt").read_bytes() == base_before
+    # no --aggregation flag and none in the config file: the weighted head
+    assert "aggregation" not in json.loads(micro_config.read_text())["model"]
+    _, cfg, _, _ = ckpt.load_checkpoint(tmp_path / "ft2" / "finetuned.ckpt")
+    assert cfg.aggregation == "weighted_softmax"
 
 
 def test_ablate_command(tmp_path, corpus_file, micro_config, pretrained_dir):

@@ -69,6 +69,22 @@ def test_perplexity_mixed_positions_sqrt():
     assert abs(got - math.sqrt(8.0)) < 1e-6
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_perplexity_non_finite_nll_raises(bad):
+    from rwkvp.autograd import NonFiniteError
+    tokens = np.zeros(20, dtype=np.int64)
+
+    def row_fn(pos, tok):
+        row = np.zeros(4)
+        if pos == 11:
+            row[0] = bad        # nan/inf in one row makes that row's NLL non-finite
+        return row
+
+    with pytest.raises(NonFiniteError, match="NLL"):
+        evaluation.perplexity(StubModel(row_fn), tokens)
+
+
 def test_perplexity_invariant_to_chunk_size():
     rng = np.random.default_rng(1)
     rows = rng.uniform(-2, 2, (300, 4))

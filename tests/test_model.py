@@ -26,16 +26,16 @@ def test_config_roundtrip():
 def test_token_shift_mix_examples():
     x_t = Tensor(np.array([[[1.0, 2.0]]]))        # one perspective, one token
     x_prev = np.array([[3.0, 4.0]])               # the previous chunk's last row
-    mu = Tensor(np.array([0.25, 0.75]))
-    out = ag.token_shift(x_t, x_prev, [mu])
+    mu = Tensor(np.array([[0.25, 0.75]]))
+    out = ag.token_shift(x_t, x_prev, mu)
     np.testing.assert_allclose(out.data, [[[0.25 * 1 + 0.75 * 3, 0.75 * 2 + 0.25 * 4]]])
     # mu=1 passes the current token through, mu=0 passes the previous one
     np.testing.assert_array_equal(
-        ag.token_shift(x_t, x_prev, [Tensor(np.ones(2))]).data, x_t.data)
+        ag.token_shift(x_t, x_prev, Tensor(np.ones((1, 2)))).data, x_t.data)
     np.testing.assert_array_equal(
-        ag.token_shift(x_t, x_prev, [Tensor(np.zeros(2))]).data, x_prev[None])
+        ag.token_shift(x_t, x_prev, Tensor(np.zeros((1, 2)))).data, x_prev[None])
     with pytest.raises(ag.ShapeError):
-        ag.token_shift(x_t, np.ones((1, 3)), [mu])
+        ag.token_shift(x_t, np.ones((1, 3)), mu)
 
 
 def test_base_init_deterministic_and_counted():
@@ -53,7 +53,7 @@ def test_base_init_deterministic_and_counted():
 def test_mu_coefficients_in_unit_interval():
     cfg = tiny_config(n_layers=3)
     store, _ = m.init_base_params(cfg, seed=0)
-    for name in m.mu_names(cfg, 0):
+    for name in m.mu_names(cfg):
         data = store[name].data
         assert np.all(data > 0) and np.all(data < 1), name
 
@@ -69,10 +69,13 @@ def test_forward_shapes():
 
 
 def test_forward_rejects_out_of_range_token():
+    from rwkvp.corpus import CorpusError
     cfg = tiny_config()
+    assert cfg.vocab_size == 17
     store, _ = m.init_base_params(cfg, seed=0)
-    with pytest.raises(IndexError):
-        m.model_forward(cfg, store, np.array([cfg.vocab_size]))
+    for bad in (17, -1):
+        with pytest.raises(CorpusError, match="vocab_size=17"):
+            m.model_forward(cfg, store, np.array([3, bad]))
 
 
 @pytest.mark.parametrize("shape", [(0,), (2, 0)])
@@ -136,8 +139,8 @@ def test_handworked_channel_mix_d2():
     cfg = m.ModelConfig(n_layers=1, d_model=2, vocab_size=3, context_length=4)
     store, _ = m.init_base_params(cfg, seed=0)
     # overwrite with transparent values
-    store["layer0.ffn.mu_r.p0"].data = np.array([1.0, 1.0], dtype=np.float32)
-    store["layer0.ffn.mu_k.p0"].data = np.array([1.0, 1.0], dtype=np.float32)
+    store["layer0.ffn.mu_r"].data = np.array([[1.0, 1.0]], dtype=np.float32)
+    store["layer0.ffn.mu_k"].data = np.array([[1.0, 1.0]], dtype=np.float32)
     store["layer0.ffn.w_r"].data = np.zeros((2, 2), dtype=np.float32)
     store["layer0.ffn.w_k"].data = np.hstack([np.eye(2)] * 4).astype(np.float32)
     store["layer0.ffn.w_v"].data = np.vstack([np.eye(2)] * 4).astype(np.float32)
@@ -164,12 +167,38 @@ def test_time_mixing_state_advances():
 
 
 def test_model_bundle_forward_matches_plain_path():
+    """A base runs Model.forward's one path (average head at n=1) and gives
+    model_forward's logits and gradients bit for bit."""
     cfg = tiny_config()
+    assert cfg.aggregation == "average"
     store, mask = m.init_base_params(cfg, seed=0)
     model = m.Model(cfg, store, mask)
-    tokens = np.arange(6) % cfg.vocab_size
-    with ag.no_grad():
-        direct, _ = m.model_forward(cfg, store, tokens)
-        bundled, weights, _ = model.forward(tokens)
-    assert weights is None
-    assert np.array_equal(direct.data, bundled.data)
+
+    def grads(logits):
+        store.zero_grad()
+        ag.sum_(ag.mul(logits, logits)).backward()
+        return {name: t.grad.copy() for name, t in store.items()}
+
+    for shape in ((6,), (3, 6)):
+        tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, shape)
+        with ag.no_grad():
+            direct, _ = m.model_forward(cfg, store, tokens)
+            bundled, weights, _ = model.forward(tokens)
+        assert weights is None
+        assert np.array_equal(direct.data, bundled.data)
+        plain = grads(m.model_forward(cfg, store, tokens)[0])
+        through_head = grads(model.forward(tokens)[0])
+        assert all(np.array_equal(plain[name], through_head[name]) for name in store.names())
+
+
+def test_base_init_requires_average_aggregation():
+    with pytest.raises(m.ConfigError, match="average"):
+        m.init_base_params(tiny_config(aggregation="weighted_softmax"), seed=0)
+
+
+@pytest.mark.parametrize("field,value", [("d_model", 16.5), ("n_layers", True),
+                                         ("vocab_size", "17"), ("context_length", None),
+                                         ("n_perspectives", np.bool_(True))])
+def test_config_rejects_non_int_counts(field, value):
+    with pytest.raises(m.ConfigError, match=field):
+        tiny_config(**{field: value})

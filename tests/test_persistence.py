@@ -169,12 +169,76 @@ def test_checkpoint_magic_and_version(tmp_path):
     # bump the version inside the manifest
     (mlen,) = struct.unpack_from("<I", raw, len(ckpt.MAGIC))
     start = len(ckpt.MAGIC) + 4
-    manifest = raw[start:start + mlen].replace(b'"version":1', b'"version":99')
+    current = f'"version":{ckpt.FORMAT_VERSION}'.encode()
+    assert current in raw[start:start + mlen]
+    manifest = raw[start:start + mlen].replace(current, b'"version":99')
     versioned = tmp_path / "v.ckpt"
     versioned.write_bytes(raw[:len(ckpt.MAGIC)] + struct.pack("<I", len(manifest))
                           + manifest + raw[start + mlen:])
     with pytest.raises(ckpt.VersionMismatchError):
         ckpt.load_checkpoint(versioned)
+
+
+def _rewrite_manifest(path, edit):
+    """Rewrite the checkpoint at path with edit(manifest dict) applied, payload kept."""
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack_from("<I", raw, len(ckpt.MAGIC))
+    start = len(ckpt.MAGIC) + 4
+    manifest = json.loads(raw[start:start + mlen])
+    edit(manifest)
+    mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:len(ckpt.MAGIC)] + struct.pack("<I", len(mbytes)) + mbytes
+                     + raw[start + mlen:])
+
+
+def test_checkpoint_manifest_records_payload_sha256(tmp_path):
+    import hashlib
+    cfg, store, mask = _small_model()
+    path = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack_from("<I", raw, len(ckpt.MAGIC))
+    start = len(ckpt.MAGIC) + 4
+    manifest = json.loads(raw[start:start + mlen])
+    assert manifest["version"] == ckpt.FORMAT_VERSION == 2
+    assert manifest["payload_sha256"] == hashlib.sha256(raw[start + mlen:]).hexdigest()
+
+
+@pytest.mark.parametrize("where", [0, 1000, -1], ids=["first", "middle", "last"])
+def test_checkpoint_rejects_flipped_payload_byte(tmp_path, where):
+    cfg, store, mask = _small_model()
+    path = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    raw = bytearray(path.read_bytes())
+    (mlen,) = struct.unpack_from("<I", raw, len(ckpt.MAGIC))
+    payload_start = len(ckpt.MAGIC) + 4 + mlen
+    pos = payload_start + where if where >= 0 else len(raw) + where
+    # the low mantissa bit of a little-endian float32 on a 4-byte boundary
+    # (where=-1 hits a high byte; the flip keeps every weight finite either way)
+    raw[pos] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ckpt.CheckpointError, match="SHA-256"):
+        ckpt.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_version_1_file(tmp_path):
+    """A v1 file (per-perspective mu names, no payload hash) is refused, not converted."""
+    cfg, store, mask = _small_model()
+    path = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+
+    def to_v1(manifest):
+        manifest["version"] = 1
+        del manifest["payload_sha256"]
+        for entry in manifest["tensors"]:
+            if ".mu_" in entry["name"]:
+                entry["name"] += ".p0"
+        manifest["freeze_mask"] = {(k + ".p0" if ".mu_" in k else k): v
+                                   for k, v in manifest["freeze_mask"].items()}
+
+    _rewrite_manifest(path, to_v1)
+    with pytest.raises(ckpt.VersionMismatchError, match="version 1"):
+        ckpt.load_checkpoint(path)
 
 
 def test_checkpoint_truncation_names_tensor(tmp_path):
@@ -208,15 +272,19 @@ def test_checkpoint_rejects_unknown_config_key(tmp_path):
     cfg, store, mask = _small_model()
     path = tmp_path / "m.ckpt"
     ckpt.save_checkpoint(store, cfg, mask, path)
-    raw = path.read_bytes()
-    (mlen,) = struct.unpack_from("<I", raw, len(ckpt.MAGIC))
-    start = len(ckpt.MAGIC) + 4
-    manifest = json.loads(raw[start:start + mlen])
-    manifest["config"]["no_such_field"] = 1
-    mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(raw[:len(ckpt.MAGIC)] + struct.pack("<I", len(mbytes)) + mbytes
-                     + raw[start + mlen:])
+    _rewrite_manifest(path, lambda manifest: manifest["config"].update(no_such_field=1))
     with pytest.raises(ckpt.CheckpointError, match="config"):
+        ckpt.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field,value", [("n_layers", True), ("d_model", 16.0),
+                                         ("n_layers", 0)])
+def test_checkpoint_rejects_invalid_config_value(tmp_path, field, value):
+    cfg, store, mask = _small_model()
+    path = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    _rewrite_manifest(path, lambda manifest: manifest["config"].update({field: value}))
+    with pytest.raises(ckpt.CheckpointError, match=f"config.*{field}"):
         ckpt.load_checkpoint(path)
 
 

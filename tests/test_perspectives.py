@@ -16,21 +16,21 @@ def _extended(n, aggregation="weighted_softmax", seed=0, **cfg_kw):
 
 
 def test_replicas_start_bitwise_equal():
-    _, base_cfg, cfg, store, _ = _extended(4)
-    for name0 in m.mu_names(cfg, 0):
-        stem = name0[: -len(".p0")]
-        for i in range(1, 4):
-            assert np.array_equal(store[name0].data, store[f"{stem}.p{i}"].data)
+    base_store, base_cfg, cfg, store, _ = _extended(4)
+    for name in m.mu_names(cfg):
+        assert base_store[name].shape == (1, cfg.d_model)
+        assert store[name].shape == (4, cfg.d_model)
+        for i in range(4):
+            assert np.array_equal(store[name].data[i], base_store[name].data[0])
 
 
 def test_extension_copies_do_not_alias_base():
     base_store, base_cfg, cfg, store, _ = _extended(2)
-    store["layer0.att.mu_k.p0"].data += 1.0
-    assert not np.array_equal(store["layer0.att.mu_k.p0"].data,
-                              base_store["layer0.att.mu_k.p0"].data)
-    store["layer0.att.mu_k.p1"].data += 2.0
-    assert not np.array_equal(store["layer0.att.mu_k.p1"].data,
-                              store["layer0.att.mu_k.p0"].data)
+    mu = store["layer0.att.mu_k"].data
+    mu[0] += 1.0
+    assert not np.array_equal(mu[0], base_store["layer0.att.mu_k"].data[0])
+    mu[1] += 2.0
+    assert not np.array_equal(mu[1], mu[0])
 
 
 def test_freeze_mask_partition():
@@ -59,8 +59,9 @@ def test_streams_evolve_independently():
     tokens = np.arange(8) % cfg.vocab_size
     with ag.no_grad():
         before, _ = perspectives.multi_forward(cfg, store, tokens)
-        store["layer0.att.mu_k.p1"].data = np.clip(
-            store["layer0.att.mu_k.p1"].data + 0.2, 0.0, 1.0)
+        mu = store["layer0.att.mu_k"].data.copy()
+        mu[1] = np.clip(mu[1] + 0.2, 0.0, 1.0)
+        store["layer0.att.mu_k"].data = mu
         after, _ = perspectives.multi_forward(cfg, store, tokens)
     assert np.array_equal(before.data[0], after.data[0])
     assert np.array_equal(before.data[2], after.data[2])
@@ -80,14 +81,13 @@ def test_cross_perspective_gradient_is_zero():
     one_hot = ag.Tensor(np.array([0.0, 1.0, 0.0]).reshape(3, 1, 1))
     p_1 = ag.mul(p, one_hot)             # stream 1 kept, streams 0 and 2 zeroed
     ag.sum_(ag.mul(p_1, p_1)).backward()  # loss touches only stream 1
-    # the stacked pass hands every mu an array gradient; the other streams'
-    # must be exactly zero
-    for i in (0, 2):
-        for name in m.mu_names(cfg, i):
-            grad = store[name].grad
-            assert grad is None or not grad.any(), name
-    touched = [name for name in m.mu_names(cfg, 1)
-               if store[name].grad is not None and store[name].grad.any()]
+    # the stacked pass hands every mu leaf a gradient for all its rows; the
+    # other streams' rows must be exactly zero
+    for name in m.mu_names(cfg):
+        grad = store[name].grad
+        assert grad is None or not grad[[0, 2]].any(), name
+    touched = [name for name in m.mu_names(cfg)
+               if store[name].grad is not None and store[name].grad[1].any()]
     assert touched  # stream 1's own coefficients do receive gradient
 
 
@@ -120,6 +120,12 @@ def test_invalid_perspective_count():
     base_store, _ = m.init_base_params(base_cfg, seed=0)
     with pytest.raises(m.ConfigError):
         perspectives.extend_to_perspectives(base_store, base_cfg, 0)
+
+
+def test_extension_starts_from_a_base():
+    _, _, cfg, store, _ = _extended(2)
+    with pytest.raises(m.ConfigError, match="n_perspectives=1"):
+        perspectives.extend_to_perspectives(store, cfg, 2)
 
 
 def test_multi_forward_state_handoff():

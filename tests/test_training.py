@@ -37,6 +37,19 @@ def test_train_config_validation():
         training.TrainConfig(noise_target="everywhere")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 1.5), ("mini_epochs", True), ("seed", "0"), ("context_length", 32.0),
+    ("contexts_per_mini_epoch", None), ("lr_max", "1e-3"), ("lr_min", float("nan")),
+    ("noise_std", float("inf")), ("noise_mean", False), ("grad_clip", None)])
+def test_train_config_rejects_wrong_types(field, value):
+    with pytest.raises(m.ConfigError, match=field):
+        training.TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_integer_rates():
+    assert training.TrainConfig(lr_max=1, lr_min=1, noise_std=0).noise_std == 0
+
+
 def _noisy_extended(n=3, seed=0, aggregation="weighted_softmax"):
     base_cfg = tiny_config()
     base_store, _ = m.init_base_params(base_cfg, seed=0)
@@ -71,9 +84,25 @@ def test_temporal_noise_targets_all_perspectives():
     training.inject_temporal_noise(store, cfg, 0.01, 0.0, seed=3)
     non_mu = [n for n in store.names() if not m.is_temporal(n)]
     assert store.digest(non_mu) == fresh.digest(non_mu)
-    for i in range(2):
-        for name in m.mu_names(cfg, i):
-            assert not np.array_equal(store[name].data, fresh[name].data), name
+    for name in m.mu_names(cfg):
+        for i in range(2):
+            assert not np.array_equal(store[name].data[i], fresh[name].data[i]), (name, i)
+
+
+def test_temporal_noise_draws_perspective_then_layer_then_slot():
+    """Row i of every mu leaf gets the draws of perspective i, taken from one
+    generator in the order: perspective, layer, slot (att r/k/v, ffn r/k)."""
+    cfg, store, _ = _noisy_extended(n=3)
+    _, fresh, _ = _noisy_extended(n=3)
+    training.inject_temporal_noise(store, cfg, 0.01, 0.002, seed=11)
+    rng = np.random.default_rng(11)
+    for i in range(3):
+        for l in range(cfg.n_layers):
+            for slot in ("att.mu_r", "att.mu_k", "att.mu_v", "ffn.mu_r", "ffn.mu_k"):
+                name = f"layer{l}.{slot}"
+                row = fresh[name].data[i]
+                expected = row + rng.normal(0.002, 0.01, size=row.shape).astype(row.dtype)
+                assert np.array_equal(store[name].data[i], expected), (name, i)
 
 
 def test_noise_statistics():
@@ -155,10 +184,22 @@ def test_average_mode_falls_back_to_temporal_noise(synth_split):
     cfg, store, mask, _ = training.finetune_perspectives(
         base_store, base_cfg, 2, "average", train_tokens, val_tokens, tc)
     # the two perspectives must have been desymmetrized despite having no selector
-    assert not np.array_equal(store["layer0.att.mu_k.p0"].data,
-                              base_store["layer0.att.mu_k.p0"].data) or \
-           not np.array_equal(store["layer0.att.mu_k.p1"].data,
-                              store["layer0.att.mu_k.p0"].data)
+    mu = store["layer0.att.mu_k"].data
+    assert not np.array_equal(mu[0], base_store["layer0.att.mu_k"].data[0]) or \
+           not np.array_equal(mu[1], mu[0])
+
+
+@pytest.mark.parametrize("bad", [17, -3])
+def test_training_rejects_target_outside_vocab(bad):
+    """The corpus' last token is only ever a target, never a model input."""
+    from rwkvp.corpus import CorpusError
+    cfg = tiny_config()
+    tokens = np.arange(40) % cfg.vocab_size
+    tokens[-1] = bad
+    tc = training.TrainConfig(batch_size=2, lr_max=1e-3, lr_min=5e-4, mini_epochs=1,
+                              contexts_per_mini_epoch=4, context_length=8, seed=0)
+    with pytest.raises(CorpusError, match="vocab_size=17"):
+        training.pretrain_base(cfg, tokens, tokens[:20], tc)
 
 
 def test_memorization_single_pattern():
