@@ -4,9 +4,13 @@ Design: a micrograd-style tape. Every op produces a new Tensor holding its
 value, its parents and a closure that routes the upstream gradient to the
 parents. A closure captures arrays and parents but never its own output
 node, so a graph holds no reference cycle and is freed as soon as the loss
-is dropped, without waiting for the cyclic garbage collector. Tensors are
-immutable once created, so several graphs may evaluate concurrently over
-shared (read-only) parameters.
+is dropped, without waiting for the cyclic garbage collector.
+
+The in-place rule: no graph may be alive across an optimizer step. Ops save
+their inputs' arrays for the backward pass, and the trainable leaves are
+views of one buffer that the optimizer updates in place (params.flatten,
+training.Adam), so a graph that outlived a step would differentiate at the
+new values. Between steps, several graphs may evaluate over the same leaves.
 
 Fused primitives: token_shift, sigmoid_mul and relu_square each run a chain
 of the RWKV block's elementwise ops as one node with a hand-written backward,
@@ -377,9 +381,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize over the last axis; constant rows map to the bias."""
     if a.shape[-1] != gain.shape[0] or gain.shape != bias.shape:
         raise ShapeError(f"layer_norm: shapes {a.shape}, {gain.shape}, {bias.shape}")
-    mu = a.data.mean(axis=-1, keepdims=True)
+    # row means as add.reduce / d: what ndarray.mean computes, bitwise,
+    # without its Python-level wrapper
+    d = a.shape[-1]
+    mu = np.add.reduce(a.data, axis=-1, keepdims=True) / d
     xm = a.data - mu
-    var = (xm * xm).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xm * xm, axis=-1, keepdims=True) / d
     invstd = 1.0 / np.sqrt(var + eps)
     xhat = xm * invstd
     out = Tensor(xhat * gain.data + bias.data, _needs_grad(a, gain, bias),
@@ -392,8 +399,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                 gain._accumulate(_unbroadcast(g * xhat, gain.shape))
             if a.requires_grad:
                 dxhat = g * gain.data
-                m1 = dxhat.mean(axis=-1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+                m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+                m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
                 a._accumulate(invstd * (dxhat - m1 - xhat * m2))
         out._backward = bwd
     return out

@@ -51,6 +51,10 @@ def save_checkpoint(store: ParamStore, config: ModelConfig, mask: FreezeMask,
     offset = 0
     blobs = []
     for name in names:
+        if store[name].data.dtype != np.float32:
+            # the payload is float32: writing another dtype would round it silently
+            raise CheckpointError(f"cannot save {name!r}: dtype {store[name].data.dtype}, "
+                                  "checkpoints hold float32 only")
         blob = np.ascontiguousarray(store[name].data, dtype="<f4").tobytes()
         directory.append({"name": name, "shape": list(store[name].shape),
                           "offset": offset, "length": len(blob)})

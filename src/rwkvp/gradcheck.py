@@ -34,14 +34,14 @@ def finite_diff_check(f, store: ParamStore, mask: FreezeMask,
     store.zero_grad()
     loss = f(store)
     loss.backward()
-    grads = store.collect_grads(mask)
+    grad = store.collect_grads(mask)
 
     max_err = 0.0
     count = 0
     for name in mask.trainable_names():
-        p = store[name]
-        analytic = grads.get(name, np.zeros_like(p.data)).reshape(-1)
-        flat = p.data.reshape(-1)
+        flat = store[name].data.reshape(-1)
+        # count is where this leaf's segment of the flat gradient starts
+        analytic = grad[count:count + flat.size]
         for idx in range(flat.size):
             orig = flat[idx]
             with ag.no_grad():

@@ -3,6 +3,13 @@
 The mask partitions the store into trainable and frozen entries. Freezing is
 hard: frozen tensors carry requires_grad=False, so backward never records a
 gradient for them and optimizers never see them.
+
+Training keeps the trainable leaves in one contiguous buffer (`flatten`):
+each leaf's data is a reshaped view of its segment, in mask order, and the
+gradient comes back as one flat array in the same order (`collect_grads`),
+so the optimizer and the gradient clip run as whole-buffer array ops. The
+optimizer updates the buffer in place, which every leaf view sees at once;
+frozen leaves keep their own arrays.
 """
 
 from __future__ import annotations
@@ -76,21 +83,42 @@ class ParamStore:
         for name, flag in mask.items():
             self._params[name].requires_grad = bool(flag)
 
+    def flatten(self, names) -> np.ndarray:
+        """Copy the named leaves, in order, into one contiguous buffer and
+        rebind each leaf's data to a reshaped view of its segment.
+
+        Returns the buffer; writing to it updates the leaves. All leaves must
+        share one dtype, which the buffer takes.
+        """
+        leaves = [self._params[name] for name in names]
+        dtypes = {t.data.dtype for t in leaves}
+        if len(dtypes) > 1:
+            raise TypeError(f"cannot flatten leaves of mixed dtypes {sorted(map(str, dtypes))}")
+        flat = np.concatenate([t.data.reshape(-1) for t in leaves])
+        start = 0
+        for t in leaves:
+            stop = start + t.data.size
+            t.data = flat[start:stop].reshape(t.data.shape)
+            start = stop
+        return flat
+
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
 
-    def collect_grads(self, mask: FreezeMask) -> dict[str, np.ndarray]:
-        """Gradients for trainable parameters only (hard exclusion of frozen)."""
-        grads = {}
-        for name in mask.trainable_names():
-            t = self._params[name]
-            if t.grad is not None:
-                grads[name] = t.grad
+    def collect_grads(self, mask: FreezeMask) -> np.ndarray:
+        """The trainable parameters' gradients as one flat array in
+        mask.trainable_names() order (the layout of `flatten`); a trainable
+        leaf without a gradient gets a zero segment. Raises if a frozen leaf
+        holds a gradient (hard exclusion of frozen)."""
         for name in mask.frozen_names():
             if self._params[name].grad is not None:
                 raise AssertionError(f"frozen parameter {name!r} received a gradient")
-        return grads
+        parts = []
+        for name in mask.trainable_names():
+            t = self._params[name]
+            parts.append((t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1))
+        return np.concatenate(parts)
 
     def digest(self, names=None) -> str:
         """SHA-256 over the raw bytes of the selected parameters (sorted by name)."""

@@ -9,6 +9,7 @@ and the aggregator with Adam under an exponential LR decay.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -74,6 +75,7 @@ class TrainLog:
     seeds: list = field(default_factory=list)
     steps: list = field(default_factory=list)        # (step, lr, loss)
     val_ppl: list = field(default_factory=list)      # (mini_epoch, ppl)
+    grad_norms: list = field(default_factory=list)   # (step, pre-clip norm, clipped)
 
     def to_text(self) -> str:
         lines = ["# rwkvp train log v1"]
@@ -81,6 +83,8 @@ class TrainLog:
             lines.append(f"seed {s}")
         for step, lr, loss in self.steps:
             lines.append(f"step {step} {lr:.9g} {loss:.9g}")
+        for step, norm, clipped in self.grad_norms:
+            lines.append(f"gradnorm {step} {norm:.9g} {int(clipped)}")
         for epoch, ppl in self.val_ppl:
             lines.append(f"epoch {epoch} val_ppl {ppl:.9g}")
         return "\n".join(lines) + "\n"
@@ -99,35 +103,57 @@ def lr_schedule(step: int, total_steps: int, lr_max: float, lr_min: float) -> fl
 
 
 class Adam:
-    """Adam over the trainable subset, no weight decay."""
+    """Adam over one flat buffer of trainable parameters, no weight decay.
+
+    step updates the buffer in place with whole-buffer ufuncs, each value
+    computed as b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g and
+    p - (lr*mhat)/(sqrt(vhat) + eps). No graph built on the parameters may be
+    alive across a step: its saved views would see the new values.
+    """
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        # moments and two scratch buffers, made at the first step in its shape
+        self.m = self.v = self._scratch = None
 
-    def step(self, store: ParamStore, grads: dict[str, np.ndarray], lr: float) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, g in grads.items():
-            if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = self.m[name] / (1 - b1 ** self.t)
-            vhat = self.v[name] / (1 - b2 ** self.t)
-            p = store[name]
-            p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
+        if self.m is None:
+            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+            self._scratch = np.empty_like(params), np.empty_like(params)
+        m, v = self.m, self.v
+        a, b = self._scratch
+        m *= b1
+        np.multiply(grad, 1 - b1, out=a)
+        m += a
+        v *= b2
+        np.multiply(grad, 1 - b2, out=a)
+        a *= grad
+        v += a
+        np.divide(m, 1 - b1 ** self.t, out=a)
+        a *= lr
+        np.divide(v, 1 - b2 ** self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params -= a
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def clip_global_norm(grad: np.ndarray, sizes, max_norm: float) -> float:
+    """Scale the flat gradient in place to a global L2 norm of at most
+    max_norm; returns the norm before clipping.
+
+    sizes are the lengths of the leaves' segments, in order. Each segment's
+    squares are summed on their own and the sums added in leaf order, so the
+    norm is bitwise the one a leaf-by-leaf sum gives.
+    """
+    sq = grad * grad
+    bounds = [0, *itertools.accumulate(sizes)]
+    total = math.sqrt(sum(float(np.add.reduce(sq[lo:hi])) for lo, hi in zip(bounds, bounds[1:])))
     if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grad *= max_norm / total
     return total
 
 
@@ -167,6 +193,9 @@ def _train_loop(model: m.Model, train_tokens: np.ndarray, val_tokens: np.ndarray
     # a context's last token is only a target, which run_stream never sees
     corpus_mod.check_token_range(train_tokens, model.config.vocab_size)
     store, mask = model.store, model.mask
+    names = mask.trainable_names()
+    params = store.flatten(names)
+    sizes = [store[name].data.size for name in names]
     log = TrainLog(seeds=[tc.seed])
     steps_per_epoch = math.ceil(tc.contexts_per_mini_epoch / tc.batch_size)
     total_steps = steps_per_epoch * tc.mini_epochs
@@ -184,10 +213,13 @@ def _train_loop(model: m.Model, train_tokens: np.ndarray, val_tokens: np.ndarray
             if not math.isfinite(value):
                 raise DivergenceError(step, value)
             loss.backward()
-            grads = store.collect_grads(mask)
-            clip_global_norm(grads, tc.grad_clip)
-            opt.step(store, grads, lr)
+            # opt.step updates the leaves in place: the graph must be gone
+            del loss
+            grad = store.collect_grads(mask)
+            norm = clip_global_norm(grad, sizes, tc.grad_clip)
+            opt.step(params, grad, lr)
             log.steps.append((step, lr, value))
+            log.grad_norms.append((step, norm, norm > tc.grad_clip > 0))
             step += 1
         ppl = evaluation.perplexity(model, val_tokens, chunk=tc.context_length)
         log.val_ppl.append((epoch, ppl))

@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_config
 from rwkvp import evaluation
@@ -203,6 +206,37 @@ def test_trace_weights_valid_distribution():
         assert np.all(r.weights >= 0)
         assert abs(r.weights.sum() - 1.0) < 1e-6
         assert r.top_perspective == int(np.argmax(r.weights))
+
+
+_NOISY_MODEL = _traced_model(n=3)
+training.inject_selector_noise(_NOISY_MODEL.store, 0.5, 0.0, seed=2)
+training.inject_temporal_noise(_NOISY_MODEL.store, _NOISY_MODEL.config, 0.05, 0.0, seed=3)
+
+
+@given(tokens=st.lists(st.integers(0, 16), min_size=2, max_size=40),
+       chunk=st.integers(1, 41))
+@settings(max_examples=30, deadline=None)
+def test_perplexity_of_a_model_does_not_depend_on_chunk(tokens, chunk):
+    tokens = np.array(tokens)
+    whole = evaluation.perplexity(_NOISY_MODEL, tokens, chunk=len(tokens))
+    assert abs(evaluation.perplexity(_NOISY_MODEL, tokens, chunk=chunk) - whole) <= 1e-5 * whole
+
+
+@given(tokens=st.lists(st.integers(0, 16), min_size=1, max_size=40),
+       context_length=st.integers(2, 41))
+@settings(max_examples=30, deadline=None)
+def test_trace_weights_do_not_depend_on_context_length(tokens, context_length):
+    """The same store traced in chunks of context_length and in one chunk;
+    ModelConfig needs context_length >= 2."""
+    def trace(length):
+        cfg = dataclasses.replace(_NOISY_MODEL.config, context_length=length)
+        return evaluation.trace_weights(m.Model(cfg, _NOISY_MODEL.store, _NOISY_MODEL.mask),
+                                        tokens)
+
+    chunked, whole = trace(context_length), trace(max(2, len(tokens)))
+    assert [(r.position, r.token) for r in chunked] == [(r.position, r.token) for r in whole]
+    np.testing.assert_allclose([r.weights for r in chunked], [r.weights for r in whole],
+                               rtol=1e-5, atol=0)
 
 
 def test_trace_requires_weighted_mode():

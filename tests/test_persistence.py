@@ -142,6 +142,15 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_refuses_non_float32_store(tmp_path):
+    """A float64 store is refused, not rounded to float32, and no file is left."""
+    cfg, store, mask = _small_model()
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ckpt.CheckpointError, match="float64"):
+        ckpt.save_checkpoint(store.astype(np.float64), cfg, mask, path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_logits_bit_identical(tmp_path):
     cfg, store, mask = _small_model()
     path = tmp_path / "m.ckpt"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
+from rwkvp import corpus as corpus_mod
 from rwkvp import evaluation
 from rwkvp import model as m
 from rwkvp import perspectives, training
@@ -118,24 +119,118 @@ def test_noise_statistics():
 
 
 def test_clip_global_norm():
-    grads = {"a": np.array([3.0, 0.0]), "b": np.array([0.0, 4.0])}
-    total = training.clip_global_norm(grads, 1.0)
+    grad = np.array([3.0, 0.0, 0.0, 4.0])
+    total = training.clip_global_norm(grad, [2, 2], 1.0)
     assert abs(total - 5.0) < 1e-12
-    clipped = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    assert abs(clipped - 1.0) < 1e-12
-    grads = {"a": np.array([0.3])}
-    training.clip_global_norm(grads, 1.0)     # below threshold: untouched
-    np.testing.assert_array_equal(grads["a"], [0.3])
+    assert abs(math.sqrt(float((grad * grad).sum())) - 1.0) < 1e-12
+    grad = np.array([0.3])
+    training.clip_global_norm(grad, [1], 1.0)     # below threshold: untouched
+    np.testing.assert_array_equal(grad, [0.3])
+
+
+def test_clip_norm_sums_leaf_by_leaf():
+    """The flat norm is bitwise the sum, in leaf order, of each leaf's float32
+    sum of squares."""
+    rng = np.random.default_rng(0)
+    leaves = [rng.standard_normal(s).astype(np.float32) for s in [(257, 48), (48,), (48, 192), (1, 48)]]
+    expected = math.sqrt(sum(float((g * g).sum()) for g in leaves))
+    flat = np.concatenate([g.reshape(-1) for g in leaves])
+    assert training.clip_global_norm(flat, [g.size for g in leaves], 0.0) == expected
 
 
 def test_adam_first_step_is_signed_lr():
     from rwkvp.params import ParamStore
     store = ParamStore()
     store.add("w", np.array([1.0, 1.0]))
+    params = store.flatten(["w"])
     opt = training.Adam()
-    opt.step(store, {"w": np.array([0.5, -2.0], dtype=np.float32)}, lr=0.1)
-    # bias-corrected first step moves by ~lr in the gradient's sign direction
+    opt.step(params, np.array([0.5, -2.0], dtype=np.float32), lr=0.1)
+    # bias-corrected first step moves by ~lr in the gradient's sign direction,
+    # in place: the leaf is a view of the buffer
     np.testing.assert_allclose(store["w"].data, [0.9, 1.1], atol=1e-6)
+
+
+class _LeafAdam:
+    """Reference Adam, one leaf at a time in the textbook expression form,
+    rebinding each leaf's data."""
+
+    def __init__(self, b1=0.9, b2=0.999, eps=1e-8):
+        self.b1, self.b2, self.eps, self.t = b1, b2, eps, 0
+        self.m, self.v = {}, {}
+
+    def step(self, store, grads, lr):
+        self.t += 1
+        b1, b2 = self.b1, self.b2
+        for name, g in grads.items():
+            m = self.m[name] = b1 * self.m.get(name, np.zeros_like(g)) + (1 - b1) * g
+            v = self.v[name] = b2 * self.v.get(name, np.zeros_like(g)) + (1 - b2) * g * g
+            mhat = m / (1 - b1 ** self.t)
+            vhat = v / (1 - b2 ** self.t)
+            store[name].data = store[name].data - lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def test_flat_adam_is_bitwise_the_per_leaf_expression():
+    from rwkvp.params import ParamStore
+    rng = np.random.default_rng(1)
+    shapes = [(5, 3), (3,), (2, 1, 3)]
+    store, reference = ParamStore(), ParamStore()
+    for i, shape in enumerate(shapes):
+        value = rng.standard_normal(shape)
+        store.add(f"p{i}", value)
+        reference.add(f"p{i}", value)
+    params = store.flatten(store.names())
+    opt, ref_opt = training.Adam(), _LeafAdam()
+    for k in range(5):
+        grads = {name: rng.standard_normal(store[name].shape).astype(np.float32)
+                 for name in store.names()}
+        lr = 1e-2 * 0.9 ** k
+        opt.step(params, np.concatenate([g.reshape(-1) for g in grads.values()]), lr)
+        ref_opt.step(reference, grads, lr)
+    assert store.digest() == reference.digest()
+
+
+def test_flatten_makes_leaves_views_of_one_buffer():
+    from rwkvp.params import ParamStore
+    store = ParamStore()
+    store.add("a", np.arange(6.0).reshape(2, 3))
+    store.add("frozen", np.ones(2), requires_grad=False)
+    store.add("b", np.array([7.0]))
+    frozen = store["frozen"].data
+    flat = store.flatten(["b", "a"])
+    np.testing.assert_array_equal(flat, [7, 0, 1, 2, 3, 4, 5])
+    flat += 1
+    np.testing.assert_array_equal(store["a"].data, np.arange(1.0, 7.0).reshape(2, 3))
+    assert store["b"].data.shape == (1,) and store["b"].data[0] == 8
+    assert store["frozen"].data is frozen
+    store.add("c", np.ones(2), dtype=np.float64)
+    with pytest.raises(TypeError, match="mixed dtypes"):
+        store.flatten(["a", "c"])
+
+
+def test_no_graph_is_alive_when_the_optimizer_steps(synth_split, monkeypatch):
+    """Adam updates the leaves in place, so the step's loss (and with it the
+    whole graph) must be released before Adam.step runs."""
+    import weakref
+    train_tokens, val_tokens = synth_split
+    losses, alive = [], []
+    batch_loss, adam_step = training._batch_loss, training.Adam.step
+
+    def tracked_loss(model, batch):
+        loss = batch_loss(model, batch)
+        losses.append(weakref.ref(loss))
+        return loss
+
+    def checked_step(self, params, grad, lr):
+        alive.append(losses[-1]() is not None)
+        adam_step(self, params, grad, lr)
+
+    monkeypatch.setattr(training, "_batch_loss", tracked_loss)
+    monkeypatch.setattr(training.Adam, "step", checked_step)
+    cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
+    tc = training.TrainConfig(batch_size=2, lr_max=1e-3, lr_min=5e-4, mini_epochs=1,
+                              contexts_per_mini_epoch=6, context_length=8, seed=0)
+    training.pretrain_base(cfg, train_tokens, val_tokens[:32], tc)
+    assert alive == [False, False, False]
 
 
 def test_finetune_freeze_invariant_and_log(synth_split):
@@ -214,6 +309,42 @@ def test_memorization_single_pattern():
     assert log.val_ppl[-1][1] < 1.3
 
 
+def test_recorded_grad_norms_match_a_leaf_by_leaf_recomputation(synth_split):
+    """A tiny pretrain run against the same steps taken leaf by leaf: the
+    per-leaf norm, clip and Adam give the logged norms and clip flags, the
+    losses and the trained parameters bitwise."""
+    train_tokens, val_tokens = synth_split
+    cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
+    tc = training.TrainConfig(batch_size=2, lr_max=1e-2, lr_min=5e-3, mini_epochs=1,
+                              contexts_per_mini_epoch=16, context_length=8, seed=0,
+                              grad_clip=4.0)
+    store, mask, log = training.pretrain_base(cfg, train_tokens, val_tokens[:32], tc)
+
+    ref, _ = m.init_base_params(cfg, seed=tc.seed)
+    model = m.Model(cfg, ref, mask)
+    sampler = corpus_mod.sample_contexts(train_tokens, tc.context_length,
+                                         len(log.steps) * tc.batch_size, seed=tc.seed)
+    opt, expected, losses = _LeafAdam(), [], []
+    for step, lr, _ in log.steps:
+        ref.zero_grad()
+        loss = training._batch_loss(model, np.stack([next(sampler) for _ in range(2)]))
+        loss.backward()
+        losses.append(loss.item())
+        grads = {name: ref[name].grad for name in mask.trainable_names()}
+        norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        expected.append((step, norm, norm > tc.grad_clip))
+        for g in grads.values():
+            g *= min(1.0, tc.grad_clip / norm)
+        opt.step(ref, grads, lr)
+    assert log.grad_norms == expected
+    assert {clipped for _, _, clipped in expected} == {False, True}
+    assert log.losses() == losses
+    assert store.digest() == ref.digest()
+    text = log.to_text().splitlines()
+    assert [line for line in text if line.startswith("gradnorm ")] == [
+        f"gradnorm {step} {norm:.9g} {int(clipped)}" for step, norm, clipped in expected]
+
+
 def test_train_log_roundtrip_format():
     log = training.TrainLog(seeds=[3], steps=[(0, 1e-3, 2.5), (1, 9e-4, 2.25)],
                             val_ppl=[(0, 10.5)])
@@ -249,16 +380,14 @@ def test_batched_loss_equals_mean_of_context_losses():
     loss.backward()
     batched = store.collect_grads(mask)
 
-    per_context, summed = [], {}
+    per_context, summed = [], 0.0
     for ctx in batch:
         store.zero_grad()
         part = cross_entropy(model.forward(ctx[:-1])[0], ctx[1:])
         part.backward()
         per_context.append(part.item())
-        for name, g in store.collect_grads(mask).items():
-            summed[name] = summed.get(name, 0.0) + g
+        summed = summed + store.collect_grads(mask)
     assert abs(loss.item() - np.mean(per_context)) <= 1e-6
-    assert batched.keys() == summed.keys()
-    for name, g in batched.items():
-        np.testing.assert_allclose(g, summed[name] / len(batch), rtol=0, atol=1e-5,
-                                   err_msg=name)
+    assert batched.shape == summed.shape
+    # coordinate by coordinate, over every trainable leaf's segment
+    np.testing.assert_allclose(batched, summed / len(batch), rtol=0, atol=1e-5)
