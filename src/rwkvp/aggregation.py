@@ -17,7 +17,7 @@ from rwkvp.params import ParamStore
 def _mean_embedding(p: Tensor) -> Tensor:
     if p.shape[0] == 0:
         raise ValueError("aggregation requires at least one perspective")
-    return ag.sum_(p, axis=0) * (1.0 / p.shape[0])
+    return ag.scale(ag.sum_(p, axis=0), 1.0 / p.shape[0])
 
 
 def aggregate_average(p: Tensor, store: ParamStore) -> Tensor:

@@ -125,27 +125,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
-    # operator sugar (scalar rhs allowed for * and +)
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def _toposort(root: Tensor):
     order, seen, stack = [], set(), [(root, False)]
@@ -205,20 +184,6 @@ def add(a, b) -> Tensor:
                 a._accumulate(_unbroadcast(g, a.shape))
             if b.requires_grad:
                 b._accumulate(_unbroadcast(g, b.shape))
-        out._backward = bwd
-    return out
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data, _needs_grad(a, b), (a, b), "sub")
-    if out.requires_grad:
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g, b.shape))
         out._backward = bwd
     return out
 
@@ -301,23 +266,21 @@ def token_shift(a: Tensor, first_row: np.ndarray, mu: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., d) @ (d, k) or (..., d) @ (d,), as one GEMM over the flattened rows."""
-    if a.data.ndim == 0 or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul: need (..., d) @ (d, k) or (d,), got {a.shape} and {b.shape}")
+    """(..., d) @ (d, k), as one GEMM over the flattened rows."""
+    if a.data.ndim == 0 or b.data.ndim != 2:
+        raise ShapeError(f"matmul: need (..., d) @ (d, k), got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    d = b.shape[0]
-    rows = a.data.reshape(-1, d)
+    rows = a.data.reshape(-1, b.shape[0])
     out = Tensor((rows @ b.data).reshape(a.shape[:-1] + b.shape[1:]),
                  _needs_grad(a, b), (a, b), "matmul")
     if out.requires_grad:
         def bwd(g):
-            b2 = b.data.reshape(d, -1)              # a vector b is one column
-            g2 = g.reshape(-1, b2.shape[1])
+            g2 = g.reshape(-1, b.shape[1])
             if a.requires_grad:
-                a._accumulate((g2 @ b2.T).reshape(a.shape))
+                a._accumulate((g2 @ b.data.T).reshape(a.shape))
             if b.requires_grad:
-                b._accumulate((rows.T @ g2).reshape(b.shape))
+                b._accumulate(rows.T @ g2)
         out._backward = bwd
     return out
 

@@ -118,7 +118,10 @@ def _check_manifest(path, manifest) -> None:
 
 
 def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {e.strerror}") from None
     if raw[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     mstart = len(MAGIC) + 4

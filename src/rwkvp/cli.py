@@ -43,28 +43,25 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
+# the flags _build_configs copies onto ModelConfig and TrainConfig
+_MODEL_FLAGS = ("n_perspectives", "aggregation")
+_TRAIN_FLAGS = ("seed", "noise_target", "noise_std")
+
+
 def _build_configs(args, **model_defaults) -> tuple[m.ModelConfig, training.TrainConfig]:
-    """Defaults, then file values, then flag overrides."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
+    """Defaults, then file values, then the flags the subcommand declares."""
+    file_cfg = _load_config_file(args.config)
     try:
         model_cfg = m.ModelConfig(**{**model_defaults, **file_cfg.get("model", {})})
         train_cfg = training.TrainConfig(**file_cfg.get("train", {}))
     except (TypeError, m.ConfigError) as e:
         raise CliError(f"invalid config field: {e}")
-    overrides = {}
-    if getattr(args, "n_perspectives", None) is not None:
-        overrides["n_perspectives"] = args.n_perspectives
-    if getattr(args, "aggregation", None) is not None:
-        overrides["aggregation"] = AGG_CLI_NAMES[args.aggregation]
-    if overrides:
-        model_cfg = replace(model_cfg, **overrides)
-    t_overrides = {}
-    for flag, field in (("seed", "seed"), ("noise_target", "noise_target"),
-                        ("noise_std", "noise_std")):
-        if getattr(args, flag, None) is not None:
-            t_overrides[field] = getattr(args, flag)
-    t_overrides["context_length"] = model_cfg.context_length
-    train_cfg = replace(train_cfg, **t_overrides)
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    if "aggregation" in flags:
+        flags["aggregation"] = AGG_CLI_NAMES[flags["aggregation"]]
+    model_cfg = replace(model_cfg, **{k: flags[k] for k in _MODEL_FLAGS if k in flags})
+    train_cfg = replace(train_cfg, context_length=model_cfg.context_length,
+                        **{k: flags[k] for k in _TRAIN_FLAGS if k in flags})
     return model_cfg, train_cfg
 
 
@@ -79,14 +76,8 @@ def _echo_config(out: Path, model_cfg, train_cfg) -> None:
     (out / "effective_config.json").write_text(json.dumps(eff, indent=2, sort_keys=True) + "\n")
 
 
-def _load_split_corpus(args, train_cfg):
-    if args.corpus is None:
-        raise CliError("--corpus is required")
-    try:
-        tokens = corpus_mod.load_corpus(args.corpus)
-    except FileNotFoundError:
-        raise CliError(f"corpus file not found: {args.corpus}")
-    return corpus_mod.train_val_split(tokens)
+def _load_split_corpus(args):
+    return corpus_mod.train_val_split(corpus_mod.load_corpus(args.corpus))
 
 
 def cmd_pretrain(args) -> int:
@@ -95,7 +86,7 @@ def cmd_pretrain(args) -> int:
     model_cfg = replace(model_cfg, n_perspectives=1, aggregation="average")
     out = _outdir(args)
     _echo_config(out, model_cfg, train_cfg)
-    train_tokens, val_tokens = _load_split_corpus(args, train_cfg)
+    train_tokens, val_tokens = _load_split_corpus(args)
     store, mask, log = training.pretrain_base(model_cfg, train_tokens, val_tokens, train_cfg)
     ckpt.save_checkpoint(store, model_cfg, mask, out / "base.ckpt", seeds=[train_cfg.seed])
     (out / "train_log.txt").write_text(log.to_text())
@@ -110,7 +101,7 @@ def cmd_finetune(args) -> int:
     n = model_cfg.n_perspectives
     _echo_config(out, replace(base_cfg, n_perspectives=n,
                               aggregation=model_cfg.aggregation), train_cfg)
-    train_tokens, val_tokens = _load_split_corpus(args, train_cfg)
+    train_tokens, val_tokens = _load_split_corpus(args)
     cfg, store, mask, log = training.finetune_perspectives(
         base_store, base_cfg, n, model_cfg.aggregation,
         train_tokens, val_tokens, replace(train_cfg, context_length=base_cfg.context_length))
@@ -124,11 +115,8 @@ def cmd_finetune(args) -> int:
 
 def cmd_eval(args) -> int:
     store, cfg, mask, _ = ckpt.load_checkpoint(args.checkpoint)
-    tokens = corpus_mod.load_corpus(args.corpus) if args.corpus else None
-    if tokens is None:
-        raise CliError("--corpus is required")
-    model = m.Model(cfg, store, mask)
-    ppl = evaluation.perplexity(model, tokens)
+    tokens = corpus_mod.load_corpus(args.corpus)
+    ppl = evaluation.perplexity(m.Model(cfg, store, mask), tokens)
     print(f"perplexity {ppl:.6f}")
     if args.out:
         out = _outdir(args)
@@ -141,12 +129,11 @@ def cmd_ablate(args) -> int:
     out = _outdir(args)
     base_store, base_cfg, _, _ = ckpt.load_checkpoint(args.checkpoint)
     _echo_config(out, base_cfg, train_cfg)
-    train_tokens, val_tokens = _load_split_corpus(args, train_cfg)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    train_tokens, val_tokens = _load_split_corpus(args)
     report = evaluation.run_ablation(
         args.axis, base_cfg, base_store, train_tokens, val_tokens,
         replace(train_cfg, context_length=base_cfg.context_length),
-        seeds=seeds, n_perspectives=model_cfg.n_perspectives)
+        seeds=args.seeds, n_perspectives=model_cfg.n_perspectives)
     (out / f"ablation_{args.axis}.csv").write_text(report.to_csv())
     (out / f"ablation_{args.axis}.txt").write_text(report.to_table())
     print(report.to_table())
@@ -159,10 +146,8 @@ def cmd_trace(args) -> int:
     if args.prompt is not None:
         from rwkvp import tokenizer
         tokens = tokenizer.tokenize(args.prompt)
-    elif args.corpus is not None:
-        tokens = corpus_mod.load_corpus(args.corpus)[:args.max_tokens]
     else:
-        raise CliError("trace needs --prompt or --corpus")
+        tokens = corpus_mod.load_corpus(args.corpus)[:args.max_tokens]
     records = evaluation.trace_weights(model, tokens)
     out = _outdir(args)
     (out / "trace.csv").write_text(evaluation.trace_to_csv(records))
@@ -173,8 +158,8 @@ def cmd_trace(args) -> int:
 
 def cmd_count_params(args) -> int:
     cfg = m.ModelConfig(n_layers=args.layers, d_model=args.d_model,
-                        vocab_size=args.vocab, n_perspectives=args.n_perspectives or 4,
-                        aggregation=AGG_CLI_NAMES[args.aggregation or "weighted"])
+                        vocab_size=args.vocab, n_perspectives=args.n_perspectives,
+                        aggregation=AGG_CLI_NAMES[args.aggregation])
     report = evaluation.count_parameters(cfg, base_total=args.base_total)
     print(f"base {report.base_count:.6g}  extended {report.extended_count:.6g}  "
           f"increase {report.increase_fraction:.4f}%")
@@ -184,15 +169,15 @@ def cmd_count_params(args) -> int:
 def cmd_gradcheck(args) -> int:
     from rwkvp import perspectives
     cfg = m.ModelConfig(n_layers=2, d_model=8, vocab_size=11, context_length=8)
-    store, _ = m.init_base_params(cfg, seed=args.seed or 0)
+    store, _ = m.init_base_params(cfg, seed=args.seed)
     ft_cfg, ft_store, ft_mask = perspectives.extend_to_perspectives(store, cfg, n=3)
     # perturb away from the symmetric init: identical perspectives make the
     # selector gradient exactly zero, which the FD noise floor cannot resolve
-    training.inject_selector_noise(ft_store, 0.05, 0.0, seed=args.seed or 0)
-    training.inject_temporal_noise(ft_store, ft_cfg, 0.02, 0.0, seed=(args.seed or 0) + 1)
+    training.inject_selector_noise(ft_store, 0.05, 0.0, seed=args.seed)
+    training.inject_temporal_noise(ft_store, ft_cfg, 0.02, 0.0, seed=args.seed + 1)
     ft_store = ft_store.astype(np.float64)
     ft_store.apply_freeze(ft_mask)
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(args.seed)
     tokens = rng.integers(0, cfg.vocab_size, size=6)
 
     def loss_fn(store):
@@ -207,61 +192,85 @@ def cmd_gradcheck(args) -> int:
     return 0 if result.max_rel_error < 1e-4 else 1
 
 
+def _seed_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+# flags shared by several subcommands; each subcommand declares the ones it reads
+_FLAGS = {
+    "--config": dict(help="JSON config file ({'model': ..., 'train': ...})"),
+    "--checkpoint": dict(required=True, help="checkpoint path"),
+    "--corpus": dict(required=True, help="plain-text corpus file"),
+    "--out": dict(required=True, help="output directory"),
+    "--seed": dict(type=int, help="training seed (overrides the config file)"),
+    "--n-perspectives": dict(type=int),
+    "--aggregation": dict(choices=sorted(AGG_CLI_NAMES)),
+    "--noise-target": dict(choices=["selector", "temporal"]),
+    "--noise-std": dict(type=float),
+}
+
+
+def _add_flags(p, *flags) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rwkvp",
                                      description="Multi-perspective RWKV toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
-        p.add_argument("--config", help="JSON config file ({'model': ..., 'train': ...})")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", required=out_required, help="output directory")
-        p.add_argument("--corpus", help="plain-text corpus file")
-        p.add_argument("--checkpoint", help="checkpoint path")
-        p.add_argument("--n-perspectives", type=int, dest="n_perspectives")
-        p.add_argument("--aggregation", choices=sorted(AGG_CLI_NAMES))
-        p.add_argument("--noise-target", choices=["selector", "temporal"],
-                       dest="noise_target")
-        p.add_argument("--noise-std", type=float, dest="noise_std")
-
     p = sub.add_parser("pretrain", help="train a tiny n=1 base from scratch")
-    common(p)
+    _add_flags(p, "--config", "--corpus", "--out", "--seed")
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="frozen-base fine-tune of n perspectives")
-    common(p)
+    _add_flags(p, "--config", "--checkpoint", "--corpus", "--out", "--seed",
+               "--n-perspectives", "--aggregation", "--noise-target", "--noise-std")
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("eval", help="perplexity of a checkpoint on a corpus")
-    common(p, out_required=False)
+    _add_flags(p, "--checkpoint", "--corpus")
+    p.add_argument("--out", help="output directory for eval.txt")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablate", help="run one ablation axis over seeds")
-    common(p)
+    _add_flags(p, "--config", "--checkpoint", "--corpus", "--out")
     p.add_argument("--axis", required=True, choices=list(evaluation.ABLATION_AXES))
-    p.add_argument("--seeds", default="0,1,2", help="comma-separated seed list")
+    p.add_argument("--seeds", type=_seed_list, default="0,1,2",
+                   help="comma-separated seed list")
+    _add_flags(p, "--n-perspectives", "--noise-target", "--noise-std")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("trace", help="export per-token perspective weights (CSV + SVG)")
-    common(p)
-    p.add_argument("--prompt", help="inline prompt text")
-    p.add_argument("--max-tokens", type=int, default=1000, dest="max_tokens")
+    _add_flags(p, "--checkpoint", "--out")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--prompt", help="inline prompt text")
+    source.add_argument("--corpus", help="plain-text corpus file")
+    p.add_argument("--max-tokens", type=int, default=1000,
+                   help="corpus tokens to trace (default 1000)")
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("count-params", help="analytic parameter-count report")
     p.add_argument("--layers", type=int, required=True)
-    p.add_argument("--d-model", type=int, required=True, dest="d_model")
+    p.add_argument("--d-model", type=int, required=True)
     p.add_argument("--vocab", type=int, default=50277)
-    p.add_argument("--n-perspectives", type=int, dest="n_perspectives")
-    p.add_argument("--aggregation", choices=sorted(AGG_CLI_NAMES))
-    p.add_argument("--base-total", type=float, dest="base_total",
+    p.add_argument("--n-perspectives", type=int, default=4)
+    p.add_argument("--aggregation", choices=sorted(AGG_CLI_NAMES), default="weighted")
+    p.add_argument("--base-total", type=float,
                    help="published base parameter total to anchor the ratio")
     p.set_defaults(fn=cmd_count_params)
 
     p = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gradcheck)
 
+    # no prefix matching: ablate would read --seed as its --seeds
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return parser
 
 

@@ -18,14 +18,19 @@ class CorpusError(ValueError):
 
 
 def check_token_range(tokens: np.ndarray, vocab_size: int) -> None:
-    """Raise CorpusError unless every token id lies in [0, vocab_size)."""
+    """Raise CorpusError unless tokens is non-empty and every id lies in [0, vocab_size)."""
+    if tokens.size == 0:
+        raise CorpusError(f"empty token array {tokens.shape}")
     if tokens.min() < 0 or tokens.max() >= vocab_size:
         raise CorpusError(f"token ids must lie in [0, {vocab_size}) for vocab_size="
                           f"{vocab_size}, got ids {int(tokens.min())}..{int(tokens.max())}")
 
 
 def load_corpus(path) -> np.ndarray:
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise CorpusError(f"cannot read corpus file {path}: {e.strerror}") from None
     if not data:
         raise CorpusError(f"corpus file {path} is empty")
     return tokenizer.tokenize(data)

@@ -101,6 +101,8 @@ def extra_param_count(cfg: m.ModelConfig) -> int:
 
 def count_parameters(cfg: m.ModelConfig, base_total: float | None = None) -> ParamCountReport:
     """Analytic count; pass base_total to anchor against a published size."""
+    if base_total is not None and not (math.isfinite(base_total) and base_total > 0):
+        raise m.ConfigError(f"base_total must be a finite number > 0, got {base_total}")
     base = float(base_total) if base_total is not None else float(base_param_count(cfg))
     extra = float(extra_param_count(cfg))
     return ParamCountReport(base_count=base, extended_count=base + extra,

@@ -29,7 +29,7 @@ import numpy as np
 from rwkvp import autograd as ag
 from rwkvp import wkv
 from rwkvp.autograd import Tensor
-from rwkvp.corpus import CorpusError, check_token_range
+from rwkvp.corpus import check_token_range
 from rwkvp.params import FreezeMask, ParamStore
 
 AGGREGATION_MODES = ("average", "transformer_like", "weighted_softmax")
@@ -213,8 +213,6 @@ def run_stream(cfg: ModelConfig, store: ParamStore, tokens: np.ndarray,
     and one new StreamState per layer.
     """
     tokens = np.asarray(tokens)
-    if tokens.size == 0:
-        raise CorpusError(f"cannot run the model on an empty token array {tokens.shape}")
     check_token_range(tokens, cfg.vocab_size)
     n = cfg.n_perspectives
     if states is None:

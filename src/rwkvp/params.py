@@ -57,9 +57,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self):
         return list(self._params)
 

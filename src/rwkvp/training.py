@@ -65,10 +65,6 @@ class TrainConfig:
         from dataclasses import asdict
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
-
 
 @dataclass
 class TrainLog:
@@ -192,6 +188,9 @@ def _train_loop(model: m.Model, train_tokens: np.ndarray, val_tokens: np.ndarray
 
     # a context's last token is only a target, which run_stream never sees
     corpus_mod.check_token_range(train_tokens, model.config.vocab_size)
+    if len(val_tokens) < 2:
+        raise corpus_mod.CorpusError(f"the validation split holds {len(val_tokens)} tokens; "
+                                     "its perplexity needs at least 2")
     store, mask = model.store, model.mask
     names = mask.trainable_names()
     params = store.flatten(names)

@@ -1,11 +1,12 @@
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from rwkvp import checkpoint as ckpt
-from rwkvp import cli, perspectives, synth
+from rwkvp import cli, perspectives, synth, training
 from rwkvp import model as m
 
 
@@ -114,6 +115,14 @@ def test_missing_corpus_errors(tmp_path, capsys, micro_config):
                    "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "corpus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "trace"])
+def test_read_only_commands_missing_corpus_error(tmp_path, capsys, pretrained_dir, command):
+    rc = cli.main([command, "--checkpoint", str(pretrained_dir / "base.ckpt"),
+                   "--corpus", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "CorpusError" in capsys.readouterr().err
 
 
 def test_bad_checkpoint_errors(tmp_path, capsys, corpus_file, micro_config):
@@ -278,3 +287,98 @@ def test_ablate_command(tmp_path, corpus_file, micro_config, pretrained_dir):
     lines = csv_text.splitlines()
     assert lines[0].startswith("axis,setting")
     assert len(lines) == 3
+
+
+def test_pretrain_one_byte_corpus_errors(tmp_path, capsys, micro_config):
+    corpus = tmp_path / "one.txt"
+    corpus.write_bytes(b"a")
+    rc = cli.main(["pretrain", "--config", str(micro_config), "--corpus", str(corpus),
+                   "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert "CorpusError" in capsys.readouterr().err
+
+
+def test_pretrain_short_validation_split_errors_before_training(tmp_path, capsys,
+                                                                 monkeypatch):
+    corpus = tmp_path / "eight.txt"
+    corpus.write_bytes(b"abcdefgh")                 # 7 training tokens, 1 validation
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"model": {"n_layers": 1, "d_model": 8, "vocab_size": 257,
+                                         "context_length": 4},
+                               "train": {"mini_epochs": 1, "contexts_per_mini_epoch": 2}}))
+
+    def no_step(*_):
+        raise AssertionError("a training step ran")
+    monkeypatch.setattr(training, "_batch_loss", no_step)
+    rc = cli.main(["pretrain", "--config", str(cfg), "--corpus", str(corpus),
+                   "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "CorpusError" in err and "validation" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--corpus", "{corpus}"],
+    ["trace", "--prompt", "abc", "--out", "{out}"],
+    ["finetune", "--corpus", "{corpus}", "--out", "{out}"],
+    ["ablate", "--corpus", "{corpus}", "--out", "{out}", "--axis", "n_perspectives"],
+], ids=lambda argv: argv[0])
+def test_missing_checkpoint_file_errors(tmp_path, capsys, corpus_file, argv):
+    missing = tmp_path / "nonexistent.ckpt"
+    argv = [a.format(corpus=corpus_file, out=tmp_path / "x") for a in argv]
+    rc = cli.main(argv + ["--checkpoint", str(missing)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and str(missing) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--base-total", "0"], ["--base-total=-1"], ["--base-total", "nan"],
+    ["--base-total", "inf"], ["--n-perspectives", "0"],
+], ids=["total-0", "total-negative", "total-nan", "total-inf", "n-0"])
+def test_count_params_bad_input_errors(capsys, argv):
+    rc = cli.main(["count-params", "--layers", "12", "--d-model", "768"] + argv)
+    assert rc == 1
+    assert "ConfigError" in capsys.readouterr().err
+
+
+SUBCOMMAND_FLAGS = {
+    "pretrain": {"--config", "--corpus", "--out", "--seed"},
+    "finetune": {"--config", "--checkpoint", "--corpus", "--out", "--seed",
+                 "--n-perspectives", "--aggregation", "--noise-target", "--noise-std"},
+    "eval": {"--checkpoint", "--corpus", "--out"},
+    "ablate": {"--config", "--checkpoint", "--corpus", "--out", "--axis", "--seeds",
+               "--n-perspectives", "--noise-target", "--noise-std"},
+    "trace": {"--checkpoint", "--out", "--prompt", "--corpus", "--max-tokens"},
+    "count-params": {"--layers", "--d-model", "--vocab", "--n-perspectives",
+                     "--aggregation", "--base-total"},
+    "gradcheck": {"--seed"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_help_lists_exactly_the_flags_the_subcommand_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert flags == SUBCOMMAND_FLAGS[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--checkpoint", "c", "--corpus", "t", "--n-perspectives", "2"],
+    ["pretrain", "--corpus", "t", "--out", "o", "--aggregation", "weighted"],
+    ["ablate", "--checkpoint", "c", "--corpus", "t", "--out", "o",
+     "--axis", "n_perspectives", "--seed", "5"],
+    ["trace", "--checkpoint", "c", "--prompt", "p", "--out", "o", "--noise-std", "0.1"],
+    ["ablate", "--checkpoint", "c", "--corpus", "t", "--out", "o",
+     "--axis", "n_perspectives", "--seeds", "a,b,c"],
+    ["eval", "--corpus", "t"],
+    ["trace", "--checkpoint", "c", "--out", "o"],
+], ids=["eval-n", "pretrain-aggregation", "ablate-seed", "trace-noise-std",
+        "ablate-seeds-not-ints", "eval-no-checkpoint", "trace-no-prompt-or-corpus"])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
