@@ -1,9 +1,9 @@
 """The three heads that fuse perspective embeddings into vocabulary logits.
 
 All operate position-wise on the stacked pre-head embeddings p
-(n, [B,] T, d), perspective i at p[i]; the shared head (final LN +
-unembedding) is applied inside each aggregator. With n=1 every mode reduces
-to the plain head.
+(T, [B,] n, d), perspective i at p[..., i, :], and return time-major logits
+(T, [B,] V); the shared head (final LN + unembedding) is applied inside each
+aggregator. With n=1 every mode reduces to the plain head.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from rwkvp.params import ParamStore
 
 
 def _mean_embedding(p: Tensor) -> Tensor:
-    if p.shape[0] == 0:
+    if p.shape[-2] == 0:
         raise ValueError("aggregation requires at least one perspective")
-    return ag.scale(ag.sum_(p, axis=0), 1.0 / p.shape[0])
+    return ag.scale(ag.sum_(p, axis=-2), 1.0 / p.shape[-2])
 
 
 def aggregate_average(p: Tensor, store: ParamStore) -> Tensor:
@@ -27,8 +27,8 @@ def aggregate_average(p: Tensor, store: ParamStore) -> Tensor:
 
 def aggregate_transformer(p: Tensor, store: ParamStore) -> Tensor:
     """head(affine projection of the concatenated embeddings)."""
-    # ([B,] T, n, d) -> ([B,] T, n*d): each row is [p_1 | p_2 | ... | p_n]
-    cat = ag.reshape(ag.moveaxis(p, 0, -2), p.shape[1:-1] + (p.shape[0] * p.shape[-1],))
+    # (T, [B,] n, d) -> (T, [B,] n*d): each row is [p_1 | p_2 | ... | p_n]
+    cat = ag.reshape(p, p.shape[:-2] + (p.shape[-2] * p.shape[-1],))
     mixed = ag.add(ag.matmul(cat, store["agghead.W"]), store["agghead.b"])
     return head_logits(store, mixed)
 
@@ -39,22 +39,21 @@ def aggregate_weighted(p: Tensor, store: ParamStore) -> tuple[Tensor, Tensor]:
     weights = softmax(selector(mean of embeddings)) per position; the output
     is the weight-convex combination of head(p_i), so it always lies in the
     convex hull of the per-perspective logits. Returns (logits, weights
-    ([B,] T, n)).
+    (T, [B,] n)).
     """
-    n = p.shape[0]
     mean_p = _mean_embedding(p)
     z = ag.add(ag.matmul(mean_p, ag.transpose(store["selector.W"])), store["selector.b"])
     weights = ag.softmax(z, axis=-1)
-    per_persp = ag.reshape(ag.moveaxis(weights, -1, 0), (n,) + weights.shape[:-1] + (1,))
-    logits = ag.sum_(ag.mul(per_persp, head_logits(store, p)), axis=0)
+    per_persp = ag.reshape(weights, weights.shape + (1,))
+    logits = ag.sum_(ag.mul(per_persp, head_logits(store, p)), axis=-2)
     return logits, weights
 
 
 def aggregate(cfg: ModelConfig, store: ParamStore, p: Tensor
               ) -> tuple[Tensor, Tensor | None]:
     """Dispatch on cfg.aggregation; returns (logits, weights-or-None)."""
-    if p.shape[0] != cfg.n_perspectives:
-        raise ValueError(f"got {p.shape[0]} perspectives, config says {cfg.n_perspectives}")
+    if p.shape[-2] != cfg.n_perspectives:
+        raise ValueError(f"got {p.shape[-2]} perspectives, config says {cfg.n_perspectives}")
     if cfg.aggregation == "average":
         return aggregate_average(p, store), None
     if cfg.aggregation == "transformer_like":

@@ -17,9 +17,10 @@ of the RWKV block's elementwise ops as one node with a hand-written backward,
 because at the model's sizes a node costs more in dispatch and temporaries
 than in arithmetic. They keep the chains' operation order and bitwise output.
 
-Precision: leaves are created with the module default dtype (float32 unless
-switched); intermediate results follow numpy promotion, so casting the
-leaves to float64 is enough to run a whole graph in double precision.
+Precision: a leaf keeps a float32 or float64 array as given and converts
+anything else to float32; intermediate results follow numpy promotion, so
+casting the leaves to float64 is enough to run a whole graph in double
+precision.
 """
 
 from __future__ import annotations
@@ -37,20 +38,8 @@ class NonFiniteError(FloatingPointError):
     """Raised (in debug mode) when a primitive produces NaN/Inf."""
 
 
-_default_dtype = np.float32
 _grad_enabled = True
 _debug_checks = False
-
-
-def set_default_dtype(dtype) -> None:
-    global _default_dtype
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype!r}")
-    _default_dtype = dtype
-
-
-def get_default_dtype():
-    return _default_dtype
 
 
 @contextmanager
@@ -85,7 +74,7 @@ class Tensor:
         if isinstance(data, np.ndarray) and (_op != "leaf" or data.dtype in (np.float32, np.float64)):
             self.data = data
         else:
-            self.data = np.asarray(data, dtype=_default_dtype)
+            self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         # backward never visits the inputs of a node that needs no gradient;
@@ -234,29 +223,28 @@ def relu_square(a: Tensor) -> Tensor:
 
 
 def token_shift(a: Tensor, first_row: np.ndarray, mu: Tensor) -> Tensor:
-    """mu[i] * a[i] + (1 - mu[i]) * prev[i] for a (n, ..., T, d) and mu (n, d).
+    """mu * a + (1 - mu) * prev for a (T, ..., n, d), mu (n, d) broadcast over rows.
 
-    prev is a shifted one step down the time axis (-2) behind first_row (n, ..., d),
+    prev is a shifted one step down the time axis (0) behind first_row (..., n, d),
     the previous chunk's last rows; no gradient crosses the chunk boundary.
     """
-    if (a.data.ndim < 3 or mu.shape != (a.shape[0], a.shape[-1])
-            or np.shape(first_row) != a.shape[:-2] + a.shape[-1:]):
+    if (a.data.ndim < 3 or mu.shape != a.shape[-2:]
+            or np.shape(first_row) != a.shape[1:]):
         raise ShapeError(f"token_shift: input {a.shape}, first_row {np.shape(first_row)}, "
                          f"mu {mu.shape}")
-    n = a.shape[0]
     prev = np.empty_like(a.data)
-    prev[..., 0, :] = first_row
-    prev[..., 1:, :] = a.data[..., :-1, :]
-    m = mu.data.reshape((n,) + (1,) * (a.data.ndim - 2) + a.shape[-1:])
+    prev[0] = first_row
+    prev[1:] = a.data[:-1]
+    m = mu.data
     out = Tensor(a.data * m + prev * (1.0 - m), _needs_grad(a, mu), (a, mu), "token_shift")
     if out.requires_grad:
         def bwd(g):
             if a.requires_grad:
                 ga = g * m
-                ga[..., :-1, :] += g[..., 1:, :] * (1.0 - m)
+                ga[:-1] += g[1:] * (1.0 - m)
                 a._accumulate(ga)
             if mu.requires_grad:
-                mu._accumulate((g * (a.data - prev)).reshape(n, -1, a.shape[-1]).sum(axis=1))
+                mu._accumulate((g * (a.data - prev)).reshape((-1,) + mu.shape).sum(axis=0))
         out._backward = bwd
     return out
 
@@ -305,11 +293,11 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
 
 
 def expand(a: Tensor, n: int) -> Tensor:
-    """n copies of a along a new leading axis; the gradient sums over them."""
-    out = Tensor(np.broadcast_to(a.data, (n,) + a.shape).copy(), _needs_grad(a), (a,),
-                 "expand")
+    """n copies of a (..., d) along a new axis -2; the gradient sums over them."""
+    out = Tensor(np.broadcast_to(a.data[..., None, :], a.shape[:-1] + (n, a.shape[-1])).copy(),
+                 _needs_grad(a), (a,), "expand")
     if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g.sum(axis=0))
+        out._backward = lambda g: a._accumulate(g.sum(axis=-2))
     return out
 
 

@@ -23,6 +23,7 @@ from rwkvp import model as m
 
 AGG_CLI_NAMES = {"average": "average", "transformer": "transformer_like",
                  "weighted": "weighted_softmax"}
+DEFAULT_N_PERSPECTIVES = 4     # finetune, ablate and count-params
 
 
 class CliError(Exception):
@@ -71,9 +72,14 @@ def _outdir(args) -> Path:
     return out
 
 
-def _echo_config(out: Path, model_cfg, train_cfg) -> None:
+def _echo_config(out: Path, model_cfg, train_cfg, unshared=(), **records) -> None:
+    """The settings the run used, less the unshared fields, plus output-only records."""
     eff = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()}
-    (out / "effective_config.json").write_text(json.dumps(eff, indent=2, sort_keys=True) + "\n")
+    for section in eff.values():
+        for name in unshared:
+            section.pop(name, None)
+    (out / "effective_config.json").write_text(
+        json.dumps({**eff, **records}, indent=2, sort_keys=True) + "\n")
 
 
 def _load_split_corpus(args):
@@ -95,16 +101,17 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    model_cfg, train_cfg = _build_configs(args, aggregation="weighted_softmax")
+    model_cfg, train_cfg = _build_configs(args, n_perspectives=DEFAULT_N_PERSPECTIVES,
+                                          aggregation="weighted_softmax")
     out = _outdir(args)
     base_store, base_cfg, _, base_seeds = ckpt.load_checkpoint(args.checkpoint)
     n = model_cfg.n_perspectives
+    train_cfg = replace(train_cfg, context_length=base_cfg.context_length)
     _echo_config(out, replace(base_cfg, n_perspectives=n,
                               aggregation=model_cfg.aggregation), train_cfg)
     train_tokens, val_tokens = _load_split_corpus(args)
     cfg, store, mask, log = training.finetune_perspectives(
-        base_store, base_cfg, n, model_cfg.aggregation,
-        train_tokens, val_tokens, replace(train_cfg, context_length=base_cfg.context_length))
+        base_store, base_cfg, n, model_cfg.aggregation, train_tokens, val_tokens, train_cfg)
     ckpt.save_checkpoint(store, cfg, mask, out / "finetuned.ckpt",
                          seeds=list(base_seeds) + [train_cfg.seed])
     (out / "train_log.txt").write_text(log.to_text())
@@ -125,15 +132,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    model_cfg, train_cfg = _build_configs(args)
+    model_cfg, train_cfg = _build_configs(args, n_perspectives=DEFAULT_N_PERSPECTIVES)
     out = _outdir(args)
     base_store, base_cfg, _, _ = ckpt.load_checkpoint(args.checkpoint)
-    _echo_config(out, base_cfg, train_cfg)
+    n = model_cfg.n_perspectives
+    train_cfg = replace(train_cfg, context_length=base_cfg.context_length)
+    # every arm runs the weighted head at n, once per seed, and sets the axis's field
+    axis_field = "noise_target" if args.axis == "noise_placement" else args.axis
+    _echo_config(out, replace(base_cfg, n_perspectives=n, aggregation="weighted_softmax"),
+                 train_cfg, unshared=(axis_field, "seed"),
+                 ablation={"axis": args.axis, "arms": evaluation.DEFAULT_ARMS[args.axis],
+                           "seeds": args.seeds})
     train_tokens, val_tokens = _load_split_corpus(args)
     report = evaluation.run_ablation(
-        args.axis, base_cfg, base_store, train_tokens, val_tokens,
-        replace(train_cfg, context_length=base_cfg.context_length),
-        seeds=args.seeds, n_perspectives=model_cfg.n_perspectives)
+        args.axis, base_cfg, base_store, train_tokens, val_tokens, train_cfg,
+        seeds=args.seeds, n_perspectives=n)
     (out / f"ablation_{args.axis}.csv").write_text(report.to_csv())
     (out / f"ablation_{args.axis}.txt").write_text(report.to_table())
     print(report.to_table())
@@ -192,6 +205,12 @@ def cmd_gradcheck(args) -> int:
     return 0 if result.max_rel_error < 1e-4 else 1
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _seed_list(text: str) -> list[int]:
     try:
         return [int(s) for s in text.split(",")]
@@ -206,7 +225,7 @@ _FLAGS = {
     "--corpus": dict(required=True, help="plain-text corpus file"),
     "--out": dict(required=True, help="output directory"),
     "--seed": dict(type=int, help="training seed (overrides the config file)"),
-    "--n-perspectives": dict(type=int),
+    "--n-perspectives": dict(type=int, help=f"perspectives (default {DEFAULT_N_PERSPECTIVES})"),
     "--aggregation": dict(choices=sorted(AGG_CLI_NAMES)),
     "--noise-target": dict(choices=["selector", "temporal"]),
     "--noise-std": dict(type=float),
@@ -250,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--prompt", help="inline prompt text")
     source.add_argument("--corpus", help="plain-text corpus file")
-    p.add_argument("--max-tokens", type=int, default=1000,
+    p.add_argument("--max-tokens", type=_positive_int, default=1000,
                    help="corpus tokens to trace (default 1000)")
     p.set_defaults(fn=cmd_trace)
 
@@ -258,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--d-model", type=int, required=True)
     p.add_argument("--vocab", type=int, default=50277)
-    p.add_argument("--n-perspectives", type=int, default=4)
+    p.add_argument("--n-perspectives", type=int, default=DEFAULT_N_PERSPECTIVES)
     p.add_argument("--aggregation", choices=sorted(AGG_CLI_NAMES), default="weighted")
     p.add_argument("--base-total", type=float,
                    help="published base parameter total to anchor the ratio")

@@ -3,19 +3,19 @@
 Composition: embedding -> input LN -> [LN -> time-mix residual ->
 LN -> channel-mix residual] x L -> head (final LN + unembedding).
 
-Stacked layout: the n perspectives of cfg.n_perspectives share every heavy
-weight and differ only in their token-shift mu vectors and their recurrent
-state, so they run as one pass with a leading perspective axis. Tokens are
-(T,) for one stream or (B, T) for B independent contexts; the embedding and
-input LN are computed once and expanded to n copies, so every activation
-inside the stack is (n, [B,] T, d). Each token-shift slot holds one (n, d)
-leaf, layer{l}.{att|ffn}.mu_{r,k,v}, whose row i is perspective i's mu
-vector (a base model holds (1, d)); ag.token_shift mixes slice i with row i,
-one node per mix. Every model, the base included, runs run_stream and then
-its aggregation head; a base's config says "average", which at n=1 is
-bitwise the plain head of model_forward. The recurrent parts
-(WKV accumulators, previous-token rows) cross chunk boundaries through
-detached numpy state: one StreamState per layer, each array (n, [B,] d).
+Stacked, time-major layout: the n perspectives share every heavy weight and
+differ only in their token-shift mu vectors and recurrent state, so they run
+as one pass. Tokens are (T,) for one stream or (B, T) for B contexts; the
+embedding and input LN run once, time first, and are expanded to n copies,
+so every activation inside the stack is (T, [B,] n, d), perspective i at
+[..., i, :], and the token shift and the WKV scan walk axis 0. Each
+token-shift slot holds one (n, d) leaf, layer{l}.{att|ffn}.mu_{r,k,v}, row i
+perspective i's mu (a base holds (1, d)), which ag.token_shift broadcasts.
+Every model, the base included, runs run_stream and then its aggregation
+head; a base's "average" head at n=1 is bitwise model_forward's plain head.
+Both return logits ([B,] T, V) (Model.forward also weights ([B,] T, n)). The
+recurrent parts cross chunk boundaries as detached numpy state: one
+StreamState per layer, each array ([B,] n, d).
 """
 
 from __future__ import annotations
@@ -154,14 +154,14 @@ def init_base_params(cfg: ModelConfig, seed: int) -> tuple[ParamStore, FreezeMas
 
 @dataclass
 class StreamState:
-    """Recurrent state of one layer for every stream: arrays (n, [B,] d)."""
+    """Recurrent state of one layer for every stream: arrays ([B,] n, d)."""
     att_prev: np.ndarray          # last post-LN row seen by the time-mix block
     wkv_state: tuple              # (a, b, p)
     ffn_prev: np.ndarray          # last post-LN row seen by the channel-mix block
 
     @classmethod
     def zeros(cls, shape, dtype=np.float32) -> "StreamState":
-        """Empty state; shape is (n, [B,] d)."""
+        """Empty state; shape is ([B,] n, d)."""
         return cls(np.zeros(shape, dtype=dtype), wkv.empty_state(shape, dtype),
                    np.zeros(shape, dtype=dtype))
 
@@ -174,7 +174,7 @@ def init_stream_states(cfg: ModelConfig, dtype=np.float32):
 
 def time_mixing(store: ParamStore, layer: int, xx: Tensor,
                 st: StreamState) -> tuple[Tensor, np.ndarray, tuple]:
-    """Time-mix block over post-LN chunks xx (n, [B,] T, d), one per perspective.
+    """Time-mix block over post-LN chunks xx (T, [B,] n, d), one per perspective.
 
     Returns (residual delta, new att_prev rows, new wkv state).
     """
@@ -188,12 +188,12 @@ def time_mixing(store: ParamStore, layer: int, xx: Tensor,
     y, wkv_state = wkv.wkv_sequence(k, v, store[f"{pre}.decay"], store[f"{pre}.bonus"],
                                     st.wkv_state)
     out = ag.matmul(ag.sigmoid_mul(r, y), store[f"{pre}.w_o"])
-    return out, xx.data[..., -1, :].copy(), wkv_state
+    return out, xx.data[-1].copy(), wkv_state
 
 
 def channel_mixing(store: ParamStore, layer: int, xx: Tensor,
                    st: StreamState) -> tuple[Tensor, np.ndarray]:
-    """Channel-mix block over post-LN chunks xx (n, [B,] T, d), one per perspective.
+    """Channel-mix block over post-LN chunks xx (T, [B,] n, d), one per perspective.
 
     Returns (residual delta, new ffn_prev rows).
     """
@@ -202,24 +202,24 @@ def channel_mixing(store: ParamStore, layer: int, xx: Tensor,
     xk = ag.token_shift(xx, st.ffn_prev, store[f"{pre}.mu_k"])
     kk = ag.relu_square(ag.matmul(xk, store[f"{pre}.w_k"]))
     out = ag.sigmoid_mul(ag.matmul(xr, store[f"{pre}.w_r"]), ag.matmul(kk, store[f"{pre}.w_v"]))
-    return out, xx.data[..., -1, :].copy()
+    return out, xx.data[-1].copy()
 
 
 def run_stream(cfg: ModelConfig, store: ParamStore, tokens: np.ndarray,
                states: list[StreamState] | None = None) -> tuple[Tensor, list[StreamState]]:
     """Full stack for all cfg.n_perspectives streams in one pass.
 
-    tokens: (T,) or (B, T). Returns the pre-head embeddings (n, [B,] T, d)
+    tokens: (T,) or (B, T). Returns the pre-head embeddings (T, [B,] n, d)
     and one new StreamState per layer.
     """
     tokens = np.asarray(tokens)
     check_token_range(tokens, cfg.vocab_size)
     n = cfg.n_perspectives
     if states is None:
-        shape = (n,) + tokens.shape[:-1] + (cfg.d_model,)
+        shape = tokens.shape[:-1] + (n, cfg.d_model)
         states = [StreamState.zeros(shape, store["emb.weight"].data.dtype)
                   for _ in range(cfg.n_layers)]
-    x = ag.embed(store["emb.weight"], tokens)
+    x = ag.embed(store["emb.weight"], tokens.T)
     x = ag.layer_norm(x, store["ln0.g"], store["ln0.b"])
     x = ag.expand(x, n)
     new_states = []
@@ -251,7 +251,8 @@ def model_forward(cfg: ModelConfig, store: ParamStore, tokens: np.ndarray,
         raise ConfigError(f"model_forward runs one stream, got n_perspectives="
                           f"{cfg.n_perspectives}")
     p, new_states = run_stream(cfg, store, tokens, states)
-    return head_logits(store, ag.reshape(p, p.shape[1:])), new_states
+    logits = head_logits(store, ag.reshape(p, p.shape[:-2] + p.shape[-1:]))
+    return ag.moveaxis(logits, 0, -2), new_states
 
 
 @dataclass
@@ -270,7 +271,8 @@ class Model:
         from rwkvp import aggregation, perspectives
         p, new_states = perspectives.multi_forward(self.config, self.store, tokens, states)
         logits, weights = aggregation.aggregate(self.config, self.store, p)
-        return logits, (None if weights is None else weights.data), new_states
+        return (ag.moveaxis(logits, 0, -2),
+                None if weights is None else np.moveaxis(weights.data, 0, -2), new_states)
 
     def init_states(self):
         return init_stream_states(self.config, self.store["emb.weight"].data.dtype)

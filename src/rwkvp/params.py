@@ -42,12 +42,10 @@ class ParamStore:
         self._params: dict[str, Tensor] = {}
 
     def add(self, name: str, data: np.ndarray, requires_grad: bool = True,
-            dtype=None) -> Tensor:
+            dtype=np.float32) -> Tensor:
         if name in self._params:
             raise KeyError(f"duplicate parameter {name!r}")
-        from rwkvp import autograd as ag
-        t = Tensor(np.asarray(data, dtype=dtype or ag.get_default_dtype()),
-                   requires_grad=requires_grad)
+        t = Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
         self._params[name] = t
         return t
 

@@ -3,9 +3,9 @@
 Each perspective owns only its token-shift coefficients (row i of the five
 (n, d) mu leaves of every layer, e.g. store["layer0.att.mu_k"].data[i]) and
 its recurrent state; everything heavy is shared. The streams never mix before
-the aggregation head, so they run as one stacked pass (see rwkvp.model):
-activations (n, [B,] T, d), state arrays (n, [B,] d) per layer, perspective
-i at index i of the leading axis.
+the aggregation head, so they run as one stacked, time-major pass (see
+rwkvp.model): activations (T, [B,] n, d), state arrays ([B,] n, d) per
+layer, perspective i at index i of the axis before d.
 """
 
 from __future__ import annotations
@@ -61,6 +61,6 @@ def multi_forward(cfg: m.ModelConfig, store: ParamStore, tokens: np.ndarray,
                   states=None) -> tuple[Tensor, list]:
     """Run all n perspective streams over tokens (T,) or (B, T) in one pass.
 
-    Returns (p (n, [B,] T, d), new states: one StreamState per layer).
+    Returns (p (T, [B,] n, d), new states: one StreamState per layer).
     """
     return m.run_stream(cfg, store, tokens, states)

@@ -6,11 +6,11 @@ B = b*e^p, with p a running log-scale maximum that keeps every exp argument
 
 `wkv_step` is the plain one-token update, kept as the reference the tests
 compare against; no model path calls it. `wkv_sequence` runs a whole
-(..., T, d) chunk inside a single autograd node with a hand-written backward
-over k, v, w, u. Its leading axes (perspectives, batch contexts) are
-independent sequences that share w and u; they run side by side as G*d
-channels of one (T, G*d) array. The chunk-boundary state is a detached numpy
-triple (gradients never cross it).
+(T, ..., d) chunk inside a single autograd node with a hand-written backward
+over k, v, w, u. The axes between T and d (contexts, perspectives) are
+independent sequences that share w and u; time leads, so they are the G*d
+channels of a free (T, G*d) reshape. The chunk-boundary state is a detached
+numpy triple (gradients never cross it).
 
 `wkv_sequence` splits the recurrence into two cheap scans and whole-chunk
 array ops, so the Python loop over time costs two ufunc calls per step per
@@ -68,22 +68,17 @@ def wkv_step(state, k_t: np.ndarray, v_t: np.ndarray, w: np.ndarray, u: np.ndarr
     return y, (f1 * a + f2 * v_t, f1 * b + f2, q2)
 
 
-def _to_channels(x: np.ndarray) -> np.ndarray:
-    """(..., T, d) -> (T, G*d): time leading, the G sequences side by side."""
-    return np.moveaxis(x, -2, 0).reshape(x.shape[-2], math.prod(x.shape[:-2]) * x.shape[-1])
-
-
 def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
-    """Run the recurrence over a (..., T, d) chunk.
+    """Run the recurrence over a (T, ..., d) chunk.
 
-    Returns (y: Tensor (..., T, d), final_state) where final_state is a
+    Returns (y: Tensor (T, ..., d), final_state) where final_state is a
     detached (a, b, p) numpy triple, each (..., d), for handing off to the
     next chunk. The final state owns its memory: a view into the chunk's
     scan buffers would keep them alive for as long as the state is carried.
     """
     if k.shape != v.shape or k.data.ndim < 2:
         raise ag.ShapeError(f"wkv_sequence: k {k.shape} vs v {v.shape}")
-    lead, (T, d) = k.shape[:-2], k.shape[-2:]
+    T, lead, d = k.shape[0], k.shape[1:-1], k.shape[-1]
     if w.shape != (d,) or u.shape != (d,):
         raise ag.ShapeError(f"wkv_sequence: w {w.shape} / u {u.shape} vs d={d}")
     dtype = k.data.dtype
@@ -93,9 +88,9 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
         raise ag.ShapeError(f"wkv_sequence: state {[np.shape(s) for s in state]} "
                             f"vs {lead + (d,)}")
     groups = math.prod(lead)
-    kd, vd = _to_channels(k.data), _to_channels(v.data)
+    D = groups * d
+    kd, vd = k.data.reshape(T, D), v.data.reshape(T, D)
     wd, ud = np.tile(w.data, groups), np.tile(u.data, groups)
-    D = kd.shape[1]
 
     # scan 1: p[t + 1] = max(p[t] - w, k[t]); row t is the log-scale entering step t
     p = np.empty((T + 1, D), dtype=dtype)
@@ -137,15 +132,12 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
     y += e2 * vd
     y /= den
 
-    def from_channels(x):
-        return np.moveaxis(x.reshape((T,) + lead + (d,)), 0, -2)
-
-    out = Tensor(from_channels(y), ag._needs_grad(k, v, w, u), (k, v, w, u), "wkv_sequence")
+    out = Tensor(y.reshape(k.shape), ag._needs_grad(k, v, w, u), (k, v, w, u), "wkv_sequence")
     final_state = tuple(s.reshape(lead + (d,)).copy() for s in (ab[T, 0], ab[T, 1], p[T]))
 
     if out.requires_grad:
         def bwd(gy):
-            g = _to_channels(gy)
+            g = gy.reshape(T, D)
             dN = g / den
             dD = -g * y / den
 
@@ -201,11 +193,11 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
             if k.requires_grad:
                 dk = np.multiply(dp_out, m2, out=m2)
                 dk += s
-                k._accumulate(from_channels(dk))
+                k._accumulate(dk.reshape(k.shape))
             if v.requires_grad:
                 dv = da * f2
                 dv += dN * e2
-                v._accumulate(from_channels(dv))
+                v._accumulate(dv.reshape(v.shape))
             if w.requires_grad:
                 h -= np.multiply(dp_out, m1, out=m1)
                 w._accumulate(h.sum(axis=0).reshape(groups, d).sum(axis=0))

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from rwkvp import autograd as ag
 from rwkvp import corpus as corpus_mod
 from rwkvp import model as m
 from rwkvp import synth, training
-
-
-@pytest.fixture(autouse=True)
-def _restore_default_dtype():
-    yield
-    ag.set_default_dtype(np.float32)
 
 
 def tiny_config(**kw):

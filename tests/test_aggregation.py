@@ -37,7 +37,7 @@ def test_zero_selector_gives_uniform_weights():
     store = _head_store(d, V, rng, n=n, selector=True)
     store["selector.W"].data[:] = 0.0
     store["selector.b"].data[:] = 0.0
-    p = Tensor(np.stack([rng.uniform(-1, 1, (T, d)) for _ in range(n)]))
+    p = Tensor(np.stack([rng.uniform(-1, 1, (T, d)) for _ in range(n)], axis=-2))
     with ag.no_grad():
         _, weights = aggregation.aggregate_weighted(p, store)
     np.testing.assert_array_equal(weights.data, np.full((T, n), 0.25))
@@ -50,12 +50,12 @@ def test_large_bias_saturates_one_perspective():
     store["selector.W"].data[:] = 0.0
     store["selector.b"].data[:] = 0.0
     store["selector.b"].data[1] = 20.0
-    p = Tensor(np.stack([rng.uniform(-1, 1, (T, d)) for _ in range(n)]))
+    p = Tensor(np.stack([rng.uniform(-1, 1, (T, d)) for _ in range(n)], axis=-2))
     with ag.no_grad():
         logits, weights = aggregation.aggregate_weighted(p, store)
     assert np.all(np.abs(weights.data[:, 1] - 1.0) < 1e-8)
     with ag.no_grad():
-        pure = aggregation.aggregate_average(Tensor(p.data[1:2]), store)
+        pure = aggregation.aggregate_average(Tensor(p.data[:, 1:2]), store)
     assert np.abs(logits.data - pure.data).max() < 1e-6
 
 
@@ -64,10 +64,10 @@ def test_identical_perspectives_reduce_to_single_head():
     n, d, V, T = 4, 6, 8, 3
     store = _head_store(d, V, rng, n=n, selector=True)
     p = rng.uniform(-1, 1, (T, d))
-    stacked = Tensor(np.stack([p.copy() for _ in range(n)]))
+    stacked = Tensor(np.stack([p.copy() for _ in range(n)], axis=-2))
     with ag.no_grad():
         logits, weights = aggregation.aggregate_weighted(stacked, store)
-        single = aggregation.aggregate_average(Tensor(stacked.data[:1]), store)
+        single = aggregation.aggregate_average(Tensor(stacked.data[:, :1]), store)
     # identical inputs: the convex combination collapses regardless of weights
     np.testing.assert_allclose(logits.data, single.data, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(weights.data.sum(-1), 1.0, atol=1e-12)
@@ -81,10 +81,10 @@ def test_transformer_selecting_first_perspective():
     W[:d] = np.eye(d)                       # pick p_1, ignore the rest
     store["agghead.W"].data = W
     store["agghead.b"].data = np.zeros(d)
-    p = Tensor(np.stack([rng.uniform(-1, 1, (T, d)) for _ in range(n)]))
+    p = Tensor(np.stack([rng.uniform(-1, 1, (T, d)) for _ in range(n)], axis=-2))
     with ag.no_grad():
         out = aggregation.aggregate_transformer(p, store)
-        only_first = aggregation.aggregate_average(Tensor(p.data[:1]), store)
+        only_first = aggregation.aggregate_average(Tensor(p.data[:, :1]), store)
     np.testing.assert_allclose(out.data, only_first.data, rtol=1e-10, atol=1e-12)
 
 
@@ -94,7 +94,7 @@ def test_transformer_stacked_identities_equal_average():
     store = _head_store(d, V, rng, n=n, agghead=True)
     store["agghead.W"].data = np.vstack([np.eye(d)] * n) / n
     store["agghead.b"].data = np.zeros(d)
-    p = Tensor(np.stack([rng.uniform(-1, 1, (T, d)) for _ in range(n)]))
+    p = Tensor(np.stack([rng.uniform(-1, 1, (T, d)) for _ in range(n)], axis=-2))
     with ag.no_grad():
         out = aggregation.aggregate_transformer(p, store)
         avg = aggregation.aggregate_average(p, store)
@@ -106,7 +106,7 @@ def test_against_direct_numpy_oracles():
     n, d, V, T = 3, 6, 10, 7
     store = _head_store(d, V, rng, n=n, selector=True, agghead=True)
     ps = [rng.uniform(-1, 1, (T, d)) for _ in range(n)]
-    p = Tensor(np.stack(ps))
+    p = Tensor(np.stack(ps, axis=-2))
     with ag.no_grad():
         avg = aggregation.aggregate_average(p, store)
         trf = aggregation.aggregate_transformer(p, store)
@@ -131,10 +131,10 @@ def test_weighted_output_in_convex_hull():
     rng = np.random.default_rng(6)
     n, d, V, T = 4, 5, 8, 6
     store = _head_store(d, V, rng, n=n, selector=True)
-    p = Tensor(np.stack([rng.uniform(-1, 1, (T, d)) for _ in range(n)]))
+    p = Tensor(np.stack([rng.uniform(-1, 1, (T, d)) for _ in range(n)], axis=-2))
     with ag.no_grad():
         logits, weights = aggregation.aggregate_weighted(p, store)
-        heads = [aggregation.aggregate_average(Tensor(p.data[i:i + 1]), store).data
+        heads = [aggregation.aggregate_average(Tensor(p.data[:, i:i + 1]), store).data
                  for i in range(n)]
     stacked = np.stack(heads)                      # (n, T, V)
     lo, hi = stacked.min(0), stacked.max(0)
@@ -149,7 +149,7 @@ def test_n1_all_modes_identical():
     store = _head_store(d, V, rng, n=1, selector=True)
     store.add("agghead.W", np.eye(d), dtype=np.float64)
     store.add("agghead.b", np.zeros(d), dtype=np.float64)
-    p = Tensor(rng.uniform(-1, 1, (1, T, d)))
+    p = Tensor(rng.uniform(-1, 1, (T, 1, d)))
     with ag.no_grad():
         avg = aggregation.aggregate_average(p, store)
         trf = aggregation.aggregate_transformer(p, store)
@@ -164,6 +164,6 @@ def test_dispatch_validates_count():
     cfg = tiny_config(n_perspectives=3)
     store = _head_store(cfg.d_model, cfg.vocab_size, rng, n=3, selector=True)
     with pytest.raises(ValueError, match="perspectives"):
-        aggregation.aggregate(cfg, store, Tensor(np.ones((1, 2, cfg.d_model))))
+        aggregation.aggregate(cfg, store, Tensor(np.ones((2, 1, cfg.d_model))))
     with pytest.raises(ValueError):
-        aggregation.aggregate_average(Tensor(np.ones((0, 2, cfg.d_model))), store)
+        aggregation.aggregate_average(Tensor(np.ones((2, 0, cfg.d_model))), store)

@@ -55,7 +55,6 @@ UNARY_OPS = {
 @pytest.mark.parametrize("name", sorted(UNARY_OPS))
 def test_unary_gradients_match_finite_differences(name):
     op = UNARY_OPS[name]
-    ag.set_default_dtype(np.float64)
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     for _ in range(100):
         x = rng.uniform(-2, 2, size=(3, 4))
@@ -68,6 +67,7 @@ def test_unary_gradients_match_finite_differences(name):
             return out.data * w
 
         t = Tensor(x.copy(), requires_grad=True)
+        assert t.data.dtype == np.float64
         out = op(t)
         w = weight if out.data.shape == (3, 4) else weight.T if out.data.shape == (4, 3) else np.ones_like(out.data)
         ag.sum_(ag.mul(out, Tensor(w))).backward()
@@ -87,7 +87,6 @@ BINARY_OPS = {
 @pytest.mark.parametrize("name", sorted(BINARY_OPS))
 def test_binary_gradients_match_finite_differences(name):
     op = BINARY_OPS[name]
-    ag.set_default_dtype(np.float64)
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     for _ in range(100):
         a = rng.uniform(-2, 2, size=(3, 4))
@@ -96,6 +95,7 @@ def test_binary_gradients_match_finite_differences(name):
 
         ta = Tensor(a.copy(), requires_grad=True)
         tb = Tensor(b.copy(), requires_grad=True)
+        assert ta.data.dtype == tb.data.dtype == np.float64
         ag.sum_(ag.mul(op(ta, tb), Tensor(weight))).backward()
 
         for arr, t in ((a, ta), (b, tb)):
@@ -111,19 +111,20 @@ def test_binary_gradients_match_finite_differences(name):
             assert (np.abs(t.grad - fd) / denom).max() < 1e-4, name
 
 
-@pytest.mark.parametrize("shape", [(2, 2, 3, 4), (2, 2, 1, 4), (3, 5, 2)],
+# the ids name the axes present; the shapes are time-major, (T, [B,] n, d)
+@pytest.mark.parametrize("shape", [(3, 2, 2, 4), (1, 2, 2, 4), (5, 3, 2)],
                          ids=["n-B-T-d", "T1", "n-T-d"])
 def test_token_shift_gradients_match_finite_differences(shape):
-    ag.set_default_dtype(np.float64)
     rng = np.random.default_rng(11)
-    n, d = shape[0], shape[-1]
+    n, d = shape[-2:]
     for _ in range(20):
         x = rng.uniform(-2, 2, shape)
-        first = rng.uniform(-2, 2, shape[:-2] + shape[-1:])
+        first = rng.uniform(-2, 2, shape[1:])
         mus = rng.uniform(0, 1, (n, d))
         weight = rng.uniform(-1, 1, shape)
         tx = Tensor(x.copy(), requires_grad=True)
         tmu = Tensor(mus.copy(), requires_grad=True)
+        assert tx.data.dtype == tmu.data.dtype == np.float64
         ag.sum_(ag.mul(ag.token_shift(tx, first, tmu), Tensor(weight))).backward()
 
         def loss(xx, mm):
@@ -139,29 +140,28 @@ def test_token_shift_gradients_match_finite_differences(shape):
 
 
 def _shifted(x, first):
-    """Reference shift: row 0 of each slice is first, row t is x row t-1."""
+    """Reference shift: in each slice, time row 0 is first and row t is x row t-1."""
     prev = np.empty_like(x)
-    for idx in np.ndindex(x.shape[:-2]):
-        prev[idx][0] = first[idx]
-        for t in range(1, x.shape[-2]):
-            prev[idx][t] = x[idx][t - 1]
+    for idx in np.ndindex(x.shape[1:-1]):
+        prev[(0,) + idx] = first[idx]
+        for t in range(1, x.shape[0]):
+            prev[(t,) + idx] = x[(t - 1,) + idx]
     return prev
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fused_forwards_bitwise_equal_unfused_composition(dtype):
     rng = np.random.default_rng(5)
-    x = rng.uniform(-3, 3, (4, 2, 5, 6)).astype(dtype)
-    y = rng.uniform(-3, 3, (4, 2, 5, 6)).astype(dtype)
-    first = rng.uniform(-3, 3, (4, 2, 6)).astype(dtype)
+    x = rng.uniform(-3, 3, (5, 2, 4, 6)).astype(dtype)
+    y = rng.uniform(-3, 3, (5, 2, 4, 6)).astype(dtype)
+    first = rng.uniform(-3, 3, (2, 4, 6)).astype(dtype)
     mus = rng.uniform(0, 1, (4, 6)).astype(dtype)
 
     sig = (1.0 / (1.0 + np.exp(-x))) * y
     assert np.array_equal(ag.sigmoid_mul(Tensor(x), Tensor(y)).data, sig)
     r = np.maximum(x, 0.0)
     assert np.array_equal(ag.relu_square(Tensor(x)).data, r * r)
-    mu = mus[:, None, None, :]
-    mix = x * mu + _shifted(x, first) * (1.0 - mu)
+    mix = x * mus + _shifted(x, first) * (1.0 - mus)
     out = ag.token_shift(Tensor(x), first, Tensor(mus))
     assert out.data.dtype == dtype and np.array_equal(out.data, mix)
 
@@ -170,13 +170,13 @@ def test_fused_forwards_bitwise_equal_unfused_composition(dtype):
                          ids=["one-row-for-two-slices", "three-rows", "short-rows", "one-vector",
                               "3d", "flat"])
 def test_token_shift_rejects_mu_not_n_by_d(mu_shape):
-    x = Tensor(np.ones((2, 3, 4)))
+    x = Tensor(np.ones((3, 2, 4)))
     with pytest.raises(ag.ShapeError, match="mu"):
         ag.token_shift(x, np.zeros((2, 4)), Tensor(np.full(mu_shape, 0.5)))
 
 
 def test_token_shift_rejects_bad_shapes():
-    x = Tensor(np.ones((2, 3, 4)))
+    x = Tensor(np.ones((3, 2, 4)))
     mu = Tensor(np.full((2, 4), 0.5))
     ag.token_shift(x, np.zeros((2, 4)), mu)
     with pytest.raises(ag.ShapeError, match="first_row"):
@@ -186,7 +186,6 @@ def test_token_shift_rejects_bad_shapes():
 
 
 def test_layer_norm_gradients():
-    ag.set_default_dtype(np.float64)
     rng = np.random.default_rng(7)
     for _ in range(100):
         x = rng.uniform(-2, 2, (3, 5))
@@ -194,6 +193,7 @@ def test_layer_norm_gradients():
         b = rng.uniform(-0.5, 0.5, 5)
         weight = rng.uniform(-1, 1, (3, 5))
         tx, tg, tb = (Tensor(v.copy(), requires_grad=True) for v in (x, g, b))
+        assert tx.data.dtype == tg.data.dtype == tb.data.dtype == np.float64
         ag.sum_(ag.mul(ag.layer_norm(tx, tg, tb), Tensor(weight))).backward()
 
         def fn_for(which):
@@ -239,11 +239,11 @@ def test_layer_norm_row_means_are_bitwise_ndarray_mean(shape, dtype):
 
 
 def test_cross_entropy_gradient():
-    ag.set_default_dtype(np.float64)
     rng = np.random.default_rng(3)
     logits = rng.uniform(-2, 2, (4, 6))
     targets = rng.integers(0, 6, 4)
     t = Tensor(logits.copy(), requires_grad=True)
+    assert t.data.dtype == np.float64
     ag.cross_entropy(t, targets).backward()
 
     def fn(arr):
@@ -342,45 +342,46 @@ def test_graph_evaluation_deterministic():
 
 def test_shift_rows_semantics_and_gradient():
     """token_shift with mu = 0 is the input shifted one row down."""
-    x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]), requires_grad=True)
+    x = Tensor(np.array([[[1.0, 2.0]], [[3.0, 4.0]], [[5.0, 6.0]]]), requires_grad=True)
     first = np.array([[9.0, 9.0]])
     mu = Tensor(np.zeros((1, 2)), requires_grad=True)
     out = ag.token_shift(x, first, mu)
-    np.testing.assert_array_equal(out.data, [[[9, 9], [1, 2], [3, 4]]])
+    np.testing.assert_array_equal(out.data, [[[9, 9]], [[1, 2]], [[3, 4]]])
     ag.sum_(ag.mul(out, out)).backward()
-    np.testing.assert_array_equal(x.grad, [[[2, 4], [6, 8], [0, 0]]])
+    np.testing.assert_array_equal(x.grad, [[[2, 4]], [[6, 8]], [[0, 0]]])
     # d/dmu of sum(out^2) at mu = 0 is sum_t 2 * prev * (x - prev)
     np.testing.assert_array_equal(mu.grad, [[2 * (9 * -8 + 1 * 2 + 3 * 2),
                                              2 * (9 * -7 + 2 * 2 + 4 * 2)]])
 
 
 def test_shift_rows_leading_axes_use_their_own_first_row():
-    """token_shift's shift uses each leading slice's own first row (mu = 0)."""
-    x = np.arange(2 * 3 * 4 * 2, dtype=np.float64).reshape(2, 3, 4, 2)
-    first = -np.arange(2 * 3 * 2, dtype=np.float64).reshape(2, 3, 2) - 1.0
+    """token_shift's shift uses each (context, perspective) slice's own first
+    row (mu = 0)."""
+    x = np.arange(4 * 3 * 2 * 2, dtype=np.float64).reshape(4, 3, 2, 2)
+    first = -np.arange(3 * 2 * 2, dtype=np.float64).reshape(3, 2, 2) - 1.0
     zeros = Tensor(np.zeros((2, 2)))
     t = Tensor(x, requires_grad=True)
     out = ag.token_shift(t, first, zeros)
-    np.testing.assert_array_equal(out.data[..., 0, :], first)
-    np.testing.assert_array_equal(out.data[..., 1:, :], x[..., :-1, :])
-    for i in range(2):
-        for j in range(3):
+    np.testing.assert_array_equal(out.data[0], first)
+    np.testing.assert_array_equal(out.data[1:], x[:-1])
+    for b in range(3):
+        for i in range(2):
             np.testing.assert_array_equal(
-                out.data[i, j], ag.token_shift(Tensor(x[i, j][None]), first[i, j][None],
-                                               Tensor(np.zeros((1, 2)))).data[0])
+                out.data[:, b, i], ag.token_shift(Tensor(x[:, b, i, None]), first[b, i, None],
+                                                  Tensor(np.zeros((1, 2)))).data[:, 0])
     weight = np.random.default_rng(0).uniform(-1, 1, x.shape)
     ag.sum_(ag.mul(out, Tensor(weight))).backward()
-    np.testing.assert_array_equal(t.grad[..., :-1, :], weight[..., 1:, :])
-    np.testing.assert_array_equal(t.grad[..., -1, :], 0.0)
+    np.testing.assert_array_equal(t.grad[:-1], weight[1:])
+    np.testing.assert_array_equal(t.grad[-1], 0.0)
     with pytest.raises(ag.ShapeError, match="token_shift"):
         ag.token_shift(t, first[0, 0], zeros)      # one row for six slices
 
 
 def test_token_shift_mu_one_is_identity():
     rng = np.random.default_rng(2)
-    x = rng.uniform(-1, 1, (3, 2, 4, 5))
+    x = rng.uniform(-1, 1, (4, 2, 3, 5))
     t = Tensor(x, requires_grad=True)
-    out = ag.token_shift(t, rng.uniform(-1, 1, (3, 2, 5)), Tensor(np.ones((3, 5))))
+    out = ag.token_shift(t, rng.uniform(-1, 1, (2, 3, 5)), Tensor(np.ones((3, 5))))
     np.testing.assert_array_equal(out.data, x)
     weight = rng.uniform(-1, 1, x.shape)
     ag.sum_(ag.mul(out, Tensor(weight))).backward()
@@ -410,7 +411,6 @@ def test_first_gradient_is_an_owned_copy():
 
 
 def test_matmul_leading_axes_match_2d_on_flattened_rows():
-    ag.set_default_dtype(np.float64)
     rng = np.random.default_rng(9)
     a = rng.uniform(-1, 1, (3, 2, 5, 4))
     b = rng.uniform(-1, 1, (4, 6))
@@ -462,7 +462,7 @@ def test_model_graph_freed_without_cycle_collector():
 
 
 # autograd functions that build no graph node
-_HELPERS = {"as_tensor", "get_default_dtype", "no_grad", "set_debug", "set_default_dtype"}
+_HELPERS = {"as_tensor", "no_grad", "set_debug"}
 
 
 def test_every_public_op_runs_on_a_model_training_path(monkeypatch):

@@ -287,6 +287,68 @@ def test_ablate_command(tmp_path, corpus_file, micro_config, pretrained_dir):
     lines = csv_text.splitlines()
     assert lines[0].startswith("axis,setting")
     assert len(lines) == 3
+    eff = json.loads((out / "effective_config.json").read_text())
+    assert eff["model"]["n_perspectives"] == 2
+    assert eff["model"]["aggregation"] == "weighted_softmax"
+    assert "noise_target" not in eff["train"] and "seed" not in eff["train"]
+    assert eff["ablation"] == {"axis": "noise_placement", "arms": ["selector", "temporal"],
+                               "seeds": [0, 1, 2]}
+
+
+@pytest.fixture(scope="module")
+def train_only_config(tmp_path_factory):
+    """A config file with no model section: n and the context length come from
+    the defaults and the checkpoint."""
+    path = tmp_path_factory.mktemp("cfg") / "train_only.json"
+    path.write_text(json.dumps({"train": {"batch_size": 2, "mini_epochs": 1,
+                                          "contexts_per_mini_epoch": 4, "seed": 7}}))
+    return path
+
+
+def test_finetune_defaults_to_four_perspectives_and_echoes_the_run(
+        tmp_path, capsys, corpus_file, train_only_config, pretrained_dir):
+    out = tmp_path / "ft"
+    rc = cli.main(["finetune", "--config", str(train_only_config),
+                   "--checkpoint", str(pretrained_dir / "base.ckpt"),
+                   "--corpus", str(corpus_file), "--out", str(out)])
+    assert rc == 0
+    assert "finetuned n=4 (weighted_softmax)" in capsys.readouterr().out
+    _, cfg, _, _ = ckpt.load_checkpoint(out / "finetuned.ckpt")
+    assert cfg.n_perspectives == 4
+    eff = json.loads((out / "effective_config.json").read_text())
+    assert eff["model"]["n_perspectives"] == 4
+    # the base trained at 32, and so does its fine-tuning, whatever the file's default
+    assert eff["model"]["context_length"] == eff["train"]["context_length"] == 32
+    assert eff["train"]["seed"] == 7
+
+
+def test_ablate_defaults_to_four_perspectives_and_records_the_arms(
+        tmp_path, corpus_file, train_only_config, pretrained_dir):
+    out = tmp_path / "abl"
+    rc = cli.main(["ablate", "--config", str(train_only_config),
+                   "--checkpoint", str(pretrained_dir / "base.ckpt"),
+                   "--corpus", str(corpus_file), "--out", str(out),
+                   "--axis", "aggregation", "--seeds", "3,4,5"])
+    assert rc == 0
+    eff = json.loads((out / "effective_config.json").read_text())
+    assert eff["model"]["n_perspectives"] == 4
+    assert eff["model"]["context_length"] == eff["train"]["context_length"] == 32
+    # each arm sets its own head and runs at each seed: neither is a shared setting
+    assert "aggregation" not in eff["model"] and "seed" not in eff["train"]
+    assert eff["ablation"] == {"axis": "aggregation",
+                               "arms": ["average", "transformer_like", "weighted_softmax"],
+                               "seeds": [3, 4, 5]}
+    lines = (out / "ablation_aggregation.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == eff["ablation"]["arms"]
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_trace_max_tokens_must_be_positive(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["trace", "--checkpoint", "c", "--corpus", "t", "--out", "o",
+                  "--max-tokens", value])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
 
 
 def test_pretrain_one_byte_corpus_errors(tmp_path, capsys, micro_config):

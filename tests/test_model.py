@@ -157,12 +157,12 @@ def test_handworked_channel_mix_d2():
 def test_time_mixing_state_advances():
     cfg = tiny_config()
     store, _ = m.init_base_params(cfg, seed=0)
-    xx = Tensor(np.random.default_rng(0).uniform(-1, 1, (1, 3, cfg.d_model)).astype(np.float32))
+    xx = Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 1, cfg.d_model)).astype(np.float32))
     st = m.StreamState.zeros((1, cfg.d_model))
     with ag.no_grad():
         out, att_prev, wkv_state = m.time_mixing(store, 0, xx, st)
-    assert out.shape == (1, 3, cfg.d_model)
-    np.testing.assert_array_equal(att_prev[0], xx.data[0, -1])
+    assert out.shape == (3, 1, cfg.d_model)
+    np.testing.assert_array_equal(att_prev[0], xx.data[-1, 0])
     assert np.all(np.isfinite(wkv_state[0]))
 
 

@@ -8,6 +8,9 @@ deleting one or moving it to another class makes the benchmark fail to install.
 """
 
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +51,12 @@ BOUNDARIES = [
                          ids=[f"{owner.__name__}.{name}" for owner, name in BOUNDARIES])
 def test_boundary_is_defined_on_its_owner(owner, name):
     assert inspect.isfunction(vars(owner).get(name)), f"{owner.__name__}.{name} is missing"
+
+
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py: on every workload, traced and untraced outputs
+    are bitwise equal and every wrapped function is restored afterwards."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr

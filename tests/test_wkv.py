@@ -82,6 +82,7 @@ def test_extreme_keys_stay_finite(extreme):
 def _assert_gradients_match_fd(parts, weight, state=None):
     """Analytic dk, dv, dw, du of sum(y * weight) vs central differences."""
     tensors = {n: Tensor(a.copy(), requires_grad=True) for n, a in parts.items()}
+    assert all(t.data.dtype == np.float64 for t in tensors.values())
     y, _ = wkv.wkv_sequence(tensors["k"], tensors["v"], tensors["w"], tensors["u"],
                             state=state)
     ag.sum_(ag.mul(y, Tensor(weight))).backward()
@@ -111,7 +112,6 @@ def _assert_gradients_match_fd(parts, weight, state=None):
 
 
 def test_sequence_gradients_match_finite_differences():
-    ag.set_default_dtype(np.float64)
     rng = np.random.default_rng(5)
     T, d = 6, 3
     k, v, w, u = _random_case(rng, T, d)
@@ -122,7 +122,6 @@ def test_sequence_gradients_match_finite_differences():
 def test_gradient_flows_through_chunk_output_not_state():
     # the boundary state is detached numpy: feeding it onward must not
     # extend the autograd graph of the first chunk
-    ag.set_default_dtype(np.float64)
     rng = np.random.default_rng(6)
     k, v, w, u = _random_case(rng, 4, 2)
     k1 = Tensor(k[:2], requires_grad=True)
@@ -168,11 +167,11 @@ def test_strong_decay_and_bonus():
 
 
 def test_stacked_sequences_match_per_slice_calls():
-    """One call on (n, B, T, d) equals one call per (i, b) slice: bitwise for
+    """One call on (T, B, n, d) equals one call per (b, i) slice: bitwise for
     y, dk, dv and the final state; dw and du sum the slices in another order."""
     rng = np.random.default_rng(7)
     n, B, T, d = 3, 2, 9, 4
-    k, v, k0, v0, weight = (rng.uniform(-1, 1, (n, B, T, d)).astype(np.float32)
+    k, v, k0, v0, weight = (rng.uniform(-1, 1, (T, B, n, d)).astype(np.float32)
                             for _ in range(5))
     w = rng.uniform(0.05, 2.0, d).astype(np.float32)
     u = rng.uniform(-1, 1, d).astype(np.float32)
@@ -186,17 +185,17 @@ def test_stacked_sequences_match_per_slice_calls():
         return y.data, final, [t.grad for t in ts]
 
     y, final, (dk, dv, dw, du) = run(k, v, state, weight)
-    assert y.shape == (n, B, T, d) and all(s.shape == (n, B, d) for s in final)
+    assert y.shape == (T, B, n, d) and all(s.shape == (B, n, d) for s in final)
     dw_sum, du_sum = np.zeros_like(w), np.zeros_like(u)
     for i in range(n):
         for b in range(B):
-            ys, fs, (dks, dvs, dws, dus) = run(k[i, b], v[i, b],
-                                               tuple(s[i, b] for s in state), weight[i, b])
-            assert np.array_equal(y[i, b], ys)
-            assert np.array_equal(dk[i, b], dks)
-            assert np.array_equal(dv[i, b], dvs)
+            ys, fs, (dks, dvs, dws, dus) = run(k[:, b, i], v[:, b, i],
+                                               tuple(s[b, i] for s in state), weight[:, b, i])
+            assert np.array_equal(y[:, b, i], ys)
+            assert np.array_equal(dk[:, b, i], dks)
+            assert np.array_equal(dv[:, b, i], dvs)
             for got, want in zip(final, fs):
-                assert np.array_equal(got[i, b], want)
+                assert np.array_equal(got[b, i], want)
             dw_sum += dws
             du_sum += dus
     np.testing.assert_allclose(dw, dw_sum, rtol=0, atol=1e-6)
@@ -212,7 +211,7 @@ def test_state_shape_must_match_leading_axes():
 
 def _carried_state(rng, lead, d, dtype):
     """A non-empty (a, b, p) state: the end of a random 5-token chunk."""
-    k0, v0 = (rng.uniform(-1, 1, lead + (5, d)).astype(dtype) for _ in range(2))
+    k0, v0 = (rng.uniform(-1, 1, (5,) + lead + (d,)).astype(dtype) for _ in range(2))
     w = rng.uniform(0.05, 2.0, d).astype(dtype)
     u = rng.uniform(-1, 1, d).astype(dtype)
     with ag.no_grad():
@@ -225,33 +224,32 @@ def _carried_state(rng, lead, d, dtype):
 def test_leading_axes_from_carried_state_match_stepwise_bitwise(dtype, T):
     rng = np.random.default_rng(8)
     lead, d = (2, 3), 4
-    k, v = (rng.uniform(-2, 2, lead + (T, d)).astype(dtype) for _ in range(2))
+    k, v = (rng.uniform(-2, 2, (T,) + lead + (d,)).astype(dtype) for _ in range(2))
     w = rng.uniform(0.05, 2.0, d).astype(dtype)
     u = rng.uniform(-1, 1, d).astype(dtype)
     state = _carried_state(rng, lead, d, dtype)
     with ag.no_grad():
         y, final = wkv.wkv_sequence(Tensor(k), Tensor(v), Tensor(w), Tensor(u), state=state)
-    assert y.data.dtype == dtype and y.shape == lead + (T, d)
+    assert y.data.dtype == dtype and y.shape == (T,) + lead + (d,)
     for i in range(lead[0]):
         for j in range(lead[1]):
             st = tuple(s[i, j] for s in state)
             for t in range(T):
-                yt, st = wkv.wkv_step(st, k[i, j, t], v[i, j, t], w, u)
-                assert np.array_equal(y.data[i, j, t], yt)
+                yt, st = wkv.wkv_step(st, k[t, i, j], v[t, i, j], w, u)
+                assert np.array_equal(y.data[t, i, j], yt)
             for got, want in zip(final, st):
                 assert np.array_equal(got[i, j], want)
 
 
 @pytest.mark.parametrize("T", [1, 5])
 def test_gradients_with_leading_axes_and_carried_state(T):
-    ag.set_default_dtype(np.float64)
     rng = np.random.default_rng(9)
     lead, d = (2, 2), 3
-    k, v = (rng.uniform(-1, 1, lead + (T, d)) for _ in range(2))
+    k, v = (rng.uniform(-1, 1, (T,) + lead + (d,)) for _ in range(2))
     w = rng.uniform(0.05, 2.0, d)
     u = rng.uniform(-1, 1, d)
     state = _carried_state(rng, lead, d, np.float64)
-    weight = rng.uniform(-1, 1, lead + (T, d))
+    weight = rng.uniform(-1, 1, (T,) + lead + (d,))
     _assert_gradients_match_fd({"k": k, "v": v, "w": w, "u": u}, weight, state)
 
 
@@ -269,7 +267,7 @@ def test_final_state_owns_its_memory():
     # a view into the chunk's scan buffers would keep them alive for as long
     # as the state is carried from chunk to chunk
     rng = np.random.default_rng(11)
-    k, v = (rng.uniform(-1, 1, (2, 3, 16, 4)) for _ in range(2))
+    k, v = (rng.uniform(-1, 1, (16, 2, 3, 4)) for _ in range(2))
     w, u = rng.uniform(0.05, 2.0, 4), rng.uniform(-1, 1, 4)
     for grad in (False, True):
         ts = [Tensor(x, requires_grad=grad) for x in (k, v, w, u)]
