@@ -2,8 +2,9 @@
 
 All operate position-wise on the stacked pre-head embeddings p
 (T, [B,] n, d), perspective i at p[..., i, :], and return time-major logits
-(T, [B,] V); the shared head (final LN + unembedding) is applied inside each
-aggregator. With n=1 every mode reduces to the plain head.
+(T, [B,] V), which Model.forward hands back as they are; the shared head
+(final LN + unembedding) is applied inside each aggregator. With n=1 every
+mode reduces to the plain head.
 """
 
 from __future__ import annotations

@@ -308,13 +308,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return out
 
 
-def moveaxis(a: Tensor, source: int, destination: int) -> Tensor:
-    out = Tensor(np.moveaxis(a.data, source, destination), _needs_grad(a), (a,), "moveaxis")
-    if out.requires_grad:
-        out._backward = lambda g: a._accumulate(np.moveaxis(g, destination, source))
-    return out
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     z = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(z)

@@ -21,12 +21,14 @@ import hashlib
 import json
 import os
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from rwkvp.model import ConfigError, ModelConfig
+from rwkvp.model import ConfigError, ModelConfig, init_base_params
 from rwkvp.params import FreezeMask, ParamStore
+from rwkvp.perspectives import extend_to_perspectives
 
 MAGIC = b"RWKVPv4MP\x00"
 FORMAT_VERSION = 2
@@ -117,6 +119,21 @@ def _check_manifest(path, manifest) -> None:
                                   f"{', '.join(_TENSOR_KEYS)}")
 
 
+def _check_tensors_match_config(path, store: ParamStore, config: ModelConfig) -> None:
+    """Raise CheckpointError unless the store holds the tensors, in the shapes,
+    that the init path builds for config: a base, then its extension."""
+    base_cfg = replace(config, n_perspectives=1, aggregation="average")
+    _, built, _ = extend_to_perspectives(init_base_params(base_cfg, seed=0)[0], base_cfg,
+                                         config.n_perspectives, config.aggregation)
+    expected = {name: t.shape for name, t in built.items()}
+    found = {name: t.shape for name, t in store.items()}
+    wrong = [f"{name!r} {found.get(name, 'missing')}, expected {expected.get(name, 'none')}"
+             for name in sorted(expected.keys() | found.keys())
+             if found.get(name) != expected.get(name)]
+    if wrong:
+        raise CheckpointError(f"{path}: tensors do not match the config: {'; '.join(wrong)}")
+
+
 def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
     try:
         raw = Path(path).read_bytes()
@@ -162,6 +179,7 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
         config = ModelConfig.from_dict(manifest["config"])
     except (TypeError, ConfigError) as e:
         raise CheckpointError(f"{path}: invalid model config: {e}") from None
+    _check_tensors_match_config(path, store, config)
     mask = FreezeMask({k: bool(v) for k, v in manifest["freeze_mask"].items()})
     if set(mask) != set(store.names()):
         raise CheckpointError(f"{path}: freeze mask does not cover tensor directory")

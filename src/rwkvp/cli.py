@@ -211,11 +211,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer seed, got {text!r}")
+    return int(text)
+
+
 def _seed_list(text: str) -> list[int]:
-    try:
-        return [int(s) for s in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return [_seed(s) for s in text.split(",")]
 
 
 # flags shared by several subcommands; each subcommand declares the ones it reads
@@ -224,7 +227,7 @@ _FLAGS = {
     "--checkpoint": dict(required=True, help="checkpoint path"),
     "--corpus": dict(required=True, help="plain-text corpus file"),
     "--out": dict(required=True, help="output directory"),
-    "--seed": dict(type=int, help="training seed (overrides the config file)"),
+    "--seed": dict(type=_seed, help="training seed (overrides the config file)"),
     "--n-perspectives": dict(type=int, help=f"perspectives (default {DEFAULT_N_PERSPECTIVES})"),
     "--aggregation": dict(choices=sorted(AGG_CLI_NAMES)),
     "--noise-target": dict(choices=["selector", "temporal"]),
@@ -284,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_count_params)
 
     p = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=cmd_gradcheck)
 
     # no prefix matching: ablate would read --seed as its --seeds

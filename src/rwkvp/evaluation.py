@@ -37,15 +37,19 @@ def _stream(model: m.Model, tokens: np.ndarray, chunk: int):
 def perplexity(model: m.Model, tokens: np.ndarray, chunk: int | None = None) -> float:
     """exp(mean next-token NLL, natural log) over the whole stream.
 
-    The stream is processed in chunks with recurrent-state handoff, so the
-    result is invariant to the chunk size. Raises ag.NonFiniteError if the
-    NLL is not finite (non-finite or overflowing logits).
+    The stream is processed in chunks (by default of the context length)
+    with recurrent-state handoff, so the result is invariant to the chunk size.
+    Raises ag.NonFiniteError if the NLL is not finite (non-finite or
+    overflowing logits).
     """
+    chunk = model.config.context_length if chunk is None else chunk
+    if chunk < 1:
+        raise m.ConfigError(f"chunk must be >= 1, got {chunk}")
     tokens = np.asarray(tokens)
     if tokens.size < 2:
         raise CorpusError("perplexity needs at least two tokens")
     nll_sum = 0.0
-    for start, _, logits, _ in _stream(model, tokens, chunk or model.config.context_length):
+    for start, _, logits, _ in _stream(model, tokens, chunk):
         # row t predicts token start + t + 1; the stream's last row predicts nothing
         targets = tokens[start + 1:start + 1 + len(logits)]
         logp = _log_softmax(logits[:len(targets)])

@@ -5,17 +5,18 @@ LN -> channel-mix residual] x L -> head (final LN + unembedding).
 
 Stacked, time-major layout: the n perspectives share every heavy weight and
 differ only in their token-shift mu vectors and recurrent state, so they run
-as one pass. Tokens are (T,) for one stream or (B, T) for B contexts; the
-embedding and input LN run once, time first, and are expanded to n copies,
-so every activation inside the stack is (T, [B,] n, d), perspective i at
-[..., i, :], and the token shift and the WKV scan walk axis 0. Each
-token-shift slot holds one (n, d) leaf, layer{l}.{att|ffn}.mu_{r,k,v}, row i
-perspective i's mu (a base holds (1, d)), which ag.token_shift broadcasts.
-Every model, the base included, runs run_stream and then its aggregation
-head; a base's "average" head at n=1 is bitwise model_forward's plain head.
-Both return logits ([B,] T, V) (Model.forward also weights ([B,] T, n)). The
-recurrent parts cross chunk boundaries as detached numpy state: one
-StreamState per layer, each array ([B,] n, d).
+as one pass. Time leads in every array the model takes and returns: tokens
+(T,) for one stream or (T, B) for B contexts; the embedding and input LN run
+once and are expanded to n copies, so every activation is (T, [B,] n, d),
+perspective i at [..., i, :], and the token shift and WKV scan walk axis 0.
+Each token-shift slot holds one (n, d) leaf, layer{l}.{att|ffn}.mu_{r,k,v},
+row i perspective i's mu (a base holds (1, d)), which ag.token_shift
+broadcasts. Every model, the base included, runs run_stream and then its
+aggregation head; a base's "average" head at n=1 is bitwise model_forward's
+plain head. Both return the head's logits (T, [B,] V) as they are
+(Model.forward also weights (T, [B,] n)). The recurrent parts cross chunk
+boundaries as detached numpy state: one StreamState per layer, each array
+([B,] n, d), with no time axis.
 """
 
 from __future__ import annotations
@@ -166,12 +167,6 @@ class StreamState:
                    np.zeros(shape, dtype=dtype))
 
 
-def init_stream_states(cfg: ModelConfig, dtype=np.float32):
-    """states[l]: layer l's recurrent state for all n perspectives, (n, d)."""
-    return [StreamState.zeros((cfg.n_perspectives, cfg.d_model), dtype)
-            for _ in range(cfg.n_layers)]
-
-
 def time_mixing(store: ParamStore, layer: int, xx: Tensor,
                 st: StreamState) -> tuple[Tensor, np.ndarray, tuple]:
     """Time-mix block over post-LN chunks xx (T, [B,] n, d), one per perspective.
@@ -209,17 +204,17 @@ def run_stream(cfg: ModelConfig, store: ParamStore, tokens: np.ndarray,
                states: list[StreamState] | None = None) -> tuple[Tensor, list[StreamState]]:
     """Full stack for all cfg.n_perspectives streams in one pass.
 
-    tokens: (T,) or (B, T). Returns the pre-head embeddings (T, [B,] n, d)
+    tokens: (T,) or (T, B). Returns the pre-head embeddings (T, [B,] n, d)
     and one new StreamState per layer.
     """
     tokens = np.asarray(tokens)
     check_token_range(tokens, cfg.vocab_size)
     n = cfg.n_perspectives
     if states is None:
-        shape = tokens.shape[:-1] + (n, cfg.d_model)
+        shape = tokens.shape[1:] + (n, cfg.d_model)
         states = [StreamState.zeros(shape, store["emb.weight"].data.dtype)
                   for _ in range(cfg.n_layers)]
-    x = ag.embed(store["emb.weight"], tokens.T)
+    x = ag.embed(store["emb.weight"], tokens)
     x = ag.layer_norm(x, store["ln0.g"], store["ln0.b"])
     x = ag.expand(x, n)
     new_states = []
@@ -245,14 +240,13 @@ def model_forward(cfg: ModelConfig, store: ParamStore, tokens: np.ndarray,
                   states: list[StreamState] | None = None) -> tuple[Tensor, list[StreamState]]:
     """Plain single-stream RWKV-v4 path (the n=1 reference).
 
-    tokens: (T,) or (B, T); returns logits ([B,] T, V) and new states.
+    tokens: (T,) or (T, B); returns logits (T, [B,] V) and new states.
     """
     if cfg.n_perspectives != 1:
         raise ConfigError(f"model_forward runs one stream, got n_perspectives="
                           f"{cfg.n_perspectives}")
     p, new_states = run_stream(cfg, store, tokens, states)
-    logits = head_logits(store, ag.reshape(p, p.shape[:-2] + p.shape[-1:]))
-    return ag.moveaxis(logits, 0, -2), new_states
+    return head_logits(store, ag.reshape(p, p.shape[:-2] + p.shape[-1:])), new_states
 
 
 @dataclass
@@ -265,14 +259,16 @@ class Model:
     def forward(self, tokens, states=None):
         """All n perspective streams, then the configured aggregation head.
 
-        tokens: (T,) or (B, T). Returns (logits Tensor ([B,] T, V), weights
-        ndarray ([B,] T, n) or None, new states: one StreamState per layer).
+        tokens: (T,) or (T, B). Returns (logits Tensor (T, [B,] V), weights
+        ndarray (T, [B,] n) or None, new states: one StreamState per layer).
         """
         from rwkvp import aggregation, perspectives
         p, new_states = perspectives.multi_forward(self.config, self.store, tokens, states)
         logits, weights = aggregation.aggregate(self.config, self.store, p)
-        return (ag.moveaxis(logits, 0, -2),
-                None if weights is None else np.moveaxis(weights.data, 0, -2), new_states)
+        return logits, None if weights is None else weights.data, new_states
 
     def init_states(self):
-        return init_stream_states(self.config, self.store["emb.weight"].data.dtype)
+        """One empty StreamState per layer for one stream: arrays (n, d)."""
+        cfg, dtype = self.config, self.store["emb.weight"].data.dtype
+        return [StreamState.zeros((cfg.n_perspectives, cfg.d_model), dtype)
+                for _ in range(cfg.n_layers)]

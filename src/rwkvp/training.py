@@ -60,6 +60,10 @@ class TrainConfig:
                                 f"got {self.noise_target!r}")
         if self.batch_size < 1 or self.mini_epochs < 1 or self.contexts_per_mini_epoch < 1:
             raise m.ConfigError("batch_size, mini_epochs, contexts_per_mini_epoch must be >= 1")
+        if self.context_length < 2:
+            raise m.ConfigError(f"context_length must be >= 2, got {self.context_length}")
+        if self.seed < 0:
+            raise m.ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         from dataclasses import asdict
@@ -206,7 +210,7 @@ def _train_loop(model: m.Model, train_tokens: np.ndarray, val_tokens: np.ndarray
         for _ in range(steps_per_epoch):
             lr = lr_schedule(step, total_steps, tc.lr_max, tc.lr_min)
             store.zero_grad()
-            batch = np.stack([next(sampler) for _ in range(tc.batch_size)])
+            batch = np.stack([next(sampler) for _ in range(tc.batch_size)], axis=1)
             loss = _batch_loss(model, batch)
             value = loss.item()
             if not math.isfinite(value):
@@ -226,10 +230,9 @@ def _train_loop(model: m.Model, train_tokens: np.ndarray, val_tokens: np.ndarray
 
 
 def _batch_loss(model: m.Model, batch: np.ndarray):
-    """Mean next-token NLL over every position of the (B, T+1) contexts."""
-    logits, _, _ = model.forward(batch[:, :-1])
-    return cross_entropy(ag.reshape(logits, (-1, logits.shape[-1])),
-                         batch[:, 1:].reshape(-1))
+    """Mean next-token NLL over every position of the (T+1, B) contexts."""
+    logits, _, _ = model.forward(batch[:-1])
+    return cross_entropy(ag.reshape(logits, (-1, logits.shape[-1])), batch[1:].reshape(-1))
 
 
 def pretrain_base(base_cfg: m.ModelConfig, train_tokens: np.ndarray,

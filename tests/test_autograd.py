@@ -48,7 +48,6 @@ UNARY_OPS = {
     "sum_axis": lambda t: (lambda s: ag.mul(s, s))(ag.sum_(t, axis=0)),
     "expand": lambda t: (lambda e: ag.mul(e, e))(ag.expand(t, 2)),
     "reshape": lambda t: ag.reshape(t, (4, 3)),
-    "moveaxis": lambda t: ag.moveaxis(t, 0, 1),
 }
 
 
@@ -444,13 +443,13 @@ def test_model_graph_freed_without_cycle_collector():
     cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=11, context_length=8)
     base, _ = m.init_base_params(cfg, seed=0)
     ft_cfg, store, mask = perspectives.extend_to_perspectives(base, cfg, 2)
-    tokens = np.arange(12).reshape(2, 6) % cfg.vocab_size
+    tokens = np.arange(12).reshape(6, 2) % cfg.vocab_size      # (T+1, B)
     gc.collect()
     gc.disable()
     try:
-        logits, _, _ = m.Model(ft_cfg, store, mask).forward(tokens[:, :-1])
+        logits, _, _ = m.Model(ft_cfg, store, mask).forward(tokens[:-1])
         loss = ag.cross_entropy(ag.reshape(logits, (-1, cfg.vocab_size)),
-                                tokens[:, 1:].reshape(-1))
+                                tokens[1:].reshape(-1))
         refs = [weakref.ref(node) for node in ag._toposort(loss) if node.op != "leaf"]
         del logits
         loss.backward()
@@ -493,7 +492,7 @@ def test_every_public_op_runs_on_a_model_training_path(monkeypatch):
 
     cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=11, context_length=8)
     base, _ = m.init_base_params(cfg, seed=0)
-    batch = np.arange(18).reshape(2, 9) % cfg.vocab_size
+    batch = np.arange(18).reshape(9, 2) % cfg.vocab_size      # (T+1, B)
     for aggregation in ("average", "transformer_like", "weighted_softmax"):
         for n in (1, 2):
             ft_cfg, store, mask = perspectives.extend_to_perspectives(base, cfg, n, aggregation)

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from rwkvp import checkpoint as ckpt
 from rwkvp import cli, perspectives, synth, training
 from rwkvp import model as m
+from rwkvp.params import FreezeMask, ParamStore
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +162,38 @@ def test_eval_non_finite_weight_errors(tmp_path, capsys, corpus_file):
     assert rc == 1
     err = capsys.readouterr().err
     assert "CheckpointError" in err and "emb.weight" in err
+
+
+def _mismatched_checkpoint(case):
+    """A store and the config it is saved under, whose tensors it does not match."""
+    cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
+    store, mask = m.init_base_params(cfg, seed=0)
+    if case == "missing-head":
+        kept = ParamStore()
+        for name, t in store.items():
+            if name != "head.weight":
+                kept.add(name, t.data)
+        store, mask = kept, FreezeMask.all_trainable(kept.names())
+    elif case == "extra-tensor":
+        _, store, mask = perspectives.extend_to_perspectives(store, cfg, 1, "weighted_softmax")
+    elif case == "n4-over-base":
+        cfg = replace(cfg, n_perspectives=4)
+    elif case == "d16-over-d8":
+        cfg = replace(cfg, d_model=16)
+    return store, cfg, mask
+
+
+@pytest.mark.parametrize("case,named", [
+    ("missing-head", "head.weight"), ("extra-tensor", "selector.W"),
+    ("n4-over-base", "layer0.att.mu_k"), ("d16-over-d8", "emb.weight")])
+def test_eval_checkpoint_tensors_must_match_config(tmp_path, capsys, corpus_file, case, named):
+    store, cfg, mask = _mismatched_checkpoint(case)
+    path = tmp_path / f"{case}.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    rc = cli.main(["eval", "--checkpoint", str(path), "--corpus", str(corpus_file)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and "do not match the config" in err and named in err
 
 
 def test_eval_trailing_bytes_errors(tmp_path, capsys, corpus_file):
@@ -437,8 +471,15 @@ def test_help_lists_exactly_the_flags_the_subcommand_reads(capsys, command):
      "--axis", "n_perspectives", "--seeds", "a,b,c"],
     ["eval", "--corpus", "t"],
     ["trace", "--checkpoint", "c", "--out", "o"],
+    ["pretrain", "--corpus", "t", "--out", "o", "--seed", "-1"],
+    ["gradcheck", "--seed", "-1"],
+    ["finetune", "--checkpoint", "c", "--corpus", "t", "--out", "o", "--seed=-1"],
+    ["ablate", "--checkpoint", "c", "--corpus", "t", "--out", "o",
+     "--axis", "n_perspectives", "--seeds=-1,0,1"],
 ], ids=["eval-n", "pretrain-aggregation", "ablate-seed", "trace-noise-std",
-        "ablate-seeds-not-ints", "eval-no-checkpoint", "trace-no-prompt-or-corpus"])
+        "ablate-seeds-not-ints", "eval-no-checkpoint", "trace-no-prompt-or-corpus",
+        "pretrain-negative-seed", "gradcheck-negative-seed", "finetune-negative-seed",
+        "ablate-negative-seeds"])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

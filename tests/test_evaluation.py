@@ -98,6 +98,28 @@ def test_perplexity_invariant_to_chunk_size():
         assert abs(evaluation.perplexity(model, tokens, chunk=chunk) - base) < 1e-9
 
 
+@pytest.mark.parametrize("chunk", [0, -3])
+def test_perplexity_rejects_a_chunk_below_one(chunk):
+    model = StubModel(lambda pos, tok: np.zeros(4))
+    with pytest.raises(m.ConfigError, match="chunk"):
+        evaluation.perplexity(model, np.arange(10) % 4, chunk=chunk)
+
+
+def test_perplexity_defaults_the_chunk_to_the_context_length(monkeypatch):
+    chunks = []
+    stream = evaluation._stream
+
+    def recording_stream(model, tokens, chunk):
+        chunks.append(chunk)
+        return stream(model, tokens, chunk)
+
+    monkeypatch.setattr(evaluation, "_stream", recording_stream)
+    model = StubModel(lambda pos, tok: np.zeros(4), context_length=5)
+    evaluation.perplexity(model, np.arange(10) % 4)
+    evaluation.perplexity(model, np.arange(10) % 4, chunk=3)
+    assert chunks == [5, 3]
+
+
 def test_perplexity_requires_two_tokens():
     model = StubModel(lambda pos, tok: np.zeros(4))
     with pytest.raises(CorpusError):

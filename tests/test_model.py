@@ -66,6 +66,18 @@ def test_forward_shapes():
     assert logits.shape == (5, cfg.vocab_size)
     assert len(states) == cfg.n_layers
     assert np.all(np.isfinite(logits.data))
+    # a batch is time-major too: tokens (T, B) -> logits (T, B, V), weights (T, B, n)
+    from rwkvp import perspectives
+    ft_cfg, ft_store, ft_mask = perspectives.extend_to_perspectives(store, cfg, 3)
+    T, B = 5, 2
+    logits, weights, states = m.Model(ft_cfg, ft_store, ft_mask).forward(
+        np.arange(T * B).reshape(T, B) % cfg.vocab_size)
+    assert logits.shape == (T, B, cfg.vocab_size)
+    assert weights.shape == (T, B, 3)
+    assert len(states) == cfg.n_layers
+    for st in states:
+        assert st.att_prev.shape == st.ffn_prev.shape == (B, 3, cfg.d_model)
+        assert all(a.shape == (B, 3, cfg.d_model) for a in st.wkv_state)
 
 
 def test_forward_rejects_out_of_range_token():

@@ -47,6 +47,13 @@ def test_train_config_rejects_wrong_types(field, value):
         training.TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [("seed", -1), ("context_length", 1),
+                                         ("context_length", -3)])
+def test_train_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(m.ConfigError, match=field):
+        training.TrainConfig(**{field: value})
+
+
 def test_train_config_accepts_integer_rates():
     assert training.TrainConfig(lr_max=1, lr_min=1, noise_std=0).noise_std == 0
 
@@ -327,7 +334,7 @@ def test_recorded_grad_norms_match_a_leaf_by_leaf_recomputation(synth_split):
     opt, expected, losses = _LeafAdam(), [], []
     for step, lr, _ in log.steps:
         ref.zero_grad()
-        loss = training._batch_loss(model, np.stack([next(sampler) for _ in range(2)]))
+        loss = training._batch_loss(model, np.stack([next(sampler) for _ in range(2)], axis=1))
         loss.backward()
         losses.append(loss.item())
         grads = {name: ref[name].grad for name in mask.trainable_names()}
@@ -366,7 +373,7 @@ def test_pretrain_rejects_multi_perspective_config():
 
 
 def test_batched_loss_equals_mean_of_context_losses():
-    """One (B, T) forward gives the mean of the B per-context losses and the
+    """One (T, B) forward gives the mean of the B per-context losses and the
     mean of their gradients."""
     from rwkvp.autograd import cross_entropy
     cfg, store, mask = _noisy_extended(n=3)
@@ -376,7 +383,7 @@ def test_batched_loss_equals_mean_of_context_losses():
     batch = np.random.default_rng(0).integers(0, cfg.vocab_size, (3, 10))
 
     store.zero_grad()
-    loss = training._batch_loss(model, batch)
+    loss = training._batch_loss(model, np.stack(batch, axis=1))
     loss.backward()
     batched = store.collect_grads(mask)
 
@@ -391,3 +398,29 @@ def test_batched_loss_equals_mean_of_context_losses():
     assert batched.shape == summed.shape
     # coordinate by coordinate, over every trainable leaf's segment
     np.testing.assert_allclose(batched, summed / len(batch), rtol=0, atol=1e-5)
+
+
+def test_batch_loss_takes_cross_entropy_over_a_view_of_the_head_output(monkeypatch):
+    """The (T*B, V) rows that _batch_loss hands to cross_entropy are a free
+    reshape of the head's (T, B, V) logits, not a copy."""
+    from rwkvp import aggregation
+    cfg, store, mask = _noisy_extended(n=2)
+    heads, rows = [], []
+    aggregate, cross_entropy = aggregation.aggregate, training.cross_entropy
+
+    def recording_aggregate(*args):
+        logits, weights = aggregate(*args)
+        heads.append(logits.data)
+        return logits, weights
+
+    def recording_cross_entropy(logits, targets):
+        rows.append(logits.data)
+        return cross_entropy(logits, targets)
+
+    monkeypatch.setattr(aggregation, "aggregate", recording_aggregate)
+    monkeypatch.setattr(training, "cross_entropy", recording_cross_entropy)
+    batch = np.random.default_rng(0).integers(0, cfg.vocab_size, (7, 3))    # (T+1, B)
+    training._batch_loss(m.Model(cfg, store, mask), batch)
+    assert heads[0].shape == (6, 3, cfg.vocab_size)
+    assert rows[0].shape == (18, cfg.vocab_size)
+    assert np.shares_memory(rows[0], heads[0])
