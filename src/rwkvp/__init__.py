@@ -5,11 +5,11 @@ Pure numpy. The package is organized as:
   autograd      reverse-mode tape over numpy arrays, freeze-aware
   wkv           the log-stabilized WKV recurrence (step + differentiable sequence)
   params        named parameter store with a freeze mask
-  model         RWKV-v4 blocks, config, baseline forward
+  model         RWKV-v4 blocks, config, init, analytic parameter counts, baseline forward
   perspectives  n temporal views sharing all projection weights
   aggregation   average / transformer-like / learned softmax-weighted heads
   training      Adam, LR schedule, noise injection, pretrain + frozen-base finetune
-  evaluation    perplexity, cloze accuracy, parameter counting, ablations, traces
+  evaluation    perplexity, parameter-count report, ablations, traces
   tokenizer     byte-level vocab (0..255 plus end-of-text 256)
   corpus        corpus loading and seeded context sampling
   checkpoint    manifest + binary payload checkpoint format

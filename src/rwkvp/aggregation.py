@@ -44,7 +44,7 @@ def aggregate_weighted(p: Tensor, store: ParamStore) -> tuple[Tensor, Tensor]:
     """
     mean_p = _mean_embedding(p)
     z = ag.add(ag.matmul(mean_p, ag.transpose(store["selector.W"])), store["selector.b"])
-    weights = ag.softmax(z, axis=-1)
+    weights = ag.softmax(z)
     per_persp = ag.reshape(weights, weights.shape + (1,))
     logits = ag.sum_(ag.mul(per_persp, head_logits(store, p)), axis=-2)
     return logits, weights

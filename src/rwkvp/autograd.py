@@ -35,11 +35,11 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """Raised (in debug mode) when a primitive produces NaN/Inf."""
+    """Raised where a non-finite value would otherwise go on silently: a WKV
+    step's input, a perplexity's NLL sum, a gradient check's perturbed loss."""
 
 
 _grad_enabled = True
-_debug_checks = False
 
 
 @contextmanager
@@ -52,12 +52,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def set_debug(flag: bool) -> None:
-    """Enable per-op finiteness checks (off by default: release speed)."""
-    global _debug_checks
-    _debug_checks = bool(flag)
 
 
 class Tensor:
@@ -82,8 +76,6 @@ class Tensor:
         self._parents = _parents if self.requires_grad else ()
         self._backward = None
         self.op = _op
-        if _debug_checks and not np.all(np.isfinite(self.data)):
-            raise NonFiniteError(f"non-finite output from op '{_op}'")
 
     @property
     def shape(self):
@@ -132,10 +124,6 @@ def _toposort(root: Tensor):
     return order
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _needs_grad(*tensors) -> bool:
     return _grad_enabled and any(t.requires_grad for t in tensors)
 
@@ -163,8 +151,7 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # elementwise primitives
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
     out = Tensor(a.data + b.data, _needs_grad(a, b), (a, b), "add")
     if out.requires_grad:
@@ -177,8 +164,7 @@ def add(a, b) -> Tensor:
     return out
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     out = Tensor(a.data * b.data, _needs_grad(a, b), (a, b), "mul")
     if out.requires_grad:
@@ -308,20 +294,24 @@ def reshape(a: Tensor, shape) -> Tensor:
     return out
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    z = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(p, _needs_grad(a), (a,), "softmax")
     if out.requires_grad:
         def bwd(g):
-            dot = (g * p).sum(axis=axis, keepdims=True)
+            dot = (g * p).sum(axis=-1, keepdims=True)
             a._accumulate(p * (g - dot))
         out._backward = bwd
     return out
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis; constant rows map to the bias."""
     if a.shape[-1] != gain.shape[0] or gain.shape != bias.shape:
         raise ShapeError(f"layer_norm: shapes {a.shape}, {gain.shape}, {bias.shape}")
@@ -331,7 +321,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = np.add.reduce(a.data, axis=-1, keepdims=True) / d
     xm = a.data - mu
     var = np.add.reduce(xm * xm, axis=-1, keepdims=True) / d
-    invstd = 1.0 / np.sqrt(var + eps)
+    invstd = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xm * invstd
     out = Tensor(xhat * gain.data + bias.data, _needs_grad(a, gain, bias),
                  (a, gain, bias), "layer_norm")

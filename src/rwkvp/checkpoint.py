@@ -7,7 +7,8 @@ Layout:
         format version, the model config, the tensor directory
         (name/shape/offset/length into the payload), the payload's SHA-256,
         the freeze mask, and the seed lineage
-    payload: contiguous little-endian float32 tensor data, directory order
+    payload: contiguous little-endian float32 tensor data, directory order;
+        each entry's offset is the end of the one before it
 
 Tensors are written sorted by name, so save -> load -> save is
 byte-identical and the format is platform independent. Version 2 holds
@@ -26,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from rwkvp.model import ConfigError, ModelConfig, init_base_params
+from rwkvp.model import (ConfigError, ModelConfig, base_param_count, extra_param_count,
+                         init_base_params)
 from rwkvp.params import FreezeMask, ParamStore
 from rwkvp.perspectives import extend_to_perspectives
 
@@ -121,15 +123,23 @@ def _check_manifest(path, manifest) -> None:
 
 def _check_tensors_match_config(path, store: ParamStore, config: ModelConfig) -> None:
     """Raise CheckpointError unless the store holds the tensors, in the shapes,
-    that the init path builds for config: a base, then its extension."""
-    base_cfg = replace(config, n_perspectives=1, aggregation="average")
-    _, built, _ = extend_to_perspectives(init_base_params(base_cfg, seed=0)[0], base_cfg,
-                                         config.n_perspectives, config.aggregation)
-    expected = {name: t.shape for name, t in built.items()}
-    found = {name: t.shape for name, t in store.items()}
-    wrong = [f"{name!r} {found.get(name, 'missing')}, expected {expected.get(name, 'none')}"
-             for name in sorted(expected.keys() | found.keys())
-             if found.get(name) != expected.get(name)]
+    that the init path builds for config: a base, then its extension.
+
+    The config's analytic parameter count is compared with the payload's first,
+    and the init path runs only for a config at most 4x the payload, so a
+    manifest cannot make the load allocate much more than the file holds.
+    """
+    have, need = store.total_size(), base_param_count(config) + extra_param_count(config)
+    wrong = [] if have == need else [f"payload holds {have} parameters, the config needs {need}"]
+    if need <= 4 * have:
+        base_cfg = replace(config, n_perspectives=1, aggregation="average")
+        _, built, _ = extend_to_perspectives(init_base_params(base_cfg, seed=0)[0], base_cfg,
+                                             config.n_perspectives, config.aggregation)
+        expected = {name: t.shape for name, t in built.items()}
+        found = {name: t.shape for name, t in store.items()}
+        wrong += [f"{name!r} {found.get(name, 'missing')}, expected {expected.get(name, 'none')}"
+                  for name in sorted(expected.keys() | found.keys())
+                  if found.get(name) != expected.get(name)]
     if wrong:
         raise CheckpointError(f"{path}: tensors do not match the config: {'; '.join(wrong)}")
 
@@ -153,12 +163,16 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
     payload = raw[mstart + mlen:]
     store = ParamStore()
     seen = set()
+    end = 0
     for entry in manifest["tensors"]:
         name, shape = entry["name"], tuple(entry["shape"])
         if name in seen:
             raise CheckpointError(f"{path}: duplicate tensor {name!r}")
         seen.add(name)
-        lo, hi = entry["offset"], entry["offset"] + entry["length"]
+        if entry["offset"] != end:
+            raise CheckpointError(f"{path}: tensor {name!r} at offset {entry['offset']}, "
+                                  f"expected {end}, the end of the tensor before it")
+        lo, hi = end, end + entry["length"]
         if hi > len(payload):
             raise TruncatedPayloadError(f"{path}: payload truncated at tensor {name!r} "
                                         f"(need {hi} bytes, have {len(payload)})")
@@ -170,7 +184,7 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         store.add(name, data.copy())
-    end = max((e["offset"] + e["length"] for e in manifest["tensors"]), default=0)
+        end = hi
     if len(payload) != end:
         raise CheckpointError(f"{path}: {len(payload) - end} trailing bytes after the last tensor")
     if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:

@@ -13,8 +13,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from rwkvp import autograd as ag
 from rwkvp import checkpoint as ckpt
 from rwkvp import corpus as corpus_mod
@@ -180,26 +178,7 @@ def cmd_count_params(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from rwkvp import perspectives
-    cfg = m.ModelConfig(n_layers=2, d_model=8, vocab_size=11, context_length=8)
-    store, _ = m.init_base_params(cfg, seed=args.seed)
-    ft_cfg, ft_store, ft_mask = perspectives.extend_to_perspectives(store, cfg, n=3)
-    # perturb away from the symmetric init: identical perspectives make the
-    # selector gradient exactly zero, which the FD noise floor cannot resolve
-    training.inject_selector_noise(ft_store, 0.05, 0.0, seed=args.seed)
-    training.inject_temporal_noise(ft_store, ft_cfg, 0.02, 0.0, seed=args.seed + 1)
-    ft_store = ft_store.astype(np.float64)
-    ft_store.apply_freeze(ft_mask)
-    rng = np.random.default_rng(args.seed)
-    tokens = rng.integers(0, cfg.vocab_size, size=6)
-
-    def loss_fn(store):
-        model2 = m.Model(ft_cfg, store, ft_mask)
-        logits, _, _ = model2.forward(tokens[:-1])
-        from rwkvp.autograd import cross_entropy
-        return cross_entropy(logits, tokens[1:])
-
-    result = gradcheck.finite_diff_check(loss_fn, ft_store, ft_mask, epsilon=1e-5)
+    result = gradcheck.model_gradcheck(args.seed)
     print(f"gradcheck: max_rel_error={result.max_rel_error:.3e} "
           f"coords={result.coords_checked}")
     return 0 if result.max_rel_error < 1e-4 else 1

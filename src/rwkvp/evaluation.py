@@ -1,5 +1,5 @@
-"""Evaluation: perplexity, cloze accuracy, parameter counting, ablations,
-and perspective-weight tracing."""
+"""Evaluation: perplexity, parameter counting, ablations, and
+perspective-weight tracing."""
 
 from __future__ import annotations
 
@@ -60,20 +60,6 @@ def perplexity(model: m.Model, tokens: np.ndarray, chunk: int | None = None) -> 
     return float(np.exp(nll_sum / (len(tokens) - 1)))
 
 
-def cloze_accuracy(model: m.Model, items) -> float:
-    """Fraction of (context, answer-token) items where the argmax of the
-    last-position logits equals the answer."""
-    items = list(items)
-    if not items:
-        raise CorpusError("cloze_accuracy needs a non-empty dataset")
-    hits = 0
-    with ag.no_grad():
-        for context, answer in items:
-            logits, _, _ = model.forward(np.asarray(context))
-            hits += int(np.argmax(logits.data[-1]) == int(answer))
-    return hits / len(items)
-
-
 # ---------------------------------------------------------------------------
 # parameter counting
 
@@ -85,30 +71,12 @@ class ParamCountReport:
     increase_fraction: float    # percent
 
 
-def base_param_count(cfg: m.ModelConfig) -> int:
-    """Analytic n=1 parameter count matching init_base_params exactly."""
-    L, d, V = cfg.n_layers, cfg.d_model, cfg.vocab_size
-    per_layer = 13 * d * d + 11 * d      # 4 att mats + 9 ffn mats, mus, decay/bonus, 2 LNs
-    return 2 * V * d + 4 * d + L * per_layer
-
-
-def extra_param_count(cfg: m.ModelConfig) -> int:
-    """Parameters added by n perspectives plus the configured aggregator."""
-    L, d, n = cfg.n_layers, cfg.d_model, cfg.n_perspectives
-    extra = (n - 1) * 5 * d * L
-    if cfg.aggregation == "weighted_softmax":
-        extra += n * d + n
-    elif cfg.aggregation == "transformer_like":
-        extra += n * d * d + d
-    return extra
-
-
 def count_parameters(cfg: m.ModelConfig, base_total: float | None = None) -> ParamCountReport:
     """Analytic count; pass base_total to anchor against a published size."""
     if base_total is not None and not (math.isfinite(base_total) and base_total > 0):
         raise m.ConfigError(f"base_total must be a finite number > 0, got {base_total}")
-    base = float(base_total) if base_total is not None else float(base_param_count(cfg))
-    extra = float(extra_param_count(cfg))
+    base = float(base_total) if base_total is not None else float(m.base_param_count(cfg))
+    extra = float(m.extra_param_count(cfg))
     return ParamCountReport(base_count=base, extended_count=base + extra,
                             increase_fraction=extra / base * 100.0)
 
@@ -150,9 +118,9 @@ def trace_to_csv(records: list[TraceRecord]) -> str:
     return out.getvalue()
 
 
-def render_trace_svg(records: list[TraceRecord], width: int = 900,
-                     height: int = 260) -> str:
+def render_trace_svg(records: list[TraceRecord]) -> str:
     """Stacked-area rendering of the per-position perspective weights."""
+    width, height = 900, 260
     n = len(records[0].weights)
     T = len(records)
     pad = 30

@@ -153,6 +153,24 @@ def init_base_params(cfg: ModelConfig, seed: int) -> tuple[ParamStore, FreezeMas
     return store, FreezeMask.all_trainable(store.names())
 
 
+def base_param_count(cfg: ModelConfig) -> int:
+    """Analytic n=1 parameter count matching init_base_params exactly."""
+    L, d, V = cfg.n_layers, cfg.d_model, cfg.vocab_size
+    per_layer = 13 * d * d + 11 * d      # 4 att mats + 9 ffn mats, mus, decay/bonus, 2 LNs
+    return 2 * V * d + 4 * d + L * per_layer
+
+
+def extra_param_count(cfg: ModelConfig) -> int:
+    """Parameters added by n perspectives plus the configured aggregator."""
+    L, d, n = cfg.n_layers, cfg.d_model, cfg.n_perspectives
+    extra = (n - 1) * 5 * d * L
+    if cfg.aggregation == "weighted_softmax":
+        extra += n * d + n
+    elif cfg.aggregation == "transformer_like":
+        extra += n * d * d + d
+    return extra
+
+
 @dataclass
 class StreamState:
     """Recurrent state of one layer for every stream: arrays ([B,] n, d)."""

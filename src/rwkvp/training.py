@@ -107,19 +107,21 @@ class Adam:
 
     step updates the buffer in place with whole-buffer ufuncs, each value
     computed as b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g and
-    p - (lr*mhat)/(sqrt(vhat) + eps). No graph built on the parameters may be
-    alive across a step: its saved views would see the new values.
+    p - (lr*mhat)/(sqrt(vhat) + eps), with b1, b2, eps = BETA1, BETA2, EPS. No
+    graph built on the parameters may be alive across a step: its saved views
+    would see the new values.
     """
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self):
         self.t = 0
         # moments and two scratch buffers, made at the first step in its shape
         self.m = self.v = self._scratch = None
 
     def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         if self.m is None:
             self.m, self.v = np.zeros_like(params), np.zeros_like(params)
             self._scratch = np.empty_like(params), np.empty_like(params)
@@ -136,7 +138,7 @@ class Adam:
         a *= lr
         np.divide(v, 1 - b2 ** self.t, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += self.EPS
         a /= b
         params -= a
 

@@ -15,7 +15,7 @@ from rwkvp import autograd as ag
 from rwkvp import checkpoint as ckpt
 from rwkvp import evaluation, gradcheck, perspectives, training, wkv
 from rwkvp import model as m
-from rwkvp.autograd import Tensor, cross_entropy
+from rwkvp.autograd import Tensor
 
 
 def _report(capsys, number, ok, detail):
@@ -62,21 +62,7 @@ def test_criterion_02_n1_reduction_bit_identical(capsys):
 def test_criterion_03_finite_difference_gradcheck(capsys):
     """Full-model analytic gradients vs central differences: L=2, d=8, n=3,
     T=5, epsilon=1e-5, float64; max relative error < 1e-4."""
-    cfg = m.ModelConfig(n_layers=2, d_model=8, vocab_size=11, context_length=8)
-    store, _ = m.init_base_params(cfg, seed=0)
-    ft_cfg, ft_store, ft_mask = perspectives.extend_to_perspectives(store, cfg, 3)
-    # move off the symmetric start, where some selector gradients are exactly 0
-    training.inject_selector_noise(ft_store, 0.05, 0.0, seed=0)
-    training.inject_temporal_noise(ft_store, ft_cfg, 0.02, 0.0, seed=1)
-    ft_store = ft_store.astype(np.float64)
-    ft_store.apply_freeze(ft_mask)
-    tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, 6)
-
-    def loss_fn(s):
-        logits, _, _ = m.Model(ft_cfg, s, ft_mask).forward(tokens[:-1])
-        return cross_entropy(logits, tokens[1:])
-
-    result = gradcheck.finite_diff_check(loss_fn, ft_store, ft_mask, epsilon=1e-5)
+    result = gradcheck.model_gradcheck(seed=0)
     _report(capsys, 3, result.max_rel_error < 1e-4,
             f"max rel error {result.max_rel_error:.3e} over "
             f"{result.coords_checked} coordinates (limit 1e-4)")

@@ -196,6 +196,22 @@ def test_eval_checkpoint_tensors_must_match_config(tmp_path, capsys, corpus_file
     assert "CheckpointError" in err and "do not match the config" in err and named in err
 
 
+def test_eval_config_larger_than_payload_errors(tmp_path, capsys, corpus_file, monkeypatch):
+    cfg = m.ModelConfig(n_layers=2, d_model=48, vocab_size=257, context_length=64)
+    store, mask = m.init_base_params(cfg, seed=0)
+    path = tmp_path / "huge.ckpt"
+    ckpt.save_checkpoint(store, replace(cfg, d_model=1_000_000), mask, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint built a model for an unchecked config")
+
+    monkeypatch.setattr(ckpt, "init_base_params", refuse)
+    rc = cli.main(["eval", "--checkpoint", str(path), "--corpus", str(corpus_file)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and "85824 parameters" in err
+
+
 def test_eval_trailing_bytes_errors(tmp_path, capsys, corpus_file):
     cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
     store, mask = m.init_base_params(cfg, seed=0)

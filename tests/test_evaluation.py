@@ -126,35 +126,6 @@ def test_perplexity_requires_two_tokens():
         evaluation.perplexity(model, np.array([1]))
 
 
-def test_cloze_accuracy_oracle_and_adversary():
-    def oracle(pos, tok):
-        row = np.zeros(4)
-        row[(tok + 1) % 4] = 10.0
-        return row
-
-    items = [([0, 1, 2], 3), ([1, 2, 0], 1), ([3], 0)]
-    assert evaluation.cloze_accuracy(StubModel(oracle), items) == 1.0
-
-    def adversary(pos, tok):
-        row = np.zeros(4)
-        row[(tok + 2) % 4] = 10.0    # always wrong
-        return row
-
-    assert evaluation.cloze_accuracy(StubModel(adversary), items) == 0.0
-    with pytest.raises(CorpusError):
-        evaluation.cloze_accuracy(StubModel(oracle), [])
-
-
-def test_cloze_accuracy_random_model_near_chance():
-    rng = np.random.default_rng(2)
-    V = 20
-    rows = rng.uniform(-1, 1, (4000, V))
-    model = StubModel(lambda pos, tok: rows[(pos * 31 + tok) % 4000], vocab_size=V)
-    items = [(list(rng.integers(0, V, 3)), int(rng.integers(0, V))) for _ in range(400)]
-    acc = evaluation.cloze_accuracy(model, items)
-    assert acc < 0.2    # far below any systematic signal, ~1/20 expected
-
-
 # ---------------------------------------------------------------------------
 # parameter counting
 
@@ -189,11 +160,11 @@ def test_count_matches_allocation():
 
 def test_extra_count_properties():
     # monotone in n, and independent of the vocabulary size
-    counts = [evaluation.extra_param_count(tiny_config(n_perspectives=n))
+    counts = [m.extra_param_count(tiny_config(n_perspectives=n))
               for n in (1, 2, 3, 4)]
     assert counts == sorted(counts) and counts[0] < counts[-1]
-    a = evaluation.extra_param_count(tiny_config(n_perspectives=3))
-    b = evaluation.extra_param_count(tiny_config(n_perspectives=3, vocab_size=5000))
+    a = m.extra_param_count(tiny_config(n_perspectives=3))
+    b = m.extra_param_count(tiny_config(n_perspectives=3, vocab_size=5000))
     assert a == b
 
 

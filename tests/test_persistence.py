@@ -1,9 +1,13 @@
+import functools
 import json
 import struct
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
@@ -347,3 +351,90 @@ def test_checkpoint_preserves_freeze_partition(tmp_path):
     assert sorted(mask2.trainable_names()) == sorted(mask.trainable_names())
     for name in mask2.frozen_names():
         assert not store2[name].requires_grad
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("load_checkpoint built a model for an unchecked config")
+
+
+@pytest.mark.parametrize("field,value", [("d_model", 1_000_000), ("n_layers", 1_000_000_000)])
+def test_checkpoint_config_larger_than_payload_builds_nothing(tmp_path, monkeypatch,
+                                                             field, value):
+    """A manifest config far larger than its payload is refused on the analytic
+    count, before the init path could allocate the model it describes."""
+    cfg = m.ModelConfig(n_layers=2, d_model=48, vocab_size=257, context_length=64)
+    store, mask = m.init_base_params(cfg, seed=0)
+    path = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(store, replace(cfg, **{field: value}), mask, path)
+    monkeypatch.setattr(ckpt, "init_base_params", _refuse_to_build)
+    with pytest.raises(ckpt.CheckpointError, match="payload holds 85824 parameters"):
+        ckpt.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_moved_tensor_offset(tmp_path):
+    """The SHA-256 covers the payload only, so the directory must tile it:
+    a tensor read 4 bytes past where its predecessor ends is refused."""
+    cfg, store, mask = _small_model()
+    path = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+
+    def move_decay(manifest):
+        entry = next(e for e in manifest["tensors"] if e["name"] == "layer0.att.decay")
+        entry["offset"] += 4
+
+    _rewrite_manifest(path, move_decay)
+    with pytest.raises(ckpt.CheckpointError, match="'layer0.att.decay' at offset"):
+        ckpt.load_checkpoint(path)
+
+
+@functools.cache
+def _mutation_target():
+    """A small fine-tuned checkpoint's bytes, what it loads to, and where the
+    digits of its manifest are."""
+    from rwkvp import perspectives
+    base_cfg = m.ModelConfig(n_layers=1, d_model=4, vocab_size=5, context_length=4)
+    base, _ = m.init_base_params(base_cfg, seed=0)
+    cfg, store, mask = perspectives.extend_to_perspectives(base, base_cfg, 2,
+                                                           "weighted_softmax")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        ckpt.save_checkpoint(store, cfg, mask, path, seeds=[0])
+        raw = path.read_bytes()
+    (mlen,) = struct.unpack_from("<I", raw, len(ckpt.MAGIC))
+    start = len(ckpt.MAGIC) + 4
+    digits = [i for i in range(start, start + mlen) if raw[i:i + 1].isdigit()]
+    return raw, store.digest(), dict(mask), cfg, digits
+
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2 ** 20), st.integers(0, 7)),
+    st.tuples(st.just("truncate"), st.integers(0, 2 ** 20), st.just(0)),
+    st.tuples(st.just("digit"), st.integers(0, 2 ** 20), st.integers(1, 9)),
+)
+
+
+@given(_MUTATIONS)
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_checkpoint_is_refused_or_loads_unchanged(tmp_path, mutation):
+    """A byte flip or a truncation anywhere, or a digit edit in the manifest,
+    either raises CheckpointError or loads the original weights and freeze
+    mask under the original config, up to its context length."""
+    raw, digest, mask, cfg, digits = _mutation_target()
+    kind, where, how = mutation
+    data = bytearray(raw)
+    if kind == "flip":
+        data[where % len(data)] ^= 1 << how
+    elif kind == "truncate":
+        del data[where % len(data):]
+    else:
+        pos = digits[where % len(digits)]
+        data[pos] = ord("0") + (data[pos] - ord("0") + how) % 10
+    path = tmp_path / "mutated.ckpt"
+    path.write_bytes(bytes(data))
+    try:
+        store2, cfg2, mask2, _ = ckpt.load_checkpoint(path)
+    except ckpt.CheckpointError:
+        return
+    assert store2.digest() == digest and dict(mask2) == mask
+    assert replace(cfg2, context_length=cfg.context_length) == cfg

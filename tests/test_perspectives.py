@@ -44,12 +44,10 @@ def test_freeze_mask_partition():
 
 
 def test_parameter_accounting_matches_analytic():
-    from rwkvp import evaluation
     for n in (1, 2, 4):
         for agg in m.AGGREGATION_MODES:
             _, _, cfg, store, _ = _extended(n, agg)
-            expected = (evaluation.base_param_count(cfg)
-                        + evaluation.extra_param_count(cfg))
+            expected = m.base_param_count(cfg) + m.extra_param_count(cfg)
             assert store.total_size() == expected, (n, agg)
 
 
