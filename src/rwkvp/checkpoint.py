@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +67,7 @@ def save_checkpoint(store: ParamStore, config: ModelConfig, mask: FreezeMask,
         offset += len(blob)
     manifest = {
         "version": FORMAT_VERSION,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "tensors": directory,
         "payload_sha256": hashlib.sha256(b"".join(blobs)).hexdigest(),
         "freeze_mask": {n: bool(mask[n]) for n in names},
@@ -176,7 +177,7 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
         if hi > len(payload):
             raise TruncatedPayloadError(f"{path}: payload truncated at tensor {name!r} "
                                         f"(need {hi} bytes, have {len(payload)})")
-        expected = int(np.prod(shape)) if shape else 1
+        expected = math.prod(shape)
         if entry["length"] != expected * 4:
             raise CheckpointError(f"{path}: tensor {name!r} length {entry['length']} "
                                   f"does not match shape {shape}")
@@ -190,7 +191,7 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
     if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:
         raise CheckpointError(f"{path}: payload does not match its SHA-256 (corrupted file)")
     try:
-        config = ModelConfig.from_dict(manifest["config"])
+        config = ModelConfig(**manifest["config"])
     except (TypeError, ConfigError) as e:
         raise CheckpointError(f"{path}: invalid model config: {e}") from None
     _check_tensors_match_config(path, store, config)

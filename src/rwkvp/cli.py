@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from rwkvp import autograd as ag
@@ -45,16 +45,35 @@ def _load_config_file(path) -> dict:
 # the flags _build_configs copies onto ModelConfig and TrainConfig
 _MODEL_FLAGS = ("n_perspectives", "aggregation")
 _TRAIN_FLAGS = ("seed", "noise_target", "noise_std")
+# the fields a checkpoint fixes for every run that starts from it
+_BASE_FIELDS = ("n_layers", "d_model", "vocab_size", "context_length")
 
 
-def _build_configs(args, **model_defaults) -> tuple[m.ModelConfig, training.TrainConfig]:
-    """Defaults, then file values, then the flags the subcommand declares."""
+def _check_file_value(section: str, name: str, file_section: dict, used) -> None:
+    if name in file_section and file_section[name] != used:
+        raise m.ConfigError(f"{section}.{name} is {file_section[name]!r} in the config file, "
+                            f"but the run uses {used!r}")
+
+
+def _build_configs(args, base_cfg: m.ModelConfig | None = None, **model_defaults
+                   ) -> tuple[m.ModelConfig, training.TrainConfig]:
+    """Defaults, then file values, then the flags the subcommand declares.
+
+    A base checkpoint's config fixes the model's shape, and the model's context
+    length is the training one: a file value that disagrees is a ConfigError.
+    """
     file_cfg = _load_config_file(args.config)
+    file_model, file_train = file_cfg.get("model", {}), file_cfg.get("train", {})
     try:
-        model_cfg = m.ModelConfig(**{**model_defaults, **file_cfg.get("model", {})})
-        train_cfg = training.TrainConfig(**file_cfg.get("train", {}))
+        model_cfg = m.ModelConfig(**{**model_defaults, **file_model})
+        train_cfg = training.TrainConfig(**file_train)
     except (TypeError, m.ConfigError) as e:
         raise CliError(f"invalid config field: {e}")
+    if base_cfg is not None:
+        for name in _BASE_FIELDS:
+            _check_file_value("model", name, file_model, getattr(base_cfg, name))
+        model_cfg = replace(model_cfg, **{name: getattr(base_cfg, name) for name in _BASE_FIELDS})
+    _check_file_value("train", "context_length", file_train, model_cfg.context_length)
     flags = {k: v for k, v in vars(args).items() if v is not None}
     if "aggregation" in flags:
         flags["aggregation"] = AGG_CLI_NAMES[flags["aggregation"]]
@@ -66,13 +85,16 @@ def _build_configs(args, **model_defaults) -> tuple[m.ModelConfig, training.Trai
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise CliError(f"cannot make output directory {out}: {e.strerror}") from None
     return out
 
 
 def _echo_config(out: Path, model_cfg, train_cfg, unshared=(), **records) -> None:
     """The settings the run used, less the unshared fields, plus output-only records."""
-    eff = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()}
+    eff = {"model": asdict(model_cfg), "train": asdict(train_cfg)}
     for section in eff.values():
         for name in unshared:
             section.pop(name, None)
@@ -99,52 +121,48 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    model_cfg, train_cfg = _build_configs(args, n_perspectives=DEFAULT_N_PERSPECTIVES,
+    base_store, base_cfg, _, base_seeds = ckpt.load_checkpoint(args.checkpoint)
+    model_cfg, train_cfg = _build_configs(args, base_cfg, n_perspectives=DEFAULT_N_PERSPECTIVES,
                                           aggregation="weighted_softmax")
     out = _outdir(args)
-    base_store, base_cfg, _, base_seeds = ckpt.load_checkpoint(args.checkpoint)
-    n = model_cfg.n_perspectives
-    train_cfg = replace(train_cfg, context_length=base_cfg.context_length)
-    _echo_config(out, replace(base_cfg, n_perspectives=n,
-                              aggregation=model_cfg.aggregation), train_cfg)
+    _echo_config(out, model_cfg, train_cfg)
     train_tokens, val_tokens = _load_split_corpus(args)
     cfg, store, mask, log = training.finetune_perspectives(
-        base_store, base_cfg, n, model_cfg.aggregation, train_tokens, val_tokens, train_cfg)
+        base_store, base_cfg, model_cfg.n_perspectives, model_cfg.aggregation,
+        train_tokens, val_tokens, train_cfg)
     ckpt.save_checkpoint(store, cfg, mask, out / "finetuned.ckpt",
                          seeds=list(base_seeds) + [train_cfg.seed])
     (out / "train_log.txt").write_text(log.to_text())
-    print(f"finetuned n={n} ({cfg.aggregation}): "
+    print(f"finetuned n={cfg.n_perspectives} ({cfg.aggregation}): "
           f"val_ppl={log.val_ppl[-1][1]:.4f} -> {out / 'finetuned.ckpt'}")
     return 0
 
 
 def cmd_eval(args) -> int:
+    out = _outdir(args) if args.out else None
     store, cfg, mask, _ = ckpt.load_checkpoint(args.checkpoint)
     tokens = corpus_mod.load_corpus(args.corpus)
     ppl = evaluation.perplexity(m.Model(cfg, store, mask), tokens)
     print(f"perplexity {ppl:.6f}")
-    if args.out:
-        out = _outdir(args)
+    if out is not None:
         (out / "eval.txt").write_text(f"perplexity {ppl:.9g}\n")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    model_cfg, train_cfg = _build_configs(args, n_perspectives=DEFAULT_N_PERSPECTIVES)
-    out = _outdir(args)
     base_store, base_cfg, _, _ = ckpt.load_checkpoint(args.checkpoint)
-    n = model_cfg.n_perspectives
-    train_cfg = replace(train_cfg, context_length=base_cfg.context_length)
+    model_cfg, train_cfg = _build_configs(args, base_cfg, n_perspectives=DEFAULT_N_PERSPECTIVES)
+    out = _outdir(args)
     # every arm runs the weighted head at n, once per seed, and sets the axis's field
     axis_field = "noise_target" if args.axis == "noise_placement" else args.axis
-    _echo_config(out, replace(base_cfg, n_perspectives=n, aggregation="weighted_softmax"),
+    _echo_config(out, replace(model_cfg, aggregation="weighted_softmax"),
                  train_cfg, unshared=(axis_field, "seed"),
                  ablation={"axis": args.axis, "arms": evaluation.DEFAULT_ARMS[args.axis],
                            "seeds": args.seeds})
     train_tokens, val_tokens = _load_split_corpus(args)
     report = evaluation.run_ablation(
         args.axis, base_cfg, base_store, train_tokens, val_tokens, train_cfg,
-        seeds=args.seeds, n_perspectives=n)
+        seeds=args.seeds, n_perspectives=model_cfg.n_perspectives)
     (out / f"ablation_{args.axis}.csv").write_text(report.to_csv())
     (out / f"ablation_{args.axis}.txt").write_text(report.to_table())
     print(report.to_table())
@@ -152,6 +170,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    out = _outdir(args)
     store, cfg, mask, _ = ckpt.load_checkpoint(args.checkpoint)
     model = m.Model(cfg, store, mask)
     if args.prompt is not None:
@@ -159,11 +178,10 @@ def cmd_trace(args) -> int:
         tokens = tokenizer.tokenize(args.prompt)
     else:
         tokens = corpus_mod.load_corpus(args.corpus)[:args.max_tokens]
-    records = evaluation.trace_weights(model, tokens)
-    out = _outdir(args)
-    (out / "trace.csv").write_text(evaluation.trace_to_csv(records))
-    (out / "trace.svg").write_text(evaluation.render_trace_svg(records))
-    print(f"traced {len(records)} positions -> {out / 'trace.csv'}, {out / 'trace.svg'}")
+    weights = evaluation.trace_weights(model, tokens)
+    (out / "trace.csv").write_text(evaluation.trace_to_csv(tokens, weights))
+    (out / "trace.svg").write_text(evaluation.render_trace_svg(weights))
+    print(f"traced {len(weights)} positions -> {out / 'trace.csv'}, {out / 'trace.svg'}")
     return 0
 
 
@@ -209,7 +227,7 @@ _FLAGS = {
     "--seed": dict(type=_seed, help="training seed (overrides the config file)"),
     "--n-perspectives": dict(type=int, help=f"perspectives (default {DEFAULT_N_PERSPECTIVES})"),
     "--aggregation": dict(choices=sorted(AGG_CLI_NAMES)),
-    "--noise-target": dict(choices=["selector", "temporal"]),
+    "--noise-target": dict(choices=training.NOISE_TARGETS),
     "--noise-std": dict(type=float),
 }
 

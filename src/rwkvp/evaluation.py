@@ -1,5 +1,9 @@
 """Evaluation: perplexity, parameter counting, ablations, and
-perspective-weight tracing."""
+perspective-weight tracing.
+
+A trace is the (T, n) array of the softmax head's weights over a token
+stream, row t at token t; the CSV and SVG writers take it as it is.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +16,7 @@ import numpy as np
 
 from rwkvp import autograd as ag
 from rwkvp import model as m
+from rwkvp import training
 from rwkvp.corpus import CorpusError
 from rwkvp.params import ParamStore
 
@@ -85,44 +90,30 @@ def count_parameters(cfg: m.ModelConfig, base_total: float | None = None) -> Par
 # perspective-weight tracing
 
 
-@dataclass
-class TraceRecord:
-    position: int
-    token: int
-    weights: np.ndarray
-    top_perspective: int
-
-
-def trace_weights(model: m.Model, tokens: np.ndarray) -> list[TraceRecord]:
-    """Per-position softmax perspective weights over a decoded prompt."""
+def trace_weights(model: m.Model, tokens: np.ndarray) -> np.ndarray:
+    """Softmax perspective weights (T, n) over a decoded prompt, row t at token t."""
     if model.config.aggregation != "weighted_softmax":
         raise m.ConfigError("trace_weights requires aggregation='weighted_softmax', "
                             f"got {model.config.aggregation!r}")
-    records = []
-    for start, piece, _, weights in _stream(model, np.asarray(tokens),
-                                            model.config.context_length):
-        for t, (tok, wv) in enumerate(zip(piece, weights)):
-            records.append(TraceRecord(position=start + t, token=int(tok),
-                                       weights=wv.copy(), top_perspective=int(np.argmax(wv))))
-    return records
+    return np.concatenate([weights for _, _, _, weights in
+                           _stream(model, np.asarray(tokens), model.config.context_length)])
 
 
-def trace_to_csv(records: list[TraceRecord]) -> str:
-    n = len(records[0].weights)
+def trace_to_csv(tokens: np.ndarray, weights: np.ndarray) -> str:
+    """One row per position: the token, its weights (T, n) and their argmax."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["position", "token"] + [f"weight_{i + 1}" for i in range(n)] + ["top"])
-    for r in records:
-        writer.writerow([r.position, r.token] + [f"{w:.9g}" for w in r.weights]
-                        + [r.top_perspective])
+    writer.writerow(["position", "token"]
+                    + [f"weight_{i + 1}" for i in range(weights.shape[1])] + ["top"])
+    for t, (tok, row) in enumerate(zip(tokens, weights)):
+        writer.writerow([t, int(tok)] + [f"{w:.9g}" for w in row] + [int(np.argmax(row))])
     return out.getvalue()
 
 
-def render_trace_svg(records: list[TraceRecord]) -> str:
-    """Stacked-area rendering of the per-position perspective weights."""
+def render_trace_svg(weights: np.ndarray) -> str:
+    """Stacked-area rendering of the per-position perspective weights (T, n)."""
     width, height = 900, 260
-    n = len(records[0].weights)
-    T = len(records)
+    T, n = weights.shape
     pad = 30
     pw = (width - 2 * pad) / max(T - 1, 1)
     palette = ["#4477aa", "#66ccee", "#228833", "#ccbb44", "#ee6677", "#aa3377",
@@ -130,9 +121,8 @@ def render_trace_svg(records: list[TraceRecord]) -> str:
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>']
     cum = np.zeros(T)
-    ys = np.array([r.weights for r in records])          # (T, n)
     for i in range(n):
-        top = cum + ys[:, i]
+        top = cum + weights[:, i]
         pts = []
         for t in range(T):
             pts.append(f"{pad + t * pw:.2f},{height - pad - cum[t] * (height - 2 * pad):.2f}")
@@ -156,8 +146,8 @@ ABLATION_AXES = ("n_perspectives", "aggregation", "noise_placement")
 
 DEFAULT_ARMS = {
     "n_perspectives": [1, 2, 3, 4],
-    "aggregation": ["average", "transformer_like", "weighted_softmax"],
-    "noise_placement": ["selector", "temporal"],
+    "aggregation": list(m.AGGREGATION_MODES),
+    "noise_placement": list(training.NOISE_TARGETS),
 }
 
 
@@ -208,8 +198,6 @@ def run_ablation(axis: str, base_cfg: m.ModelConfig, base_store: ParamStore,
     The metric is validation perplexity after the arm's fine-tuning run.
     A diverging arm is marked failed; the report is still emitted.
     """
-    from rwkvp import training
-
     if axis not in ABLATION_AXES:
         raise m.ConfigError(f"unknown ablation axis {axis!r}; one of {ABLATION_AXES}")
     arms = list(arms) if arms is not None else list(DEFAULT_ARMS[axis])
@@ -221,31 +209,24 @@ def run_ablation(axis: str, base_cfg: m.ModelConfig, base_store: ParamStore,
 
     results = []
     for arm in arms:
-        n = n_perspectives
-        aggregation = "weighted_softmax"
-        noise_target = tc.noise_target
-        if axis == "n_perspectives":
-            n = int(arm)
-        elif axis == "aggregation":
-            aggregation = str(arm)
-        else:
-            noise_target = str(arm)
+        # the weighted head at n with the run's noise, the axis's setting replaced
+        setting = {"n_perspectives": n_perspectives, "aggregation": "weighted_softmax",
+                   "noise_placement": tc.noise_target, axis: arm}
         values, failed = [], False
         for seed in seeds:
-            arm_tc = replace(tc, seed=seed, noise_target=noise_target)
+            arm_tc = replace(tc, seed=seed, noise_target=setting["noise_placement"])
             try:
                 _, _, _, log = training.finetune_perspectives(
-                    base_store, base_cfg, n, aggregation,
+                    base_store, base_cfg, setting["n_perspectives"], setting["aggregation"],
                     train_tokens, val_tokens, arm_tc)
                 values.append(log.val_ppl[-1][1])
             except training.DivergenceError:
                 failed = True
                 break
-        if failed or not values:
+        if failed:
             results.append(ArmResult(str(arm), math.nan, math.nan, values, failed=True))
         else:
             arr = np.array(values)
-            results.append(ArmResult(str(arm), float(arr.mean()),
-                                     float(arr.std(ddof=1) if len(arr) > 1 else 0.0),
+            results.append(ArmResult(str(arm), float(arr.mean()), float(arr.std(ddof=1)),
                                      values))
     return AblationReport(axis=axis, arms=results)

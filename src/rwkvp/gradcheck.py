@@ -71,8 +71,7 @@ def model_gradcheck(seed: int) -> GradCheckResult:
     # gradient exactly zero, which the FD noise floor cannot resolve
     training.inject_selector_noise(ft_store, 0.05, 0.0, seed=seed)
     training.inject_temporal_noise(ft_store, ft_cfg, 0.02, 0.0, seed=seed + 1)
-    ft_store = ft_store.astype(np.float64)
-    ft_store.apply_freeze(ft_mask)
+    ft_store = ft_store.astype(np.float64)     # keeps each leaf's requires_grad
     tokens = np.random.default_rng(seed).integers(0, cfg.vocab_size, 6)
 
     def loss_fn(s):

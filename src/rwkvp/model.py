@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,13 +79,6 @@ class ModelConfig:
                               f"got {self.aggregation!r}")
         if self.context_length < 2:
             raise ConfigError(f"context_length must be >= 2, got {self.context_length}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 def mu_names(cfg: ModelConfig) -> list[str]:
@@ -150,7 +143,7 @@ def init_base_params(cfg: ModelConfig, seed: int) -> tuple[ParamStore, FreezeMas
     store.add("ln_out.g", np.ones(d))
     store.add("ln_out.b", np.zeros(d))
     store.add("head.weight", uniform((d, V), s_in))
-    return store, FreezeMask.all_trainable(store.names())
+    return store, FreezeMask.fromkeys(store.names(), True)
 
 
 def base_param_count(cfg: ModelConfig) -> int:

@@ -1,8 +1,10 @@
 """Flat named-tensor store with a freeze mask.
 
-The mask partitions the store into trainable and frozen entries. Freezing is
-hard: frozen tensors carry requires_grad=False, so backward never records a
-gradient for them and optimizers never see them.
+The mask partitions the store into trainable and frozen entries. It is a
+plain dict of name -> flag, so FreezeMask.fromkeys(names, True) makes every
+named parameter trainable. Freezing is hard: frozen tensors carry
+requires_grad=False, so backward never records a gradient for them and
+optimizers never see them.
 
 Training keeps the trainable leaves in one contiguous buffer (`flatten`):
 each leaf's data is a reshaped view of its segment, in mask order, and the
@@ -23,10 +25,6 @@ from rwkvp.autograd import Tensor
 
 class FreezeMask(dict):
     """name -> trainable flag; must cover every parameter in the store."""
-
-    @classmethod
-    def all_trainable(cls, names) -> "FreezeMask":
-        return cls({n: True for n in names})
 
     def trainable_names(self):
         return [n for n, flag in self.items() if flag]

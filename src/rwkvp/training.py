@@ -33,6 +33,9 @@ class FreezeViolationError(AssertionError):
     pass
 
 
+NOISE_TARGETS = ("selector", "temporal")
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 2
@@ -43,20 +46,19 @@ class TrainConfig:
     context_length: int = 128
     noise_target: str = "selector"
     noise_std: float = 0.01
-    noise_mean: float = 0.0
     seed: int = 0
     grad_clip: float = 1.0
 
     def __post_init__(self):
         m.check_field_types(self, ints=("batch_size", "mini_epochs", "contexts_per_mini_epoch",
                                         "context_length", "seed"),
-                            floats=("lr_max", "lr_min", "noise_std", "noise_mean", "grad_clip"))
+                            floats=("lr_max", "lr_min", "noise_std", "grad_clip"))
         if not (0 < self.lr_min <= self.lr_max):
             raise m.ConfigError(f"need 0 < lr_min <= lr_max, got {self.lr_min}, {self.lr_max}")
         if self.noise_std < 0:
             raise m.ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.noise_target not in ("selector", "temporal"):
-            raise m.ConfigError(f"noise_target must be 'selector' or 'temporal', "
+        if self.noise_target not in NOISE_TARGETS:
+            raise m.ConfigError(f"noise_target must be one of {NOISE_TARGETS}, "
                                 f"got {self.noise_target!r}")
         if self.batch_size < 1 or self.mini_epochs < 1 or self.contexts_per_mini_epoch < 1:
             raise m.ConfigError("batch_size, mini_epochs, contexts_per_mini_epoch must be >= 1")
@@ -64,10 +66,6 @@ class TrainConfig:
             raise m.ConfigError(f"context_length must be >= 2, got {self.context_length}")
         if self.seed < 0:
             raise m.ConfigError(f"seed must be >= 0, got {self.seed}")
-
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-        return asdict(self)
 
 
 @dataclass
@@ -256,12 +254,12 @@ def finetune_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
     cfg, store, mask = persp_mod.extend_to_perspectives(base_store, base_cfg, n,
                                                         aggregation)
     if tc.noise_target == "selector" and cfg.aggregation != "average":
-        inject_selector_noise(store, tc.noise_std, tc.noise_mean, tc.seed)
+        inject_selector_noise(store, tc.noise_std, 0.0, tc.seed)
     else:
         # 'temporal' arm, and the fallback for aggregators with no linear
         # layer (plain average), where only temporal noise can break the
         # symmetry between identical perspectives
-        inject_temporal_noise(store, cfg, tc.noise_std, tc.noise_mean, tc.seed)
+        inject_temporal_noise(store, cfg, tc.noise_std, 0.0, tc.seed)
 
     frozen = mask.frozen_names()
     before = store.digest(frozen)

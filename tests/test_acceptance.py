@@ -136,15 +136,13 @@ def test_criterion_06_trace_weight_properties(capsys):
     model = m.Model(cfg, store, mask)
     tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, 1000)
 
-    uniform_records = evaluation.trace_weights(model, tokens)
-    uniform_ok = all(np.array_equal(r.weights, np.full(4, 0.25))
-                     for r in uniform_records)
+    uniform_ok = np.array_equal(evaluation.trace_weights(model, tokens), np.full((1000, 4), 0.25))
 
     training.inject_selector_noise(store, 0.5, 0.0, seed=0)
-    records = evaluation.trace_weights(model, tokens)
-    nonneg = all(np.all(r.weights >= 0) for r in records)
-    sums_ok = all(abs(r.weights.sum() - 1.0) <= 1e-6 for r in records)
-    ok = len(records) == 1000 and uniform_ok and nonneg and sums_ok
+    weights = evaluation.trace_weights(model, tokens)
+    nonneg = bool(np.all(weights >= 0))
+    sums_ok = bool(np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-6))
+    ok = weights.shape == (1000, 4) and uniform_ok and nonneg and sums_ok
     _report(capsys, 6, ok,
             f"1000 positions: zero-selector exactly uniform={uniform_ok}, "
             f"nonnegative={nonneg}, sums within 1e-6={sums_ok}")

@@ -173,7 +173,7 @@ def _mismatched_checkpoint(case):
         for name, t in store.items():
             if name != "head.weight":
                 kept.add(name, t.data)
-        store, mask = kept, FreezeMask.all_trainable(kept.names())
+        store, mask = kept, FreezeMask.fromkeys(kept.names(), True)
     elif case == "extra-tensor":
         _, store, mask = perspectives.extend_to_perspectives(store, cfg, 1, "weighted_softmax")
     elif case == "n4-over-base":
@@ -501,3 +501,59 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--config", "{config}", "--corpus", "{corpus}"],
+    ["finetune", "--config", "{config}", "--checkpoint", "{ckpt}", "--corpus", "{corpus}"],
+    ["eval", "--checkpoint", "{ckpt}", "--corpus", "{corpus}"],
+    ["ablate", "--config", "{config}", "--checkpoint", "{ckpt}", "--corpus", "{corpus}",
+     "--axis", "n_perspectives"],
+    ["trace", "--checkpoint", "{ckpt}", "--prompt", "abc:123=abc;"],
+], ids=lambda argv: argv[0])
+def test_out_that_is_not_a_directory_errors(tmp_path, capsys, corpus_file, micro_config,
+                                            pretrained_dir, argv, below):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    out = afile / "sub" if below else afile
+    argv = [a.format(config=micro_config, corpus=corpus_file,
+                     ckpt=pretrained_dir / "base.ckpt") for a in argv]
+    rc = cli.main(argv + ["--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""           # nothing computed before the output directory failed
+    assert "CliError" in captured.err and str(out) in captured.err
+    assert afile.read_text() == "not a directory"
+
+
+def test_file_train_context_length_must_be_the_run_one(tmp_path, capsys, corpus_file,
+                                                        micro_config):
+    cfg = json.loads(micro_config.read_text())
+    cfg["train"]["context_length"] = 16              # the model's is 32
+    path = tmp_path / "ctx16.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main(["pretrain", "--config", str(path), "--corpus", str(corpus_file),
+                   "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "train.context_length is 16" in err and "uses 32" in err
+
+
+@pytest.mark.parametrize("command", ["finetune", "ablate"])
+@pytest.mark.parametrize("field,value", [("n_layers", 3), ("d_model", 64),
+                                         ("vocab_size", 300), ("context_length", 64)])
+def test_file_model_shape_must_be_the_checkpoint_one(tmp_path, capsys, corpus_file,
+                                                      micro_config, pretrained_dir,
+                                                      command, field, value):
+    cfg = json.loads(micro_config.read_text())
+    base = cfg["model"][field]
+    cfg["model"][field] = value
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(path), "--checkpoint", str(pretrained_dir / "base.ckpt"),
+            "--corpus", str(corpus_file), "--out", str(tmp_path / "x")]
+    rc = cli.main(argv + (["--axis", "n_perspectives"] if command == "ablate" else []))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and f"model.{field} is {value}" in err and f"uses {base}" in err

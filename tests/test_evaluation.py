@@ -182,23 +182,18 @@ def _traced_model(seed=0, n=3):
 def test_trace_zero_selector_is_uniform():
     model = _traced_model(n=4)
     tokens = np.arange(30) % model.config.vocab_size
-    records = evaluation.trace_weights(model, tokens)
-    assert len(records) == 30
-    for r in records:
-        np.testing.assert_array_equal(r.weights, np.full(4, 0.25))
-        assert r.top_perspective == 0
-        assert 0 <= r.position < 30
+    weights = evaluation.trace_weights(model, tokens)
+    np.testing.assert_array_equal(weights, np.full((30, 4), 0.25))
 
 
 def test_trace_weights_valid_distribution():
     model = _traced_model(n=3)
     training.inject_selector_noise(model.store, 0.5, 0.0, seed=1)
     tokens = np.arange(50) % model.config.vocab_size
-    records = evaluation.trace_weights(model, tokens)
-    for r in records:
-        assert np.all(r.weights >= 0)
-        assert abs(r.weights.sum() - 1.0) < 1e-6
-        assert r.top_perspective == int(np.argmax(r.weights))
+    weights = evaluation.trace_weights(model, tokens)
+    assert weights.shape == (50, 3)
+    assert np.all(weights >= 0)
+    assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-6)
 
 
 _NOISY_MODEL = _traced_model(n=3)
@@ -227,9 +222,8 @@ def test_trace_weights_do_not_depend_on_context_length(tokens, context_length):
                                         tokens)
 
     chunked, whole = trace(context_length), trace(max(2, len(tokens)))
-    assert [(r.position, r.token) for r in chunked] == [(r.position, r.token) for r in whole]
-    np.testing.assert_allclose([r.weights for r in chunked], [r.weights for r in whole],
-                               rtol=1e-5, atol=0)
+    assert chunked.shape == whole.shape == (len(tokens), 3)
+    np.testing.assert_allclose(chunked, whole, rtol=1e-5, atol=0)
 
 
 def test_trace_requires_weighted_mode():
@@ -244,22 +238,21 @@ def test_trace_requires_weighted_mode():
 def test_trace_csv_roundtrip():
     model = _traced_model(n=3)
     training.inject_selector_noise(model.store, 0.5, 0.0, seed=2)
-    records = evaluation.trace_weights(model, np.arange(20) % model.config.vocab_size)
-    text = evaluation.trace_to_csv(records)
+    tokens = np.arange(20) % model.config.vocab_size
+    weights = evaluation.trace_weights(model, tokens)
+    text = evaluation.trace_to_csv(tokens, weights)
     header = text.splitlines()[0]
     assert header == "position,token,weight_1,weight_2,weight_3,top"
     rows = list(csv.reader(io.StringIO(text)))[1:]
-    assert len(rows) == len(records)
-    for r, row in zip(records, rows):
-        assert [int(row[0]), int(row[1]), int(row[-1])] == [r.position, r.token,
-                                                             r.top_perspective]
-        np.testing.assert_allclose([float(w) for w in row[2:-1]], r.weights, rtol=1e-8)
+    assert len(rows) == len(weights)
+    for t, (tok, row_weights, row) in enumerate(zip(tokens, weights, rows)):
+        assert [int(row[0]), int(row[1]), int(row[-1])] == [t, tok, np.argmax(row_weights)]
+        np.testing.assert_allclose([float(w) for w in row[2:-1]], row_weights, rtol=1e-8)
 
 
 def test_trace_svg_renders_all_perspectives():
     model = _traced_model(n=3)
-    records = evaluation.trace_weights(model, np.arange(15))
-    svg = evaluation.render_trace_svg(records)
+    svg = evaluation.render_trace_svg(evaluation.trace_weights(model, np.arange(15)))
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert svg.count("<polygon") == 3
     assert "perspective 3" in svg

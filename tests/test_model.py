@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ def test_config_validation():
 
 def test_config_roundtrip():
     cfg = tiny_config(n_perspectives=3, aggregation="average")
-    assert m.ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert m.ModelConfig(**dataclasses.asdict(cfg)) == cfg
 
 
 def test_token_shift_mix_examples():

@@ -41,7 +41,7 @@ def test_train_config_validation():
 @pytest.mark.parametrize("field,value", [
     ("batch_size", 1.5), ("mini_epochs", True), ("seed", "0"), ("context_length", 32.0),
     ("contexts_per_mini_epoch", None), ("lr_max", "1e-3"), ("lr_min", float("nan")),
-    ("noise_std", float("inf")), ("noise_mean", False), ("grad_clip", None)])
+    ("noise_std", float("inf")), ("grad_clip", None)])
 def test_train_config_rejects_wrong_types(field, value):
     with pytest.raises(m.ConfigError, match=field):
         training.TrainConfig(**{field: value})
