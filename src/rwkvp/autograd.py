@@ -141,6 +141,8 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.data.shape == b.data.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:

@@ -55,12 +55,13 @@ def _check_file_value(section: str, name: str, file_section: dict, used) -> None
                             f"but the run uses {used!r}")
 
 
-def _build_configs(args, base_cfg: m.ModelConfig | None = None, **model_defaults
-                   ) -> tuple[m.ModelConfig, training.TrainConfig]:
+def _build_configs(args, base_cfg: m.ModelConfig | None = None, fixed: dict | None = None,
+                   **model_defaults) -> tuple[m.ModelConfig, training.TrainConfig]:
     """Defaults, then file values, then the flags the subcommand declares.
 
-    A base checkpoint's config fixes the model's shape, and the model's context
-    length is the training one: a file value that disagrees is a ConfigError.
+    A base checkpoint's config fixes the model's shape, `fixed` fixes the
+    model fields the subcommand sets itself, and the model's context length is
+    the training one: a file value that disagrees is a ConfigError.
     """
     file_cfg = _load_config_file(args.config)
     file_model, file_train = file_cfg.get("model", {}), file_cfg.get("train", {})
@@ -69,10 +70,12 @@ def _build_configs(args, base_cfg: m.ModelConfig | None = None, **model_defaults
         train_cfg = training.TrainConfig(**file_train)
     except (TypeError, m.ConfigError) as e:
         raise CliError(f"invalid config field: {e}")
+    fixed = dict(fixed or {})
     if base_cfg is not None:
-        for name in _BASE_FIELDS:
-            _check_file_value("model", name, file_model, getattr(base_cfg, name))
-        model_cfg = replace(model_cfg, **{name: getattr(base_cfg, name) for name in _BASE_FIELDS})
+        fixed.update({name: getattr(base_cfg, name) for name in _BASE_FIELDS})
+    for name, used in fixed.items():
+        _check_file_value("model", name, file_model, used)
+    model_cfg = replace(model_cfg, **fixed)
     _check_file_value("train", "context_length", file_train, model_cfg.context_length)
     flags = {k: v for k, v in vars(args).items() if v is not None}
     if "aggregation" in flags:
@@ -151,12 +154,12 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     base_store, base_cfg, _, _ = ckpt.load_checkpoint(args.checkpoint)
-    model_cfg, train_cfg = _build_configs(args, base_cfg, n_perspectives=DEFAULT_N_PERSPECTIVES)
-    out = _outdir(args)
     # every arm runs the weighted head at n, once per seed, and sets the axis's field
+    model_cfg, train_cfg = _build_configs(args, base_cfg, {"aggregation": "weighted_softmax"},
+                                          n_perspectives=DEFAULT_N_PERSPECTIVES)
+    out = _outdir(args)
     axis_field = "noise_target" if args.axis == "noise_placement" else args.axis
-    _echo_config(out, replace(model_cfg, aggregation="weighted_softmax"),
-                 train_cfg, unshared=(axis_field, "seed"),
+    _echo_config(out, model_cfg, train_cfg, unshared=(axis_field, "seed"),
                  ablation={"axis": args.axis, "arms": evaluation.DEFAULT_ARMS[args.axis],
                            "seeds": args.seeds})
     train_tokens, val_tokens = _load_split_corpus(args)

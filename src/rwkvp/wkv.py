@@ -4,8 +4,10 @@ State per channel is (a, b, p): the true accumulators are A = a*e^p and
 B = b*e^p, with p a running log-scale maximum that keeps every exp argument
 <= 0. The empty state is a = b = 0, p = -inf.
 
-`wkv_step` is the plain one-token update, kept as the reference the tests
-compare against; no model path calls it. `wkv_sequence` runs a whole
+`wkv_step` is the plain one-token update: the reference the tests compare
+against, and what `wkv_sequence` runs for a one-token chunk that needs no
+gradient (T=1 decoding), where the scan buffers and the tiled w and u would
+cost more than the step itself. `wkv_sequence` runs a whole
 (T, ..., d) chunk inside a single autograd node with a hand-written backward
 over k, v, w, u. The axes between T and d (contexts, perspectives) are
 independent sequences that share w and u; time leads, so they are the G*d
@@ -87,6 +89,10 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
     if any(np.shape(s) != lead + (d,) for s in state):
         raise ag.ShapeError(f"wkv_sequence: state {[np.shape(s) for s in state]} "
                             f"vs {lead + (d,)}")
+    if T == 1 and not ag._needs_grad(k, v, w, u):
+        # the same formula as the scans below, bitwise; w and u broadcast over lead
+        y, final_state = wkv_step(state, k.data[0], v.data[0], w.data, u.data)
+        return Tensor(y.reshape(k.shape), _op="wkv_sequence"), final_state
     groups = math.prod(lead)
     D = groups * d
     kd, vd = k.data.reshape(T, D), v.data.reshape(T, D)

@@ -282,9 +282,18 @@ def test_backward_requires_scalar():
         ag.mul(x, x).backward()
 
 
-def test_shape_mismatch_names_both_shapes():
-    with pytest.raises(ag.ShapeError, match=r"\(2,\).*\(3,\)"):
-        ag.add(Tensor(np.ones(2)), Tensor(np.ones(3)))
+@pytest.mark.parametrize("op,a_shape,b_shape", [
+    (ag.add, (2, 3), (3,)), (ag.mul, (2, 1, 3), (4, 3)), (ag.sigmoid_mul, (1, 3), (2, 3))],
+    ids=["add", "mul", "sigmoid_mul"])
+def test_shape_mismatch_names_both_shapes(op, a_shape, b_shape):
+    with pytest.raises(ag.ShapeError, match=rf"{op.__name__}: .*\(2, 3\).*\(3, 2\)"):
+        op(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+    # a broadcastable pair is still accepted, with numpy's broadcast shape
+    a, b = (Tensor(np.random.default_rng(0).uniform(-1, 1, s)) for s in (a_shape, b_shape))
+    assert op(a, b).shape == np.broadcast_shapes(a_shape, b_shape)
+
+
+def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(ag.ShapeError, match="matmul"):
         ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ag.ShapeError, match=r"\(d, k\)"):

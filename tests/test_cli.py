@@ -557,3 +557,20 @@ def test_file_model_shape_must_be_the_checkpoint_one(tmp_path, capsys, corpus_fi
     assert rc == 1
     err = capsys.readouterr().err
     assert "ConfigError" in err and f"model.{field} is {value}" in err and f"uses {base}" in err
+
+
+def test_ablate_refuses_a_file_aggregation_it_would_drop(tmp_path, capsys, corpus_file,
+                                                         micro_config, pretrained_dir):
+    # every ablation arm runs the weighted head; a file's other head is an error
+    cfg = json.loads(micro_config.read_text())
+    cfg["model"]["aggregation"] = "average"
+    path = tmp_path / "average.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main(["ablate", "--config", str(path), "--checkpoint",
+                   str(pretrained_dir / "base.ckpt"), "--corpus", str(corpus_file),
+                   "--out", str(tmp_path / "x"), "--axis", "n_perspectives"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert ("ConfigError" in err and "model.aggregation is 'average'" in err
+            and "uses 'weighted_softmax'" in err)
+    assert not (tmp_path / "x").exists()

@@ -4,7 +4,7 @@ import pytest
 from conftest import tiny_config
 from rwkvp import autograd as ag
 from rwkvp import model as m
-from rwkvp import perspectives
+from rwkvp import perspectives, training
 from rwkvp.autograd import cross_entropy
 
 
@@ -135,3 +135,38 @@ def test_multi_forward_state_handoff():
         out1, _, states = model.forward(tokens[:5], states)
         out2, _, states = model.forward(tokens[5:], states)
     assert np.abs(full.data - np.vstack([out1.data, out2.data])).max() < 1e-5
+
+
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["unbatched", "B2"])
+def test_t1_decode_at_n4(batch):
+    """16 tokens decoded one at a time with state handoff: bitwise the same
+    with the tape off (the one-token WKV step) as on (the WKV scans), and
+    within 1e-5 of one chunked forward."""
+    _, _, cfg, store, mask = _extended(4)
+    training.inject_selector_noise(store, 0.5, 0.0, 0)
+    training.inject_temporal_noise(store, cfg, 0.05, 0.0, 0)
+    model = m.Model(cfg, store, mask)
+    tokens = np.random.default_rng(3).integers(0, cfg.vocab_size, (16,) + batch)
+
+    def decode():
+        states, logits, weights, grads = None, [], [], []
+        for t in range(16):
+            out, wt, states = model.forward(tokens[t:t + 1], states)
+            logits.append(out.data[0])
+            weights.append(wt[0])
+            grads.append(out.requires_grad)
+        return np.stack(logits), np.stack(weights), states, grads
+
+    with ag.no_grad():
+        logits, weights, states, grads = decode()
+        full, full_weights, _ = model.forward(tokens)
+    tape_logits, tape_weights, tape_states, tape_grads = decode()
+    assert not any(grads) and all(tape_grads)
+    assert logits.tobytes() == tape_logits.tobytes()
+    assert weights.tobytes() == tape_weights.tobytes()
+    for st, tape_st in zip(states, tape_states):
+        for got, want in zip((st.att_prev, *st.wkv_state, st.ffn_prev),
+                             (tape_st.att_prev, *tape_st.wkv_state, tape_st.ffn_prev)):
+            assert got.shape == batch + (4, cfg.d_model) and got.tobytes() == want.tobytes()
+    assert np.abs(logits - full.data).max() <= 1e-5
+    assert np.abs(weights - full_weights).max() <= 1e-5

@@ -275,3 +275,36 @@ def test_final_state_owns_its_memory():
         for s in final:
             assert s.shape == (2, 3, 4) and s.base is None
             assert not np.shares_memory(s, y.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("carried", [False, True])
+def test_one_token_no_grad_route_changes_no_number(dtype, carried):
+    """T=1 under no_grad runs wkv_step; the same call on leaves that need a
+    gradient runs the scans. y and the three state arrays are bitwise equal."""
+    rng = np.random.default_rng(12)
+    lead, d = (2, 3), 4
+    k, v = (rng.uniform(-2, 2, (1,) + lead + (d,)).astype(dtype) for _ in range(2))
+    w = rng.uniform(0.05, 2.0, d).astype(dtype)
+    u = rng.uniform(-1, 1, d).astype(dtype)
+    state = _carried_state(rng, lead, d, dtype) if carried else None
+    with ag.no_grad():
+        y, final = wkv.wkv_sequence(Tensor(k), Tensor(v), Tensor(w), Tensor(u), state=state)
+    scan_y, scan_final = wkv.wkv_sequence(
+        *(Tensor(x, requires_grad=True) for x in (k, v, w, u)), state=state)
+    assert scan_y._backward is not None and y._backward is None
+    assert y.data.dtype == dtype and y.shape == k.shape
+    assert y.data.tobytes() == scan_y.data.tobytes()
+    for got, want in zip(final, scan_final):
+        assert got.dtype == dtype and got.shape == lead + (d,)
+        assert got.tobytes() == want.tobytes()
+        assert got.base is None and not np.shares_memory(got, y.data)
+        assert state is None or not any(np.shares_memory(got, s) for s in state)
+
+
+def test_one_token_no_grad_rejects_non_finite_key():
+    k = np.zeros((1, 2, 3))
+    k[0, 1, 2] = np.inf
+    with ag.no_grad(), pytest.raises(ag.NonFiniteError):
+        wkv.wkv_sequence(Tensor(k), Tensor(np.zeros((1, 2, 3))), Tensor(np.ones(3)),
+                         Tensor(np.zeros(3)))
