@@ -4,16 +4,16 @@ Layout:
     magic (10 bytes)  b"RWKVPv4MP\\0"
     u32 little-endian manifest byte length
     manifest: canonical JSON (sorted keys, no whitespace), holding the
-        format version, the model config, the tensor directory
-        (name/shape/offset/length into the payload), the payload's SHA-256,
-        the freeze mask, and the seed lineage
-    payload: contiguous little-endian float32 tensor data, directory order;
-        each entry's offset is the end of the one before it
+        format version, the model config, the payload's SHA-256, the freeze
+        mask and the seed lineage
+    payload: contiguous little-endian float32 tensor data, the tensors
+        sorted by name, each in its model.param_shapes(config) shape
 
-Tensors are written sorted by name, so save -> load -> save is
-byte-identical and the format is platform independent. Version 2 holds
-each token-shift slot as one (n, d) tensor, layer{l}.{att|ffn}.mu_{r,k,v};
-files of other versions are rejected, not converted.
+The config fixes every tensor's name and shape, so the file holds no tensor
+directory: save refuses a store that does not match the config's table, and
+load slices the payload by that table. Tensors are written sorted by name,
+so save -> load -> save is byte-identical and the format is platform
+independent. Files of other versions are rejected, not converted.
 """
 
 from __future__ import annotations
@@ -23,18 +23,16 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from rwkvp.model import (ConfigError, ModelConfig, base_param_count, extra_param_count,
-                         init_base_params)
+from rwkvp.model import ConfigError, ModelConfig, param_count, param_shapes
 from rwkvp.params import FreezeMask, ParamStore
-from rwkvp.perspectives import extend_to_perspectives
 
 MAGIC = b"RWKVPv4MP\x00"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -49,26 +47,33 @@ class TruncatedPayloadError(CheckpointError):
     pass
 
 
+def _check_store_matches(store: ParamStore, config: ModelConfig) -> None:
+    """Raise CheckpointError unless the store holds param_shapes(config): the
+    parameter count first, then each missing, extra or wrong-shape tensor."""
+    have, need = store.total_size(), param_count(config)
+    wrong = [] if have == need else [f"store holds {have} parameters, the config needs {need}"]
+    expected, found = param_shapes(config), {name: t.shape for name, t in store.items()}
+    wrong += [f"{name!r} {found.get(name, 'missing')}, expected {expected.get(name, 'none')}"
+              for name in sorted(expected.keys() | found.keys())
+              if found.get(name) != expected.get(name)]
+    if wrong:
+        raise CheckpointError(f"cannot save: tensors do not match the config: {'; '.join(wrong)}")
+
+
 def save_checkpoint(store: ParamStore, config: ModelConfig, mask: FreezeMask,
                     path, seeds=()) -> None:
+    _check_store_matches(store, config)
     names = sorted(store.names())
-    directory = []
-    offset = 0
     blobs = []
     for name in names:
         if store[name].data.dtype != np.float32:
             # the payload is float32: writing another dtype would round it silently
             raise CheckpointError(f"cannot save {name!r}: dtype {store[name].data.dtype}, "
                                   "checkpoints hold float32 only")
-        blob = np.ascontiguousarray(store[name].data, dtype="<f4").tobytes()
-        directory.append({"name": name, "shape": list(store[name].shape),
-                          "offset": offset, "length": len(blob)})
-        blobs.append(blob)
-        offset += len(blob)
+        blobs.append(np.ascontiguousarray(store[name].data, dtype="<f4").tobytes())
     manifest = {
         "version": FORMAT_VERSION,
         "config": asdict(config),
-        "tensors": directory,
         "payload_sha256": hashlib.sha256(b"".join(blobs)).hexdigest(),
         "freeze_mask": {n: bool(mask[n]) for n in names},
         "seeds": list(seeds),
@@ -89,12 +94,7 @@ def save_checkpoint(store: ParamStore, config: ModelConfig, mask: FreezeMask,
         raise
 
 
-_MANIFEST_KEYS = ("config", "tensors", "freeze_mask", "payload_sha256")
-_TENSOR_KEYS = ("name", "shape", "offset", "length")
-
-
-def _is_count(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+_MANIFEST_KEYS = ("config", "payload_sha256", "freeze_mask", "seeds")
 
 
 def _check_manifest(path, manifest) -> None:
@@ -108,41 +108,13 @@ def _check_manifest(path, manifest) -> None:
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise CheckpointError(f"{path}: manifest lacks {', '.join(missing)}")
-    if not (isinstance(manifest["tensors"], list) and isinstance(manifest["freeze_mask"], dict)
-            and isinstance(manifest.get("seeds", []), list)
-            and isinstance(manifest["payload_sha256"], str)):
-        raise CheckpointError(f"{path}: manifest tensors and seeds must be lists, "
-                              "freeze_mask an object and payload_sha256 a string")
-    for entry in manifest["tensors"]:
-        if not (isinstance(entry, dict) and all(key in entry for key in _TENSOR_KEYS)
-                and isinstance(entry["name"], str) and isinstance(entry["shape"], list)
-                and all(_is_count(n) for n in entry["shape"])
-                and _is_count(entry["offset"]) and _is_count(entry["length"])):
-            raise CheckpointError(f"{path}: malformed tensor entry {entry!r}; expected "
-                                  f"{', '.join(_TENSOR_KEYS)}")
-
-
-def _check_tensors_match_config(path, store: ParamStore, config: ModelConfig) -> None:
-    """Raise CheckpointError unless the store holds the tensors, in the shapes,
-    that the init path builds for config: a base, then its extension.
-
-    The config's analytic parameter count is compared with the payload's first,
-    and the init path runs only for a config at most 4x the payload, so a
-    manifest cannot make the load allocate much more than the file holds.
-    """
-    have, need = store.total_size(), base_param_count(config) + extra_param_count(config)
-    wrong = [] if have == need else [f"payload holds {have} parameters, the config needs {need}"]
-    if need <= 4 * have:
-        base_cfg = replace(config, n_perspectives=1, aggregation="average")
-        _, built, _ = extend_to_perspectives(init_base_params(base_cfg, seed=0)[0], base_cfg,
-                                             config.n_perspectives, config.aggregation)
-        expected = {name: t.shape for name, t in built.items()}
-        found = {name: t.shape for name, t in store.items()}
-        wrong += [f"{name!r} {found.get(name, 'missing')}, expected {expected.get(name, 'none')}"
-                  for name in sorted(expected.keys() | found.keys())
-                  if found.get(name) != expected.get(name)]
-    if wrong:
-        raise CheckpointError(f"{path}: tensors do not match the config: {'; '.join(wrong)}")
+    if not (isinstance(manifest["payload_sha256"], str)
+            and isinstance(manifest["freeze_mask"], dict)
+            and all(isinstance(flag, bool) for flag in manifest["freeze_mask"].values())
+            and isinstance(manifest["seeds"], list)
+            and all(type(seed) is int and seed >= 0 for seed in manifest["seeds"])):
+        raise CheckpointError(f"{path}: manifest payload_sha256 must be a string, freeze_mask "
+                              "an object of booleans and seeds a list of non-negative integers")
 
 
 def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
@@ -161,42 +133,31 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable manifest: {e}") from None
     _check_manifest(path, manifest)
-    payload = raw[mstart + mlen:]
-    store = ParamStore()
-    seen = set()
-    end = 0
-    for entry in manifest["tensors"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name in seen:
-            raise CheckpointError(f"{path}: duplicate tensor {name!r}")
-        seen.add(name)
-        if entry["offset"] != end:
-            raise CheckpointError(f"{path}: tensor {name!r} at offset {entry['offset']}, "
-                                  f"expected {end}, the end of the tensor before it")
-        lo, hi = end, end + entry["length"]
-        if hi > len(payload):
-            raise TruncatedPayloadError(f"{path}: payload truncated at tensor {name!r} "
-                                        f"(need {hi} bytes, have {len(payload)})")
-        expected = math.prod(shape)
-        if entry["length"] != expected * 4:
-            raise CheckpointError(f"{path}: tensor {name!r} length {entry['length']} "
-                                  f"does not match shape {shape}")
-        data = np.frombuffer(payload[lo:hi], dtype="<f4").reshape(shape)
-        if not np.isfinite(data).all():
-            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
-        store.add(name, data.copy())
-        end = hi
-    if len(payload) != end:
-        raise CheckpointError(f"{path}: {len(payload) - end} trailing bytes after the last tensor")
-    if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:
-        raise CheckpointError(f"{path}: payload does not match its SHA-256 (corrupted file)")
     try:
         config = ModelConfig(**manifest["config"])
     except (TypeError, ConfigError) as e:
         raise CheckpointError(f"{path}: invalid model config: {e}") from None
-    _check_tensors_match_config(path, store, config)
-    mask = FreezeMask({k: bool(v) for k, v in manifest["freeze_mask"].items()})
+    payload = raw[mstart + mlen:]
+    need = 4 * param_count(config)
+    if len(payload) < need:
+        raise TruncatedPayloadError(f"{path}: payload holds {len(payload) // 4} parameters "
+                                    f"({len(payload)} bytes), the config needs {need // 4} "
+                                    f"({need} bytes)")
+    if len(payload) > need:
+        raise CheckpointError(f"{path}: {len(payload) - need} trailing bytes after the last tensor")
+    if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:
+        raise CheckpointError(f"{path}: payload does not match its SHA-256 (corrupted file)")
+    store = ParamStore()
+    offset = 0
+    for name, shape in sorted(param_shapes(config).items()):
+        size = math.prod(shape)
+        data = np.frombuffer(payload, dtype="<f4", count=size, offset=offset).reshape(shape)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
+        store.add(name, data.copy())
+        offset += 4 * size
+    mask = FreezeMask(manifest["freeze_mask"])
     if set(mask) != set(store.names()):
-        raise CheckpointError(f"{path}: freeze mask does not cover tensor directory")
+        raise CheckpointError(f"{path}: freeze mask does not cover the config's tensors")
     store.apply_freeze(mask)
-    return store, config, mask, list(manifest.get("seeds", []))
+    return store, config, mask, manifest["seeds"]

@@ -49,19 +49,22 @@ _TRAIN_FLAGS = ("seed", "noise_target", "noise_std")
 _BASE_FIELDS = ("n_layers", "d_model", "vocab_size", "context_length")
 
 
-def _check_file_value(section: str, name: str, file_section: dict, used) -> None:
-    if name in file_section and file_section[name] != used:
-        raise m.ConfigError(f"{section}.{name} is {file_section[name]!r} in the config file, "
-                            f"but the run uses {used!r}")
+def _check_given(given: dict, name: str, label: str, used) -> None:
+    """Raise ConfigError if `given` (file values or flags) sets name to other than
+    the value the run uses; a list of values is the arms', which take none from outside."""
+    if name in given and given[name] != used:
+        uses = f"each of {used!r}" if isinstance(used, list) else repr(used)
+        raise m.ConfigError(f"{label} is {given[name]!r}, but the run uses {uses}")
 
 
 def _build_configs(args, base_cfg: m.ModelConfig | None = None, fixed: dict | None = None,
                    **model_defaults) -> tuple[m.ModelConfig, training.TrainConfig]:
     """Defaults, then file values, then the flags the subcommand declares.
 
-    A base checkpoint's config fixes the model's shape, `fixed` fixes the
-    model fields the subcommand sets itself, and the model's context length is
-    the training one: a file value that disagrees is a ConfigError.
+    A base checkpoint's config fixes the model's shape, `fixed` maps the
+    fields the subcommand sets itself to the value the run uses (or to the
+    list of values its arms take), and the model's context length is the
+    training one: a file value or a flag that disagrees is a ConfigError.
     """
     file_cfg = _load_config_file(args.config)
     file_model, file_train = file_cfg.get("model", {}), file_cfg.get("train", {})
@@ -73,13 +76,17 @@ def _build_configs(args, base_cfg: m.ModelConfig | None = None, fixed: dict | No
     fixed = dict(fixed or {})
     if base_cfg is not None:
         fixed.update({name: getattr(base_cfg, name) for name in _BASE_FIELDS})
-    for name, used in fixed.items():
-        _check_file_value("model", name, file_model, used)
-    model_cfg = replace(model_cfg, **fixed)
-    _check_file_value("train", "context_length", file_train, model_cfg.context_length)
     flags = {k: v for k, v in vars(args).items() if v is not None}
     if "aggregation" in flags:
         flags["aggregation"] = AGG_CLI_NAMES[flags["aggregation"]]
+    for name, used in fixed.items():
+        section = "model" if hasattr(model_cfg, name) else "train"
+        _check_given(file_cfg.get(section, {}), name, f"the config file's {section}.{name}", used)
+        _check_given(flags, name, "--" + name.replace("_", "-"), used)
+    model_cfg = replace(model_cfg, **{name: used for name, used in fixed.items()
+                                      if hasattr(model_cfg, name) and not isinstance(used, list)})
+    _check_given(file_train, "context_length", "the config file's train.context_length",
+                 model_cfg.context_length)
     model_cfg = replace(model_cfg, **{k: flags[k] for k in _MODEL_FLAGS if k in flags})
     train_cfg = replace(train_cfg, context_length=model_cfg.context_length,
                         **{k: flags[k] for k in _TRAIN_FLAGS if k in flags})
@@ -154,14 +161,15 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     base_store, base_cfg, _, _ = ckpt.load_checkpoint(args.checkpoint)
+    arms = evaluation.DEFAULT_ARMS[args.axis]
+    axis_field = "noise_target" if args.axis == "noise_placement" else args.axis
     # every arm runs the weighted head at n, once per seed, and sets the axis's field
-    model_cfg, train_cfg = _build_configs(args, base_cfg, {"aggregation": "weighted_softmax"},
+    fixed = {"aggregation": "weighted_softmax", "seed": args.seeds, axis_field: arms}
+    model_cfg, train_cfg = _build_configs(args, base_cfg, fixed,
                                           n_perspectives=DEFAULT_N_PERSPECTIVES)
     out = _outdir(args)
-    axis_field = "noise_target" if args.axis == "noise_placement" else args.axis
     _echo_config(out, model_cfg, train_cfg, unshared=(axis_field, "seed"),
-                 ablation={"axis": args.axis, "arms": evaluation.DEFAULT_ARMS[args.axis],
-                           "seeds": args.seeds})
+                 ablation={"axis": args.axis, "arms": arms, "seeds": args.seeds})
     train_tokens, val_tokens = _load_split_corpus(args)
     report = evaluation.run_ablation(
         args.axis, base_cfg, base_store, train_tokens, val_tokens, train_cfg,

@@ -196,7 +196,8 @@ def run_ablation(axis: str, base_cfg: m.ModelConfig, base_store: ParamStore,
     """Fine-tune + evaluate per (arm, seed); report mean and stddev per arm.
 
     The metric is validation perplexity after the arm's fine-tuning run.
-    A diverging arm is marked failed; the report is still emitted.
+    A diverging arm (a non-finite loss, or a non-finite value the WKV or the
+    perplexity refuses) is marked failed; the report is still emitted.
     """
     if axis not in ABLATION_AXES:
         raise m.ConfigError(f"unknown ablation axis {axis!r}; one of {ABLATION_AXES}")
@@ -220,7 +221,7 @@ def run_ablation(axis: str, base_cfg: m.ModelConfig, base_store: ParamStore,
                     base_store, base_cfg, setting["n_perspectives"], setting["aggregation"],
                     train_tokens, val_tokens, arm_tc)
                 values.append(log.val_ppl[-1][1])
-            except training.DivergenceError:
+            except (training.DivergenceError, ag.NonFiniteError):
                 failed = True
                 break
         if failed:

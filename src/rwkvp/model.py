@@ -11,19 +11,20 @@ once and are expanded to n copies, so every activation is (T, [B,] n, d),
 perspective i at [..., i, :], and the token shift and WKV scan walk axis 0.
 Each token-shift slot holds one (n, d) leaf, layer{l}.{att|ffn}.mu_{r,k,v},
 row i perspective i's mu (a base holds (1, d)), which ag.token_shift
-broadcasts. Every model, the base included, runs run_stream and then its
-aggregation head; a base's "average" head at n=1 is bitwise model_forward's
-plain head. Both return the head's logits (T, [B,] V) as they are
-(Model.forward also weights (T, [B,] n)). The recurrent parts cross chunk
-boundaries as detached numpy state: one StreamState per layer, each array
-([B,] n, d), with no time axis.
+broadcasts. param_shapes(cfg) states every leaf's name and shape once; the
+parameter counts are its sizes. Every model, the base included, runs
+run_stream and then its aggregation head; a base's "average" head at n=1 is
+bitwise model_forward's plain head. Both return the head's logits
+(T, [B,] V) as they are (Model.forward also weights (T, [B,] n)). The
+recurrent parts cross chunk boundaries as detached numpy state: one
+StreamState per layer, each array ([B,] n, d), with no time axis.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,10 +82,53 @@ class ModelConfig:
             raise ConfigError(f"context_length must be >= 2, got {self.context_length}")
 
 
+def _leaf_shapes(cfg: ModelConfig) -> tuple[dict, dict, dict]:
+    """(the global leaves' shapes, one layer's by slot name, the aggregator's)."""
+    d, V, n = cfg.d_model, cfg.vocab_size, cfg.n_perspectives
+    vec, mat, mu = (d,), (d, d), (n, d)
+    global_leaves = {"emb.weight": (V, d), "ln0.g": vec, "ln0.b": vec,
+                     "ln_out.g": vec, "ln_out.b": vec, "head.weight": (d, V)}
+    layer = {"ln1.g": vec, "ln1.b": vec, "ln2.g": vec, "ln2.b": vec,
+             "att.mu_r": mu, "att.mu_k": mu, "att.mu_v": mu, "att.w_r": mat, "att.w_k": mat,
+             "att.w_v": mat, "att.w_o": mat, "att.decay": vec, "att.bonus": vec,
+             "ffn.mu_r": mu, "ffn.mu_k": mu, "ffn.w_r": mat, "ffn.w_k": (d, 4 * d),
+             "ffn.w_v": (4 * d, d)}
+    aggregator = {"weighted_softmax": {"selector.W": (n, d), "selector.b": (n,)},
+                  "transformer_like": {"agghead.W": (n * d, d), "agghead.b": vec}}
+    return global_leaves, layer, aggregator.get(cfg.aggregation, {})
+
+
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Each leaf's name and shape: the global leaves, one slot table per layer
+    (layer{l}.<slot>, each mu leaf (n, d), row i perspective i), then the
+    aggregator's leaves: what init_base_params and extend_to_perspectives
+    build, and the layout of a checkpoint's payload."""
+    global_leaves, layer, aggregator = _leaf_shapes(cfg)
+    layers = {f"layer{l}.{slot}": shape for l in range(cfg.n_layers)
+              for slot, shape in layer.items()}
+    return {**global_leaves, **layers, **aggregator}
+
+
+def param_count(cfg: ModelConfig) -> int:
+    """The size of param_shapes(cfg) in closed form: no layer is listed."""
+    outer, per_layer, agg = (sum(math.prod(shape) for shape in part.values())
+                             for part in _leaf_shapes(cfg))
+    return outer + cfg.n_layers * per_layer + agg
+
+
+def base_param_count(cfg: ModelConfig) -> int:
+    """Parameters of cfg's n=1 base, the size init_base_params allocates."""
+    return param_count(replace(cfg, n_perspectives=1, aggregation="average"))
+
+
+def extra_param_count(cfg: ModelConfig) -> int:
+    """Parameters added by n perspectives plus the configured aggregator."""
+    return param_count(cfg) - base_param_count(cfg)
+
+
 def mu_names(cfg: ModelConfig) -> list[str]:
     """The token-shift leaves, layer by layer; row i of each is perspective i."""
-    return [f"layer{l}.{slot}" for l in range(cfg.n_layers)
-            for slot in ("att.mu_r", "att.mu_k", "att.mu_v", "ffn.mu_r", "ffn.mu_k")]
+    return [name for name in param_shapes(cfg) if is_temporal(name)]
 
 
 def is_temporal(name: str) -> bool:
@@ -144,24 +188,6 @@ def init_base_params(cfg: ModelConfig, seed: int) -> tuple[ParamStore, FreezeMas
     store.add("ln_out.b", np.zeros(d))
     store.add("head.weight", uniform((d, V), s_in))
     return store, FreezeMask.fromkeys(store.names(), True)
-
-
-def base_param_count(cfg: ModelConfig) -> int:
-    """Analytic n=1 parameter count matching init_base_params exactly."""
-    L, d, V = cfg.n_layers, cfg.d_model, cfg.vocab_size
-    per_layer = 13 * d * d + 11 * d      # 4 att mats + 9 ffn mats, mus, decay/bonus, 2 LNs
-    return 2 * V * d + 4 * d + L * per_layer
-
-
-def extra_param_count(cfg: ModelConfig) -> int:
-    """Parameters added by n perspectives plus the configured aggregator."""
-    L, d, n = cfg.n_layers, cfg.d_model, cfg.n_perspectives
-    extra = (n - 1) * 5 * d * L
-    if cfg.aggregation == "weighted_softmax":
-        extra += n * d + n
-    elif cfg.aggregation == "transformer_like":
-        extra += n * d * d + d
-    return extra
 
 
 @dataclass

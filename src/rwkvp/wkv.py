@@ -56,8 +56,6 @@ def empty_state(shape, dtype=np.float32):
 
 def wkv_step(state, k_t: np.ndarray, v_t: np.ndarray, w: np.ndarray, u: np.ndarray):
     """One token of the recurrence. Returns (wkv_t, next_state)."""
-    if not (np.all(np.isfinite(k_t)) and np.all(np.isfinite(v_t))):
-        raise ag.NonFiniteError("wkv_step: non-finite k or v")
     a, b, p = state
     uk = u + k_t
     q = np.maximum(p, uk)
@@ -77,6 +75,7 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
     detached (a, b, p) numpy triple, each (..., d), for handing off to the
     next chunk. The final state owns its memory: a view into the chunk's
     scan buffers would keep them alive for as long as the state is carried.
+    A non-finite value in k or v raises NonFiniteError on every route.
     """
     if k.shape != v.shape or k.data.ndim < 2:
         raise ag.ShapeError(f"wkv_sequence: k {k.shape} vs v {v.shape}")
@@ -89,6 +88,8 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
     if any(np.shape(s) != lead + (d,) for s in state):
         raise ag.ShapeError(f"wkv_sequence: state {[np.shape(s) for s in state]} "
                             f"vs {lead + (d,)}")
+    if not (np.isfinite(k.data).all() and np.isfinite(v.data).all()):
+        raise ag.NonFiniteError("wkv_sequence: non-finite k or v")
     if T == 1 and not ag._needs_grad(k, v, w, u):
         # the same formula as the scans below, bitwise; w and u broadcast over lead
         y, final_state = wkv_step(state, k.data[0], v.data[0], w.data, u.data)

@@ -1,9 +1,13 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from rwkvp import checkpoint as ckpt
 from rwkvp import corpus as corpus_mod
 from rwkvp import model as m
-from rwkvp import synth, training
+from rwkvp import perspectives, synth, training
 
 
 def tiny_config(**kw):
@@ -11,6 +15,30 @@ def tiny_config(**kw):
                 context_length=16)
     base.update(kw)
     return m.ModelConfig(**base)
+
+
+def rewrite_manifest(path, edit):
+    """Rewrite the checkpoint at path with edit(manifest dict) applied, payload kept."""
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack_from("<I", raw, len(ckpt.MAGIC))
+    start = len(ckpt.MAGIC) + 4
+    manifest = json.loads(raw[start:start + mlen])
+    edit(manifest)
+    mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:len(ckpt.MAGIC)] + struct.pack("<I", len(mbytes)) + mbytes
+                     + raw[start + mlen:])
+
+
+def forbid_model_builds(monkeypatch):
+    """Make both init functions raise wherever a module binds them, so a
+    checkpoint load that builds a model fails."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint built a model")
+
+    for module in (m, perspectives, ckpt):
+        for name in ("init_base_params", "extend_to_perspectives"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
 
 
 @pytest.fixture(scope="session")

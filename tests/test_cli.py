@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import forbid_model_builds, rewrite_manifest
 from rwkvp import checkpoint as ckpt
 from rwkvp import cli, perspectives, synth, training
 from rwkvp import model as m
@@ -141,9 +142,7 @@ def test_bad_checkpoint_errors(tmp_path, capsys, corpus_file, micro_config):
     b"5",
     b"[1,2]",
     b'{"version":%d}' % ckpt.FORMAT_VERSION,
-    b'{"config":{},"freeze_mask":{},"payload_sha256":"","tensors":[{"name":"x"}],'
-    b'"version":%d}' % ckpt.FORMAT_VERSION,
-], ids=["number", "list", "no-tensors", "tensor-entry-lacks-keys"])
+], ids=["number", "list", "no-tensors"])
 def test_eval_malformed_manifest_errors(tmp_path, capsys, corpus_file, manifest):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(ckpt.MAGIC + struct.pack("<I", len(manifest)) + manifest)
@@ -165,7 +164,7 @@ def test_eval_non_finite_weight_errors(tmp_path, capsys, corpus_file):
 
 
 def _mismatched_checkpoint(case):
-    """A store and the config it is saved under, whose tensors it does not match."""
+    """A store and a config whose tensors it does not match."""
     cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
     store, mask = m.init_base_params(cfg, seed=0)
     if case == "missing-head":
@@ -186,30 +185,41 @@ def _mismatched_checkpoint(case):
 @pytest.mark.parametrize("case,named", [
     ("missing-head", "head.weight"), ("extra-tensor", "selector.W"),
     ("n4-over-base", "layer0.att.mu_k"), ("d16-over-d8", "emb.weight")])
-def test_eval_checkpoint_tensors_must_match_config(tmp_path, capsys, corpus_file, case, named):
+def test_eval_checkpoint_tensors_must_match_config(tmp_path, case, named):
+    """The config fixes the tensors a checkpoint holds, so save refuses a
+    store that does not match it, naming the tensor, and writes no file."""
     store, cfg, mask = _mismatched_checkpoint(case)
-    path = tmp_path / f"{case}.ckpt"
+    with pytest.raises(ckpt.CheckpointError, match="do not match the config") as err:
+        ckpt.save_checkpoint(store, cfg, mask, tmp_path / f"{case}.ckpt")
+    assert repr(named) in str(err.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_manifest_config_that_does_not_fit_the_payload_errors(tmp_path, capsys,
+                                                                   corpus_file):
+    cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
+    store, mask = m.init_base_params(cfg, seed=0)
+    path = tmp_path / "n4.ckpt"
     ckpt.save_checkpoint(store, cfg, mask, path)
+    rewrite_manifest(path, lambda manifest: manifest["config"].update(n_perspectives=4))
     rc = cli.main(["eval", "--checkpoint", str(path), "--corpus", str(corpus_file)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "CheckpointError" in err and "do not match the config" in err and named in err
+    need = m.base_param_count(cfg) + m.extra_param_count(replace(cfg, n_perspectives=4))
+    assert "TruncatedPayloadError" in err and f"the config needs {need} " in err
 
 
 def test_eval_config_larger_than_payload_errors(tmp_path, capsys, corpus_file, monkeypatch):
     cfg = m.ModelConfig(n_layers=2, d_model=48, vocab_size=257, context_length=64)
     store, mask = m.init_base_params(cfg, seed=0)
     path = tmp_path / "huge.ckpt"
-    ckpt.save_checkpoint(store, replace(cfg, d_model=1_000_000), mask, path)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("load_checkpoint built a model for an unchecked config")
-
-    monkeypatch.setattr(ckpt, "init_base_params", refuse)
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    rewrite_manifest(path, lambda manifest: manifest["config"].update(d_model=1_000_000))
+    forbid_model_builds(monkeypatch)
     rc = cli.main(["eval", "--checkpoint", str(path), "--corpus", str(corpus_file)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "CheckpointError" in err and "85824 parameters" in err
+    assert "TruncatedPayloadError" in err and "85824 parameters" in err
 
 
 def test_eval_trailing_bytes_errors(tmp_path, capsys, corpus_file):
@@ -374,8 +384,13 @@ def test_finetune_defaults_to_four_perspectives_and_echoes_the_run(
 
 def test_ablate_defaults_to_four_perspectives_and_records_the_arms(
         tmp_path, corpus_file, train_only_config, pretrained_dir):
+    # the arms run at each of --seeds, so the file's train.seed is left out
+    cfg = json.loads(train_only_config.read_text())
+    del cfg["train"]["seed"]
+    path = tmp_path / "train_only.json"
+    path.write_text(json.dumps(cfg))
     out = tmp_path / "abl"
-    rc = cli.main(["ablate", "--config", str(train_only_config),
+    rc = cli.main(["ablate", "--config", str(path),
                    "--checkpoint", str(pretrained_dir / "base.ckpt"),
                    "--corpus", str(corpus_file), "--out", str(out),
                    "--axis", "aggregation", "--seeds", "3,4,5"])
@@ -573,4 +588,27 @@ def test_ablate_refuses_a_file_aggregation_it_would_drop(tmp_path, capsys, corpu
     err = capsys.readouterr().err
     assert ("ConfigError" in err and "model.aggregation is 'average'" in err
             and "uses 'weighted_softmax'" in err)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("config,argv,given,used", [
+    ("train_only", ["--axis", "n_perspectives"], "the config file's train.seed is 7",
+     "each of [0, 1, 2]"),
+    ("micro", ["--axis", "n_perspectives", "--n-perspectives", "2"], "--n-perspectives is 2",
+     "each of [1, 2, 3, 4]"),
+    ("micro", ["--axis", "noise_placement", "--noise-target", "selector"],
+     "--noise-target is 'selector'", "each of ['selector', 'temporal']"),
+], ids=["file-seed", "n-flag-on-n-axis", "noise-flag-on-noise-axis"])
+def test_ablate_refuses_a_value_its_arms_would_drop(tmp_path, capsys, corpus_file, micro_config,
+                                                   train_only_config, pretrained_dir,
+                                                   config, argv, given, used):
+    """The arms set the seed and the axis's field: a file value or a flag for
+    either is an error naming both values, not a value dropped in silence."""
+    path = train_only_config if config == "train_only" else micro_config
+    rc = cli.main(["ablate", "--config", str(path), "--checkpoint",
+                   str(pretrained_dir / "base.ckpt"), "--corpus", str(corpus_file),
+                   "--out", str(tmp_path / "x")] + argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and f"{given}, but the run uses {used}" in err
     assert not (tmp_path / "x").exists()

@@ -302,6 +302,17 @@ def test_ablation_byte_identical_rerun(synth_split):
     assert run() == run()
 
 
+def test_ablation_marks_a_diverging_arm_failed(synth_split):
+    """A non-finite weight reaches the WKV inputs, which refuse it: the arm
+    is reported failed, not the whole ablation ended."""
+    base_cfg, base_store, train, val, tc = _micro_setup(synth_split)
+    base_store["layer0.att.mu_k"].data[0, 0] = np.nan
+    report = evaluation.run_ablation("n_perspectives", base_cfg, base_store, train, val, tc,
+                                     arms=[1, 2], seeds=(0, 1, 2))
+    assert [arm.failed for arm in report.arms] == [True, True]
+    assert "FAILED" in report.to_table()
+
+
 def test_ablation_validation(synth_split):
     base_cfg, base_store, train, val, tc = _micro_setup(synth_split)
     with pytest.raises(m.ConfigError):

@@ -52,6 +52,22 @@ def test_base_init_deterministic_and_counted():
     assert s1.total_size() == 2 * V * d + 4 * d + L * (13 * d * d + 11 * d)
 
 
+@pytest.mark.parametrize("aggregation", m.AGGREGATION_MODES)
+@pytest.mark.parametrize("n", [1, 3])
+def test_param_shapes_is_what_init_and_extend_build(n, aggregation):
+    """The one table of leaf names and shapes agrees with the init path, and
+    the closed-form counts with the store's size."""
+    from rwkvp import perspectives
+    base_cfg = tiny_config()
+    base, _ = m.init_base_params(base_cfg, seed=0)
+    cfg, store, _ = perspectives.extend_to_perspectives(base, base_cfg, n, aggregation)
+    assert m.param_shapes(cfg) == {name: t.shape for name, t in store.items()}
+    assert m.param_shapes(base_cfg) == {name: t.shape for name, t in base.items()}
+    assert m.base_param_count(cfg) == base.total_size()
+    assert m.base_param_count(cfg) + m.extra_param_count(cfg) == store.total_size()
+    assert m.param_count(cfg) == store.total_size()
+
+
 def test_mu_coefficients_in_unit_interval():
     cfg = tiny_config(n_layers=3)
     store, _ = m.init_base_params(cfg, seed=0)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_config
+from conftest import forbid_model_builds, rewrite_manifest, tiny_config
 from rwkvp import autograd as ag
 from rwkvp import checkpoint as ckpt
 from rwkvp import corpus as corpus_mod
@@ -192,18 +192,6 @@ def test_checkpoint_magic_and_version(tmp_path):
         ckpt.load_checkpoint(versioned)
 
 
-def _rewrite_manifest(path, edit):
-    """Rewrite the checkpoint at path with edit(manifest dict) applied, payload kept."""
-    raw = path.read_bytes()
-    (mlen,) = struct.unpack_from("<I", raw, len(ckpt.MAGIC))
-    start = len(ckpt.MAGIC) + 4
-    manifest = json.loads(raw[start:start + mlen])
-    edit(manifest)
-    mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(raw[:len(ckpt.MAGIC)] + struct.pack("<I", len(mbytes)) + mbytes
-                     + raw[start + mlen:])
-
-
 def test_checkpoint_manifest_records_payload_sha256(tmp_path):
     import hashlib
     cfg, store, mask = _small_model()
@@ -213,8 +201,25 @@ def test_checkpoint_manifest_records_payload_sha256(tmp_path):
     (mlen,) = struct.unpack_from("<I", raw, len(ckpt.MAGIC))
     start = len(ckpt.MAGIC) + 4
     manifest = json.loads(raw[start:start + mlen])
-    assert manifest["version"] == ckpt.FORMAT_VERSION == 2
+    assert manifest["version"] == ckpt.FORMAT_VERSION == 3
+    # the config fixes every tensor's name and shape: no directory is stored
+    assert manifest.keys() == {"version", "config", "payload_sha256", "freeze_mask", "seeds"}
     assert manifest["payload_sha256"] == hashlib.sha256(raw[start + mlen:]).hexdigest()
+
+
+def test_checkpoint_payload_bytes_are_pinned(tmp_path):
+    """The payload is the tensors sorted by name, float32 little-endian, in
+    their param_shapes shapes: the bytes format 2 wrote, pinned by hash."""
+    import hashlib
+    cfg, store, mask = _small_model()
+    path = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack_from("<I", raw, len(ckpt.MAGIC))
+    payload = raw[len(ckpt.MAGIC) + 4 + mlen:]
+    assert len(payload) == 4 * store.total_size()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "83f86e560461be3967ba9feb960d6ba1939cf374dcc5bdead24f8641ff4aca17")
 
 
 @pytest.mark.parametrize("where", [0, 1000, -1], ids=["first", "middle", "last"])
@@ -243,14 +248,27 @@ def test_checkpoint_rejects_version_1_file(tmp_path):
     def to_v1(manifest):
         manifest["version"] = 1
         del manifest["payload_sha256"]
-        for entry in manifest["tensors"]:
-            if ".mu_" in entry["name"]:
-                entry["name"] += ".p0"
         manifest["freeze_mask"] = {(k + ".p0" if ".mu_" in k else k): v
                                    for k, v in manifest["freeze_mask"].items()}
 
-    _rewrite_manifest(path, to_v1)
+    rewrite_manifest(path, to_v1)
     with pytest.raises(ckpt.VersionMismatchError, match="version 1"):
+        ckpt.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_version_2_file(tmp_path):
+    """A v2 file (the same payload behind a tensor directory) is refused, not converted."""
+    cfg, store, mask = _small_model()
+    path = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+
+    def to_v2(manifest):
+        manifest["version"] = 2
+        manifest["tensors"] = [{"name": name, "shape": list(store[name].shape)}
+                               for name in sorted(store.names())]
+
+    rewrite_manifest(path, to_v2)
+    with pytest.raises(ckpt.VersionMismatchError, match="version 2"):
         ckpt.load_checkpoint(path)
 
 
@@ -263,8 +281,9 @@ def test_checkpoint_truncation_names_tensor(tmp_path):
     cut.write_bytes(raw[:-40])
     with pytest.raises(ckpt.TruncatedPayloadError) as err:
         ckpt.load_checkpoint(cut)
-    # the error names the tensor whose payload is missing (sorted-last name)
-    assert sorted(store.names())[-1] in str(err.value)
+    # the error gives the bytes the payload holds and the bytes the config needs
+    need = 4 * store.total_size()
+    assert f"({need - 40} bytes), the config needs {need // 4} ({need} bytes)" in str(err.value)
 
 
 def test_checkpoint_rejects_garbage_manifest(tmp_path):
@@ -285,7 +304,7 @@ def test_checkpoint_rejects_unknown_config_key(tmp_path):
     cfg, store, mask = _small_model()
     path = tmp_path / "m.ckpt"
     ckpt.save_checkpoint(store, cfg, mask, path)
-    _rewrite_manifest(path, lambda manifest: manifest["config"].update(no_such_field=1))
+    rewrite_manifest(path, lambda manifest: manifest["config"].update(no_such_field=1))
     with pytest.raises(ckpt.CheckpointError, match="config"):
         ckpt.load_checkpoint(path)
 
@@ -296,7 +315,7 @@ def test_checkpoint_rejects_invalid_config_value(tmp_path, field, value):
     cfg, store, mask = _small_model()
     path = tmp_path / "m.ckpt"
     ckpt.save_checkpoint(store, cfg, mask, path)
-    _rewrite_manifest(path, lambda manifest: manifest["config"].update({field: value}))
+    rewrite_manifest(path, lambda manifest: manifest["config"].update({field: value}))
     with pytest.raises(ckpt.CheckpointError, match=f"config.*{field}"):
         ckpt.load_checkpoint(path)
 
@@ -353,37 +372,56 @@ def test_checkpoint_preserves_freeze_partition(tmp_path):
         assert not store2[name].requires_grad
 
 
-def _refuse_to_build(*args, **kwargs):
-    raise AssertionError("load_checkpoint built a model for an unchecked config")
-
-
 @pytest.mark.parametrize("field,value", [("d_model", 1_000_000), ("n_layers", 1_000_000_000)])
 def test_checkpoint_config_larger_than_payload_builds_nothing(tmp_path, monkeypatch,
                                                              field, value):
-    """A manifest config far larger than its payload is refused on the analytic
-    count, before the init path could allocate the model it describes."""
+    """A manifest config far larger than its payload is refused on the
+    closed-form count, before anything the size of that config is allocated."""
     cfg = m.ModelConfig(n_layers=2, d_model=48, vocab_size=257, context_length=64)
     store, mask = m.init_base_params(cfg, seed=0)
     path = tmp_path / "m.ckpt"
-    ckpt.save_checkpoint(store, replace(cfg, **{field: value}), mask, path)
-    monkeypatch.setattr(ckpt, "init_base_params", _refuse_to_build)
-    with pytest.raises(ckpt.CheckpointError, match="payload holds 85824 parameters"):
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    rewrite_manifest(path, lambda manifest: manifest["config"].update({field: value}))
+    forbid_model_builds(monkeypatch)
+    with pytest.raises(ckpt.TruncatedPayloadError, match="payload holds 85824 parameters"):
         ckpt.load_checkpoint(path)
 
 
-def test_checkpoint_rejects_moved_tensor_offset(tmp_path):
-    """The SHA-256 covers the payload only, so the directory must tile it:
-    a tensor read 4 bytes past where its predecessor ends is refused."""
+@pytest.mark.parametrize("n,aggregation", [(1, "average"), (3, "weighted_softmax"),
+                                           (2, "transformer_like")])
+def test_checkpoint_load_builds_no_model(tmp_path, monkeypatch, n, aggregation):
+    """Load slices the payload by param_shapes(config): with both init
+    functions raising, a base and each kind of extension still load whole."""
+    from rwkvp import perspectives
     cfg, store, mask = _small_model()
+    if n > 1:
+        cfg, store, mask = perspectives.extend_to_perspectives(store, cfg, n, aggregation)
     path = tmp_path / "m.ckpt"
     ckpt.save_checkpoint(store, cfg, mask, path)
+    forbid_model_builds(monkeypatch)
+    store2, cfg2, mask2, _ = ckpt.load_checkpoint(path)
+    assert cfg2 == cfg and dict(mask2) == dict(mask) and store2.digest() == store.digest()
 
-    def move_decay(manifest):
-        entry = next(e for e in manifest["tensors"] if e["name"] == "layer0.att.decay")
-        entry["offset"] += 4
 
-    _rewrite_manifest(path, move_decay)
-    with pytest.raises(ckpt.CheckpointError, match="'layer0.att.decay' at offset"):
+@pytest.mark.parametrize("edit,named", [
+    (lambda mf: mf["freeze_mask"].update({"emb.weight": "false"}), "freeze_mask"),
+    (lambda mf: mf["freeze_mask"].update({"emb.weight": 0}), "freeze_mask"),
+    (lambda mf: mf.update(seeds=["x", None]), "seeds"),
+    (lambda mf: mf.update(seeds=[-1]), "seeds"),
+    (lambda mf: mf.update(seeds=[True]), "seeds"),
+    (lambda mf: mf.update(seeds={"0": 0}), "seeds"),
+], ids=["mask-string", "mask-int", "seeds-not-ints", "seed-negative", "seed-bool",
+        "seeds-object"])
+def test_checkpoint_rejects_manifest_value_types(tmp_path, edit, named):
+    """Freeze-mask values must be JSON booleans and seeds non-negative
+    integers: the string "false" would otherwise load a frozen leaf as trainable."""
+    from rwkvp import perspectives
+    base_cfg, base, _ = _small_model()
+    cfg, store, mask = perspectives.extend_to_perspectives(base, base_cfg, 2)
+    path = tmp_path / "m.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path, seeds=[0])
+    rewrite_manifest(path, edit)
+    with pytest.raises(ckpt.CheckpointError, match=named):
         ckpt.load_checkpoint(path)
 
 

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -144,9 +146,23 @@ def test_shape_validation():
 
 
 def test_step_rejects_non_finite_inputs():
-    with pytest.raises(ag.NonFiniteError):
-        wkv.wkv_step(wkv.empty_state(2, np.float64), np.array([np.nan, 0.0]),
-                     np.zeros(2), np.ones(2), np.zeros(2))
+    # wkv_sequence checks k and v once per call, on the step route too
+    with ag.no_grad(), pytest.raises(ag.NonFiniteError):
+        wkv.wkv_sequence(Tensor(np.array([[np.nan, 0.0]])), Tensor(np.zeros((1, 2))),
+                         Tensor(np.ones(2)), Tensor(np.zeros(2)))
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["no-grad", "grad"])
+@pytest.mark.parametrize("bad", ["k", "v"])
+def test_scans_reject_non_finite_inputs(grad, bad):
+    """A chunk of T >= 2, or any chunk in grad mode, raises rather than
+    carrying NaN into y and the state."""
+    kv = {"k": np.zeros((2, 2, 3)), "v": np.zeros((2, 2, 3))}
+    kv[bad][0, 1, 2] = np.inf
+    k, v = (Tensor(kv[name], requires_grad=grad) for name in ("k", "v"))
+    with (contextlib.nullcontext() if grad else ag.no_grad()), \
+            pytest.raises(ag.NonFiniteError, match="non-finite"):
+        wkv.wkv_sequence(k, v, Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
 
 def test_strong_decay_and_bonus():
