@@ -10,6 +10,8 @@ rwkvp.model): tokens (T, [B]), activations (T, [B,] n, d), state arrays
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from rwkvp import model as m
@@ -32,10 +34,7 @@ def extend_to_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
     if base_cfg.n_perspectives != 1:
         raise m.ConfigError(f"extension starts from a base with n_perspectives=1, "
                             f"got {base_cfg.n_perspectives}")
-    cfg = m.ModelConfig(n_layers=base_cfg.n_layers, d_model=base_cfg.d_model,
-                        vocab_size=base_cfg.vocab_size, n_perspectives=n,
-                        aggregation=aggregation,
-                        context_length=base_cfg.context_length)
+    cfg = replace(base_cfg, n_perspectives=n, aggregation=aggregation)
     store = ParamStore()
     for name, t in base_store.items():
         store.add(name, np.repeat(t.data, n, axis=0) if m.is_temporal(name) else t.data.copy(),

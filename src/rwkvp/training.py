@@ -38,6 +38,9 @@ NOISE_TARGETS = ("selector", "temporal")
 
 @dataclass
 class TrainConfig:
+    """One training run's settings. grad_clip is the global-norm bound on
+    the gradient; 0 turns clipping off."""
+
     batch_size: int = 2
     lr_max: float = 3e-5
     lr_min: float = 1e-5
@@ -57,6 +60,9 @@ class TrainConfig:
             raise m.ConfigError(f"need 0 < lr_min <= lr_max, got {self.lr_min}, {self.lr_max}")
         if self.noise_std < 0:
             raise m.ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if self.grad_clip < 0:
+            raise m.ConfigError(f"grad_clip must be >= 0 (0 turns clipping off), "
+                                f"got {self.grad_clip}")
         if self.noise_target not in NOISE_TARGETS:
             raise m.ConfigError(f"noise_target must be one of {NOISE_TARGETS}, "
                                 f"got {self.noise_target!r}")
@@ -162,9 +168,8 @@ def inject_selector_noise(store: ParamStore, std: float, mean: float, seed: int)
     if std < 0:
         raise m.ConfigError(f"noise_std must be >= 0, got {std}")
     rng = np.random.default_rng(seed)
-    for name in ("selector.W", "selector.b", "agghead.W", "agghead.b"):
-        if name in store:
-            p = store[name]
+    for name, p in store.items():
+        if m.is_aggregator(name):
             p.data = p.data + rng.normal(mean, std, size=p.shape).astype(p.data.dtype)
 
 

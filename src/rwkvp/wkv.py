@@ -31,10 +31,15 @@ why p stays a loop: its closed form, max over s of (k[s] + s*w) less
 (t - 1)*w via `np.maximum.accumulate`, rounds differently (and loses bits
 as t*w grows), and breaks that equality.
 
-The backward mirrors the forward: one reverse scan for the gradient of
-(a, b), whose coefficient is f1, one for the gradient of p, whose
-coefficient is the 0/1 mask of steps where p' took p - w, and dk, dv, dw, du
-as whole-chunk expressions. Under `no_grad` nothing is kept for it.
+The backward holds p and the output's log-scale q = max(p, u + k) constant.
+They are a gauge: with A = a*e^p and B = b*e^p, the output is
+y = (A + e^(u+k) v) / (B + e^(u+k)) and the update is A' = e^-w A + e^k v,
+B' = e^-w B + e^k, whichever p, q and p' the maxes picked. So y does not
+depend on them, and a gradient routed through the maxes would sum to zero
+(ties included). What is left is one reverse scan for the gradient of
+(a, b), whose coefficient is f1, and dk, dv, dw, du as whole-chunk
+expressions: u + k enters through e2, k through f2, w through f1. Under
+`no_grad` nothing is kept for it.
 """
 
 from __future__ import annotations
@@ -148,7 +153,7 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
             dN = g / den
             dD = -g * y / den
 
-            # reverse scan 1: dab[t] is the gradient of (a, b) entering step t
+            # reverse scan: dab[t] is the gradient of (a, b) entering step t
             dab = np.empty((T + 1, 2, D), dtype=dtype)
             dab[T] = 0
             np.multiply(dN, e1, out=dab[:-1, 0])
@@ -157,59 +162,28 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
                 cur += nxt * f
             da, db = dab[1:, 0], dab[1:, 1]      # gradient of the state after step t
 
-            # Gradients of the exp arguments, each routed through the max that
-            # set its log-scale. The 0/1 masks of which argument a max took are
-            # floats: a mask multiply is an exact select, and much cheaper than
-            # np.where on masks without long runs.
-            uk = kd + ud
-            n1 = np.greater_equal(p_in, uk, out=np.empty_like(kd))  # q = p
-            n2 = np.less(p_in, uk, out=uk)                          # q = u + k
-            duk = dN * vd
-            duk += dD
-            duk *= e2
-            duk *= n1                            # via u + k - q, where q = p
-            g1o = np.multiply(dD, b_in, out=dD)
-            g1o += dN * a_in
-            g1o *= e1
-            g1o *= n2                            # via p - q, where q = u + k
-            duk -= g1o                           # what u + k gets from the output
-            del uk, n1, n2, dD, g1o              # free before the update side
-
-            pw = p_in - wd
-            m1 = np.greater_equal(pw, kd, out=np.empty_like(kd))    # p' = p - w
-            m2 = np.less(pw, kd, out=pw)                            # p' = k
-            g1 = da * a_in
-            g1 += db * b_in
-            g1 *= f1
-            g1 *= m2                             # via p - w - p', where p' = k
-            h = da * vd
-            h += db
-            h *= f2
-            h *= m1                              # via k - p', where p' = p - w
-            h -= g1                              # what k gets from the update
-
-            # reverse scan 2: dp[t] = m1[t] * dp[t + 1] - (h + duk)[t]
-            s = np.add(h, duk, out=g1)
-            dp = np.empty((T + 1, D), dtype=dtype)
-            dp[T] = 0
-            np.negative(s, out=dp[:-1])
-            for cur, nxt, m in zip(dp[-2::-1], dp[:0:-1], m1[::-1]):
-                cur += nxt * m
-            dp_out = dp[1:]
-
-            if k.requires_grad:
-                dk = np.multiply(dp_out, m2, out=m2)
-                dk += s
-                k._accumulate(dk.reshape(k.shape))
+            # p and q are held constant: a gauge (see the module docstring).
+            # After dv, g2 and dk reuse the buffers of dN and dD.
             if v.requires_grad:
                 dv = da * f2
                 dv += dN * e2
                 v._accumulate(dv.reshape(v.shape))
+            g2 = np.multiply(dN, vd, out=dN)     # via e2 = exp(u + k - q)
+            g2 += dD
+            g2 *= e2
+            if k.requires_grad:
+                dk = np.multiply(da, vd, out=dD)  # via f2 = exp(k - p')
+                dk += db
+                dk *= f2
+                dk += g2
+                k._accumulate(dk.reshape(k.shape))
             if w.requires_grad:
-                h -= np.multiply(dp_out, m1, out=m1)
-                w._accumulate(h.sum(axis=0).reshape(groups, d).sum(axis=0))
+                dw = da * a_in                   # via f1 = exp(p - w - p')
+                dw += db * b_in
+                dw *= f1
+                w._accumulate(-dw.sum(axis=0).reshape(groups, d).sum(axis=0))
             if u.requires_grad:
-                u._accumulate(duk.sum(axis=0).reshape(groups, d).sum(axis=0))
+                u._accumulate(g2.sum(axis=0).reshape(groups, d).sum(axis=0))
         out._backward = bwd
 
     return out, final_state

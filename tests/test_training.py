@@ -48,7 +48,7 @@ def test_train_config_rejects_wrong_types(field, value):
 
 
 @pytest.mark.parametrize("field,value", [("seed", -1), ("context_length", 1),
-                                         ("context_length", -3)])
+                                         ("context_length", -3), ("grad_clip", -1.0)])
 def test_train_config_rejects_out_of_range_values(field, value):
     with pytest.raises(m.ConfigError, match=field):
         training.TrainConfig(**{field: value})
@@ -133,6 +133,9 @@ def test_clip_global_norm():
     grad = np.array([0.3])
     training.clip_global_norm(grad, [1], 1.0)     # below threshold: untouched
     np.testing.assert_array_equal(grad, [0.3])
+    grad = np.array([3.0, 4.0])
+    assert training.clip_global_norm(grad, [2], 0.0) == 5.0    # 0 turns clipping off
+    np.testing.assert_array_equal(grad, [3.0, 4.0])
 
 
 def test_clip_norm_sums_leaf_by_leaf():

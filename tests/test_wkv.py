@@ -119,6 +119,63 @@ def test_sequence_gradients_match_finite_differences():
     k, v, w, u = _random_case(rng, T, d)
     weight = rng.uniform(-1, 1, (T, d))
     _assert_gradients_match_fd({"k": k, "v": v, "w": w, "u": u}, weight)
+    # exact ties of both maxes: with w = u = 0.5 and k[t] = -0.5 t, the log-scale
+    # entering step t >= 1 is p = k[t - 1], so u + k[t] == p and p - w == k[t]
+    k = np.repeat(-0.5 * np.arange(T)[:, None], d, axis=1)
+    w = u = np.full(d, 0.5)
+    _assert_gradients_match_fd({"k": k, "v": v, "w": w, "u": u}, weight)
+
+
+def _unstabilized_gradients(k, v, w, u, weight, state):
+    """dk, dv, dw, du of sum(y * weight) by a long-double backward of the
+    plain recurrence A' = e^-w A + e^k v, B' = e^-w B + e^k, with the
+    output y = (A + e^(u+k) v) / (B + e^(u+k)). No log-scale anywhere."""
+    ld = np.longdouble
+    k, v, w, u, weight = (np.asarray(x, dtype=ld) for x in (k, v, w, u, weight))
+    a0, b0, p0 = (np.asarray(s, dtype=ld) for s in state)
+    decay, ek, euk = np.exp(-w), np.exp(k), np.exp(u + k)
+    T = len(k)
+    A, B = np.empty((T + 1,) + k.shape[1:], ld), np.empty((T + 1,) + k.shape[1:], ld)
+    A[0], B[0] = a0 * np.exp(p0), b0 * np.exp(p0)
+    for t in range(T):
+        A[t + 1] = decay * A[t] + ek[t] * v[t]
+        B[t + 1] = decay * B[t] + ek[t]
+    den = B[:-1] + euk
+    dN = weight / den
+    dD = -weight * (A[:-1] + euk * v) / den ** 2
+    dk, dv = np.empty_like(k), np.empty_like(v)
+    dw, du = np.zeros_like(k[0]), np.zeros_like(k[0])
+    dA, dB = np.zeros_like(k[0]), np.zeros_like(k[0])   # of the state after step t
+    for t in reversed(range(T)):
+        out = (dN[t] * v[t] + dD[t]) * euk[t]
+        dv[t] = dN[t] * euk[t] + dA * ek[t]
+        dk[t] = out + (dA * v[t] + dB) * ek[t]
+        du += out
+        dw -= decay * (dA * A[t] + dB * B[t])
+        dA, dB = dN[t] + decay * dA, dD[t] + decay * dB
+    lead = tuple(range(k.ndim - 2))
+    return dk, dv, dw.sum(axis=lead), du.sum(axis=lead)
+
+
+@pytest.mark.parametrize("dtype, limit", [(np.float32, 2e-5), (np.float64, 1e-12)])
+def test_sequence_gradients_match_unstabilized_long_double_backward(dtype, limit):
+    """At T=64 over (2, 4) leading axes, from a carried state: the error of each
+    gradient is at most `limit` of its largest entry."""
+    rng = np.random.default_rng(13)
+    T, lead, d = 64, (2, 4), 48
+    k = rng.uniform(-6, 6, (T,) + lead + (d,)).astype(dtype)   # keeps e^k, A and B finite
+    v, weight = (rng.uniform(-1, 1, (T,) + lead + (d,)).astype(dtype) for _ in range(2))
+    w = rng.uniform(0.01, 1.0, d).astype(dtype)
+    u = rng.uniform(-2, 2, d).astype(dtype)
+    state = _carried_state(rng, lead, d, dtype)
+    ts = [Tensor(x, requires_grad=True) for x in (k, v, w, u)]
+    y, _ = wkv.wkv_sequence(*ts, state=state)
+    ag.sum_(ag.mul(y, Tensor(weight))).backward()
+    refs = _unstabilized_gradients(k, v, w, u, weight, state)
+    for name, t, ref in zip("kvwu", ts, refs):
+        assert t.grad.dtype == dtype and t.grad.shape == ref.shape, name
+        err = float(np.abs(t.grad - ref).max() / np.abs(ref).max())
+        assert np.isfinite(err) and err <= limit, (name, err)
 
 
 def test_gradient_flows_through_chunk_output_not_state():
