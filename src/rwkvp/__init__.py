@@ -5,7 +5,8 @@ Pure numpy. The package is organized as:
   autograd      reverse-mode tape over numpy arrays, freeze-aware
   wkv           the log-stabilized WKV recurrence (step + differentiable sequence)
   params        named parameter store with a freeze mask
-  model         RWKV-v4 blocks, config, init, analytic parameter counts, baseline forward
+  model         RWKV-v4 blocks, config, init, analytic parameter counts, the Model
+                bundle (a base's Model.forward is the n=1 reference)
   perspectives  n temporal views sharing all projection weights
   aggregation   average / transformer-like / learned softmax-weighted heads
   training      Adam, LR schedule, noise injection, pretrain + frozen-base finetune

@@ -19,8 +19,6 @@ from rwkvp import corpus as corpus_mod
 from rwkvp import evaluation, gradcheck, training
 from rwkvp import model as m
 
-AGG_CLI_NAMES = {"average": "average", "transformer": "transformer_like",
-                 "weighted": "weighted_softmax"}
 DEFAULT_N_PERSPECTIVES = 4     # finetune, ablate and count-params
 
 
@@ -77,8 +75,6 @@ def _build_configs(args, base_cfg: m.ModelConfig | None = None, fixed: dict | No
     if base_cfg is not None:
         fixed.update({name: getattr(base_cfg, name) for name in _BASE_FIELDS})
     flags = {k: v for k, v in vars(args).items() if v is not None}
-    if "aggregation" in flags:
-        flags["aggregation"] = AGG_CLI_NAMES[flags["aggregation"]]
     for name, used in fixed.items():
         section = "model" if hasattr(model_cfg, name) else "train"
         _check_given(file_cfg.get(section, {}), name, f"the config file's {section}.{name}", used)
@@ -199,7 +195,7 @@ def cmd_trace(args) -> int:
 def cmd_count_params(args) -> int:
     cfg = m.ModelConfig(n_layers=args.layers, d_model=args.d_model,
                         vocab_size=args.vocab, n_perspectives=args.n_perspectives,
-                        aggregation=AGG_CLI_NAMES[args.aggregation])
+                        aggregation=args.aggregation)
     report = evaluation.count_parameters(cfg, base_total=args.base_total)
     print(f"base {report.base_count:.6g}  extended {report.extended_count:.6g}  "
           f"increase {report.increase_fraction:.4f}%")
@@ -237,7 +233,7 @@ _FLAGS = {
     "--out": dict(required=True, help="output directory"),
     "--seed": dict(type=_seed, help="training seed (overrides the config file)"),
     "--n-perspectives": dict(type=int, help=f"perspectives (default {DEFAULT_N_PERSPECTIVES})"),
-    "--aggregation": dict(choices=sorted(AGG_CLI_NAMES)),
+    "--aggregation": dict(choices=m.AGGREGATION_MODES),
     "--noise-target": dict(choices=training.NOISE_TARGETS),
     "--noise-std": dict(type=float),
 }
@@ -289,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-model", type=int, required=True)
     p.add_argument("--vocab", type=int, default=50277)
     p.add_argument("--n-perspectives", type=int, default=DEFAULT_N_PERSPECTIVES)
-    p.add_argument("--aggregation", choices=sorted(AGG_CLI_NAMES), default="weighted")
+    p.add_argument("--aggregation", choices=m.AGGREGATION_MODES, default="weighted_softmax")
     p.add_argument("--base-total", type=float,
                    help="published base parameter total to anchor the ratio")
     p.set_defaults(fn=cmd_count_params)

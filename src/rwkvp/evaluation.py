@@ -29,6 +29,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def _stream(model: m.Model, tokens: np.ndarray, chunk: int):
     """Yield (start, piece, logits, weights) per chunk of a no-grad forward
     over the stream, handing the recurrent state from chunk to chunk."""
+    if tokens.ndim != 1:
+        raise CorpusError(f"a token stream is 1-D, got shape {tokens.shape}")
     if tokens.size == 0:
         raise CorpusError("cannot stream an empty token array")
     states = model.init_states()
@@ -44,7 +46,8 @@ def perplexity(model: m.Model, tokens: np.ndarray, chunk: int | None = None) -> 
 
     The stream is processed in chunks (by default of the context length)
     with recurrent-state handoff, so the result is invariant to the chunk size.
-    Raises ag.NonFiniteError if the NLL is not finite (non-finite or
+    Raises CorpusError for a stream that is not 1-D or holds fewer than two
+    tokens, and ag.NonFiniteError if the NLL is not finite (non-finite or
     overflowing logits).
     """
     chunk = model.config.context_length if chunk is None else chunk
@@ -142,13 +145,12 @@ def render_trace_svg(weights: np.ndarray) -> str:
 # ablation harness
 
 
-ABLATION_AXES = ("n_perspectives", "aggregation", "noise_placement")
-
 DEFAULT_ARMS = {
     "n_perspectives": [1, 2, 3, 4],
     "aggregation": list(m.AGGREGATION_MODES),
     "noise_placement": list(training.NOISE_TARGETS),
 }
+ABLATION_AXES = tuple(DEFAULT_ARMS)
 
 
 @dataclass

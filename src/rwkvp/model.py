@@ -13,11 +13,12 @@ Each token-shift slot holds one (n, d) leaf, layer{l}.{att|ffn}.mu_{r,k,v},
 row i perspective i's mu (a base holds (1, d)), which ag.token_shift
 broadcasts. param_shapes(cfg) states every leaf's name and shape once; the
 parameter counts are its sizes. Every model, the base included, runs
-run_stream and then its aggregation head; a base's "average" head at n=1 is
-bitwise model_forward's plain head. Both return the head's logits
-(T, [B,] V) as they are (Model.forward also weights (T, [B,] n)). The
-recurrent parts cross chunk boundaries as detached numpy state: one
-StreamState per layer, each array ([B,] n, d), with no time axis.
+run_stream and then its aggregation head through Model.forward; a base's
+"average" head at n=1 is the plain RWKV-v4 head, so a base's Model.forward
+is the n=1 reference that an extended model reduces to. It returns the
+head's logits (T, [B,] V) as they are (the weighted head also its weights
+(T, [B,] n)). The recurrent parts cross chunk boundaries as detached numpy
+state: one StreamState per layer, each array ([B,] n, d), with no time axis.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from rwkvp import wkv
 from rwkvp.autograd import Tensor
 from rwkvp.corpus import check_token_range
 from rwkvp.params import FreezeMask, ParamStore
+from rwkvp.tokenizer import VOCAB_SIZE
 
 AGGREGATION_MODES = ("average", "transformer_like", "weighted_softmax")
 
@@ -59,7 +61,7 @@ def check_field_types(cfg, ints=(), floats=()) -> None:
 class ModelConfig:
     n_layers: int = 4
     d_model: int = 64
-    vocab_size: int = 257
+    vocab_size: int = VOCAB_SIZE
     n_perspectives: int = 1
     aggregation: str = "average"
     context_length: int = 128
@@ -271,19 +273,6 @@ def head_logits(store: ParamStore, p: Tensor) -> Tensor:
     """Shared head: final LN then unembedding projection."""
     return ag.matmul(ag.layer_norm(p, store["ln_out.g"], store["ln_out.b"]),
                      store["head.weight"])
-
-
-def model_forward(cfg: ModelConfig, store: ParamStore, tokens: np.ndarray,
-                  states: list[StreamState] | None = None) -> tuple[Tensor, list[StreamState]]:
-    """Plain single-stream RWKV-v4 path (the n=1 reference).
-
-    tokens: (T,) or (T, B); returns logits (T, [B,] V) and new states.
-    """
-    if cfg.n_perspectives != 1:
-        raise ConfigError(f"model_forward runs one stream, got n_perspectives="
-                          f"{cfg.n_perspectives}")
-    p, new_states = run_stream(cfg, store, tokens, states)
-    return head_logits(store, ag.reshape(p, p.shape[:-2] + p.shape[-1:])), new_states
 
 
 @dataclass

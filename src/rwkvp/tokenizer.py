@@ -12,8 +12,3 @@ def tokenize(text: bytes | str) -> np.ndarray:
     if isinstance(text, str):
         text = text.encode("utf-8")
     return np.frombuffer(text, dtype=np.uint8).astype(np.int64)
-
-
-def detokenize(tokens) -> bytes:
-    tokens = np.asarray(tokens)
-    return bytes(tokens[tokens != EOT].astype(np.uint8))

@@ -187,25 +187,3 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
         out._backward = bwd
 
     return out, final_state
-
-
-def wkv_sequence_reference(k, v, w, u, dtype=np.float64):
-    """Unstabilized direct recurrence in extended precision (test oracle).
-
-    Only valid where exp(k) and exp(u + k) stay finite in `dtype`.
-    """
-    k = np.asarray(k, dtype=dtype)
-    v = np.asarray(v, dtype=dtype)
-    w = np.asarray(w, dtype=dtype)
-    u = np.asarray(u, dtype=dtype)
-    T, d = k.shape
-    A = np.zeros(d, dtype=dtype)
-    B = np.zeros(d, dtype=dtype)
-    y = np.empty_like(k)
-    for t in range(T):
-        euk = np.exp(u + k[t])
-        y[t] = (A + euk * v[t]) / (B + euk)
-        ek = np.exp(k[t])
-        A = np.exp(-w) * A + ek * v[t]
-        B = np.exp(-w) * B + ek
-    return y

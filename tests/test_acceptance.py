@@ -41,10 +41,12 @@ def test_criterion_01_parameter_count_anchors(capsys):
 
 
 def test_criterion_02_n1_reduction_bit_identical(capsys):
-    """n=1 extended model matches the plain baseline bit-for-bit on 100
+    """n=1 extended model matches the base model (its Model.forward, the
+    "average" head at n=1, which is the plain head) bit-for-bit on 100
     random 64-token sequences."""
     base_cfg = tiny_config()
-    base_store, _ = m.init_base_params(base_cfg, seed=0)
+    base_store, base_mask = m.init_base_params(base_cfg, seed=0)
+    base = m.Model(base_cfg, base_store, base_mask)
     cfg, store, mask = perspectives.extend_to_perspectives(base_store, base_cfg, 1)
     model = m.Model(cfg, store, mask)
     rng = np.random.default_rng(0)
@@ -52,7 +54,7 @@ def test_criterion_02_n1_reduction_bit_identical(capsys):
     with ag.no_grad():
         for _ in range(100):
             tokens = rng.integers(0, cfg.vocab_size, 64)
-            plain, _ = m.model_forward(base_cfg, base_store, tokens)
+            plain, _, _ = base.forward(tokens)
             multi, _, _ = model.forward(tokens)
             identical += int(np.array_equal(plain.data, multi.data))
     _report(capsys, 2, identical == 100,

@@ -56,7 +56,7 @@ def test_full_pipeline(tmp_path, corpus_file, micro_config, pretrained_dir):
     rc = cli.main(["finetune", "--config", str(micro_config),
                    "--checkpoint", str(pretrained_dir / "base.ckpt"),
                    "--corpus", str(corpus_file), "--out", str(ft),
-                   "--n-perspectives", "2", "--aggregation", "weighted",
+                   "--n-perspectives", "2", "--aggregation", "weighted_softmax",
                    "--seed", "1"])
     assert rc == 0
     store, cfg, mask, seeds = ckpt.load_checkpoint(ft / "finetuned.ckpt")
@@ -90,7 +90,7 @@ def test_flag_overrides_config_file(tmp_path, corpus_file, micro_config):
 
 def test_count_params_report(capsys):
     rc = cli.main(["count-params", "--layers", "12", "--d-model", "768",
-                   "--n-perspectives", "4", "--aggregation", "weighted",
+                   "--n-perspectives", "4", "--aggregation", "weighted_softmax",
                    "--base-total", "1.6934e8"])
     assert rc == 0
     out = capsys.readouterr().out
@@ -494,7 +494,7 @@ def test_help_lists_exactly_the_flags_the_subcommand_reads(capsys, command):
 
 @pytest.mark.parametrize("argv", [
     ["eval", "--checkpoint", "c", "--corpus", "t", "--n-perspectives", "2"],
-    ["pretrain", "--corpus", "t", "--out", "o", "--aggregation", "weighted"],
+    ["pretrain", "--corpus", "t", "--out", "o", "--aggregation", "weighted_softmax"],
     ["ablate", "--checkpoint", "c", "--corpus", "t", "--out", "o",
      "--axis", "n_perspectives", "--seed", "5"],
     ["trace", "--checkpoint", "c", "--prompt", "p", "--out", "o", "--noise-std", "0.1"],
@@ -507,10 +507,11 @@ def test_help_lists_exactly_the_flags_the_subcommand_reads(capsys, command):
     ["finetune", "--checkpoint", "c", "--corpus", "t", "--out", "o", "--seed=-1"],
     ["ablate", "--checkpoint", "c", "--corpus", "t", "--out", "o",
      "--axis", "n_perspectives", "--seeds=-1,0,1"],
+    ["count-params", "--layers", "2", "--d-model", "8", "--aggregation", "weighted"],
 ], ids=["eval-n", "pretrain-aggregation", "ablate-seed", "trace-noise-std",
         "ablate-seeds-not-ints", "eval-no-checkpoint", "trace-no-prompt-or-corpus",
         "pretrain-negative-seed", "gradcheck-negative-seed", "finetune-negative-seed",
-        "ablate-negative-seeds"])
+        "ablate-negative-seeds", "count-params-aggregation-not-a-mode-name"])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

@@ -235,6 +235,17 @@ def test_trace_requires_weighted_mode():
         evaluation.trace_weights(m.Model(cfg, store, mask), np.arange(4))
 
 
+@pytest.mark.parametrize("score", [evaluation.perplexity, evaluation.trace_weights],
+                         ids=["perplexity", "trace_weights"])
+def test_a_stream_that_is_not_1d_raises_corpus_error(score):
+    """A (T, B) batch is not a token stream: refused by name, not left to
+    fail in the token shift against the one-stream state."""
+    model = _traced_model(n=2)
+    tokens = np.arange(16).reshape(8, 2) % model.config.vocab_size
+    with pytest.raises(CorpusError, match="1-D"):
+        score(model, tokens)
+
+
 def test_trace_csv_roundtrip():
     model = _traced_model(n=3)
     training.inject_selector_noise(model.store, 0.5, 0.0, seed=2)

@@ -78,10 +78,11 @@ def test_mu_coefficients_in_unit_interval():
 
 def test_forward_shapes():
     cfg = tiny_config()
-    store, _ = m.init_base_params(cfg, seed=0)
+    store, mask = m.init_base_params(cfg, seed=0)
     tokens = np.arange(5) % cfg.vocab_size
-    logits, states = m.model_forward(cfg, store, tokens)
+    logits, weights, states = m.Model(cfg, store, mask).forward(tokens)
     assert logits.shape == (5, cfg.vocab_size)
+    assert weights is None      # a base's head is "average"
     assert len(states) == cfg.n_layers
     assert np.all(np.isfinite(logits.data))
     # a batch is time-major too: tokens (T, B) -> logits (T, B, V), weights (T, B, n)
@@ -102,33 +103,43 @@ def test_forward_rejects_out_of_range_token():
     from rwkvp.corpus import CorpusError
     cfg = tiny_config()
     assert cfg.vocab_size == 17
-    store, _ = m.init_base_params(cfg, seed=0)
+    model = m.Model(cfg, *m.init_base_params(cfg, seed=0))
     for bad in (17, -1):
         with pytest.raises(CorpusError, match="vocab_size=17"):
-            m.model_forward(cfg, store, np.array([3, bad]))
+            model.forward(np.array([3, bad]))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+def test_non_integer_token_array_raises_corpus_error(dtype):
+    """Float or bool ids are refused by name, not left to numpy's indexing."""
+    from rwkvp.corpus import CorpusError
+    cfg = tiny_config()
+    model = m.Model(cfg, *m.init_base_params(cfg, seed=0))
+    with pytest.raises(CorpusError, match="integers"):
+        model.forward(np.array([1, 0, 1], dtype=dtype))
 
 
 @pytest.mark.parametrize("shape", [(0,), (2, 0)])
 def test_empty_token_array_raises_corpus_error(shape):
     from rwkvp.corpus import CorpusError
     cfg = tiny_config()
-    store, _ = m.init_base_params(cfg, seed=0)
+    model = m.Model(cfg, *m.init_base_params(cfg, seed=0))
     with pytest.raises(CorpusError, match="empty"):
-        m.model_forward(cfg, store, np.zeros(shape, dtype=np.int64))
+        model.forward(np.zeros(shape, dtype=np.int64))
 
 
 def test_causality():
     """Changing future tokens never changes past logits."""
     cfg = tiny_config()
-    store, _ = m.init_base_params(cfg, seed=0)
+    model = m.Model(cfg, *m.init_base_params(cfg, seed=0))
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, cfg.vocab_size, 10)
     with ag.no_grad():
-        base, _ = m.model_forward(cfg, store, tokens)
+        base, _, _ = model.forward(tokens)
         for cut in (3, 7):
             mutated = tokens.copy()
             mutated[cut:] = rng.integers(0, cfg.vocab_size, 10 - cut)
-            alt, _ = m.model_forward(cfg, store, mutated)
+            alt, _, _ = model.forward(mutated)
             assert np.array_equal(base.data[:cut], alt.data[:cut])
 
 
@@ -136,30 +147,30 @@ def test_stepwise_equals_batched_prefix():
     """Feeding tokens one at a time with state handoff reproduces the
     full-sequence logits."""
     cfg = tiny_config()
-    store, _ = m.init_base_params(cfg, seed=0)
+    model = m.Model(cfg, *m.init_base_params(cfg, seed=0))
     rng = np.random.default_rng(1)
     tokens = rng.integers(0, cfg.vocab_size, 8)
     with ag.no_grad():
-        full, _ = m.model_forward(cfg, store, tokens)
+        full, _, _ = model.forward(tokens)
         states = None
         rows = []
         for t in tokens:
-            out, states = m.model_forward(cfg, store, np.array([t]), states)
+            out, _, states = model.forward(np.array([t]), states)
             rows.append(out.data[0])
     assert np.abs(full.data - np.array(rows)).max() < 1e-5
 
 
 def test_chunked_equals_sequential_forward():
     cfg = tiny_config()
-    store, _ = m.init_base_params(cfg, seed=0)
+    model = m.Model(cfg, *m.init_base_params(cfg, seed=0))
     rng = np.random.default_rng(2)
     tokens = rng.integers(0, cfg.vocab_size, 24)
     with ag.no_grad():
-        full, _ = m.model_forward(cfg, store, tokens)
+        full, _, _ = model.forward(tokens)
         states = None
         rows = []
         for start in range(0, 24, 7):
-            out, states = m.model_forward(cfg, store, tokens[start:start + 7], states)
+            out, _, states = model.forward(tokens[start:start + 7], states)
             rows.append(out.data)
     assert np.abs(full.data - np.vstack(rows)).max() < 1e-5
 
@@ -194,31 +205,6 @@ def test_time_mixing_state_advances():
     assert out.shape == (3, 1, cfg.d_model)
     np.testing.assert_array_equal(att_prev[0], xx.data[-1, 0])
     assert np.all(np.isfinite(wkv_state[0]))
-
-
-def test_model_bundle_forward_matches_plain_path():
-    """A base runs Model.forward's one path (average head at n=1) and gives
-    model_forward's logits and gradients bit for bit."""
-    cfg = tiny_config()
-    assert cfg.aggregation == "average"
-    store, mask = m.init_base_params(cfg, seed=0)
-    model = m.Model(cfg, store, mask)
-
-    def grads(logits):
-        store.zero_grad()
-        ag.sum_(ag.mul(logits, logits)).backward()
-        return {name: t.grad.copy() for name, t in store.items()}
-
-    for shape in ((6,), (3, 6)):
-        tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, shape)
-        with ag.no_grad():
-            direct, _ = m.model_forward(cfg, store, tokens)
-            bundled, weights, _ = model.forward(tokens)
-        assert weights is None
-        assert np.array_equal(direct.data, bundled.data)
-        plain = grads(m.model_forward(cfg, store, tokens)[0])
-        through_head = grads(model.forward(tokens)[0])
-        assert all(np.array_equal(plain[name], through_head[name]) for name in store.names())
 
 
 def test_base_init_requires_average_aggregation():

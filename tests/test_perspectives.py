@@ -9,32 +9,33 @@ from rwkvp.autograd import cross_entropy
 
 
 def _extended(n, aggregation="weighted_softmax", seed=0, **cfg_kw):
+    """(the base Model, then the n-perspective config, store and mask built from it)."""
     base_cfg = tiny_config(**cfg_kw)
-    base_store, _ = m.init_base_params(base_cfg, seed=seed)
-    return base_store, base_cfg, *perspectives.extend_to_perspectives(
+    base_store, base_mask = m.init_base_params(base_cfg, seed=seed)
+    return m.Model(base_cfg, base_store, base_mask), *perspectives.extend_to_perspectives(
         base_store, base_cfg, n, aggregation)
 
 
 def test_replicas_start_bitwise_equal():
-    base_store, base_cfg, cfg, store, _ = _extended(4)
+    base, cfg, store, _ = _extended(4)
     for name in m.mu_names(cfg):
-        assert base_store[name].shape == (1, cfg.d_model)
+        assert base.store[name].shape == (1, cfg.d_model)
         assert store[name].shape == (4, cfg.d_model)
         for i in range(4):
-            assert np.array_equal(store[name].data[i], base_store[name].data[0])
+            assert np.array_equal(store[name].data[i], base.store[name].data[0])
 
 
 def test_extension_copies_do_not_alias_base():
-    base_store, base_cfg, cfg, store, _ = _extended(2)
+    base, cfg, store, _ = _extended(2)
     mu = store["layer0.att.mu_k"].data
     mu[0] += 1.0
-    assert not np.array_equal(mu[0], base_store["layer0.att.mu_k"].data[0])
+    assert not np.array_equal(mu[0], base.store["layer0.att.mu_k"].data[0])
     mu[1] += 2.0
     assert not np.array_equal(mu[1], mu[0])
 
 
 def test_freeze_mask_partition():
-    _, _, cfg, store, mask = _extended(3)
+    _, cfg, store, mask = _extended(3)
     for name in store.names():
         expected = m.is_temporal(name) or m.is_aggregator(name)
         assert mask[name] == expected, name
@@ -46,14 +47,14 @@ def test_freeze_mask_partition():
 def test_parameter_accounting_matches_analytic():
     for n in (1, 2, 4):
         for agg in m.AGGREGATION_MODES:
-            _, _, cfg, store, _ = _extended(n, agg)
+            _, cfg, store, _ = _extended(n, agg)
             expected = m.base_param_count(cfg) + m.extra_param_count(cfg)
             assert store.total_size() == expected, (n, agg)
 
 
 def test_streams_evolve_independently():
     """Perturbing perspective j's mu changes only p_j."""
-    _, _, cfg, store, _ = _extended(3)
+    _, cfg, store, _ = _extended(3)
     tokens = np.arange(8) % cfg.vocab_size
     with ag.no_grad():
         before, _ = perspectives.multi_forward(cfg, store, tokens)
@@ -89,12 +90,12 @@ def test_cross_perspective_gradient_is_zero():
 
 
 def test_n1_extension_is_bitwise_identical_to_base():
-    base_store, base_cfg, cfg, store, mask = _extended(1)
+    base, cfg, store, mask = _extended(1)
     model = m.Model(cfg, store, mask)
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, cfg.vocab_size, 16)
     with ag.no_grad():
-        plain, _ = m.model_forward(base_cfg, base_store, tokens)
+        plain, _, _ = base.forward(tokens)
         multi, weights, _ = model.forward(tokens)
     assert np.array_equal(plain.data, multi.data)
     assert np.array_equal(weights, np.ones((16, 1)))
@@ -104,10 +105,10 @@ def test_extension_preserves_base_function():
     """At the identity init every aggregation mode reproduces the base."""
     rng = np.random.default_rng(0)
     for agg in m.AGGREGATION_MODES:
-        base_store, base_cfg, cfg, store, mask = _extended(3, agg)
+        base, cfg, store, mask = _extended(3, agg)
         tokens = rng.integers(0, cfg.vocab_size, 12)
         with ag.no_grad():
-            plain, _ = m.model_forward(base_cfg, base_store, tokens)
+            plain, _, _ = base.forward(tokens)
             multi, _, _ = m.Model(cfg, store, mask).forward(tokens)
         np.testing.assert_allclose(multi.data, plain.data, rtol=1e-5, atol=1e-6), agg
 
@@ -120,13 +121,13 @@ def test_invalid_perspective_count():
 
 
 def test_extension_starts_from_a_base():
-    _, _, cfg, store, _ = _extended(2)
+    _, cfg, store, _ = _extended(2)
     with pytest.raises(m.ConfigError, match="n_perspectives=1"):
         perspectives.extend_to_perspectives(store, cfg, 2)
 
 
 def test_multi_forward_state_handoff():
-    _, _, cfg, store, mask = _extended(2)
+    _, cfg, store, mask = _extended(2)
     model = m.Model(cfg, store, mask)
     tokens = np.arange(12) % cfg.vocab_size
     with ag.no_grad():
@@ -142,7 +143,7 @@ def test_t1_decode_at_n4(batch):
     """16 tokens decoded one at a time with state handoff: bitwise the same
     with the tape off (the one-token WKV step) as on (the WKV scans), and
     within 1e-5 of one chunked forward."""
-    _, _, cfg, store, mask = _extended(4)
+    _, cfg, store, mask = _extended(4)
     training.inject_selector_noise(store, 0.5, 0.0, 0)
     training.inject_temporal_noise(store, cfg, 0.05, 0.0, 0)
     model = m.Model(cfg, store, mask)

@@ -5,8 +5,12 @@ name, and only when the function is defined in that module. If one is
 renamed, moved, or re-exported from elsewhere, its layer silently reads zero.
 It reads its boundary functions and methods with owner.__dict__[attr], so
 deleting one or moving it to another class makes the benchmark fail to install.
+The names are read from the tracer's own tables (parsed, not imported), so
+every span name it keys a bucket on is checked here.
 """
 
+import ast
+import importlib
 import inspect
 import subprocess
 import sys
@@ -14,49 +18,48 @@ from pathlib import Path
 
 import pytest
 
-from rwkvp import autograd, model, params, perspectives, training, wkv
-
-TRACE_POINTS = [
-    (wkv, "wkv_sequence"),
-    (model, "run_stream"),
-    (model, "time_mixing"),
-    (model, "channel_mixing"),
-    (model, "head_logits"),
-    (perspectives, "multi_forward"),
-]
+ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("module, name", TRACE_POINTS,
-                         ids=[f"{mod.__name__}.{name}" for mod, name in TRACE_POINTS])
-def test_traced_function_is_defined_in_its_module(module, name):
-    fn = vars(module).get(name)
-    assert inspect.isfunction(fn), f"{module.__name__}.{name} is missing"
-    assert fn.__module__ == module.__name__, f"{name} is defined in {fn.__module__}"
+def _tracer_tables() -> dict:
+    """TRACED_MODULES, BUCKETS, NESTED_BUCKETS and BOUNDARIES of perfbench/tracer.py."""
+    wanted = {"TRACED_MODULES", "BUCKETS", "NESTED_BUCKETS", "BOUNDARIES"}
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    return {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in wanted}
 
 
-def test_model_forward_is_a_method_of_model():
-    assert inspect.isfunction(vars(model.Model).get("forward"))
+TABLES = _tracer_tables()
+BOUNDARIES = TABLES["BOUNDARIES"]      # (module, class or None, attribute)
+# every other span name a bucket is keyed on: a function the tracer finds by module
+TRACE_POINTS = sorted(
+    (set(TABLES["BUCKETS"]) | set(TABLES["NESTED_BUCKETS"]))
+    - {".".join(filter(None, boundary)) for boundary in BOUNDARIES})
 
 
-BOUNDARIES = [
-    (autograd, "_toposort"),
-    (autograd.Tensor, "backward"),
-    (training.Adam, "step"),
-    (params.ParamStore, "zero_grad"),
-    (params.ParamStore, "collect_grads"),
-]
+@pytest.mark.parametrize("name", TRACE_POINTS, ids=lambda name: f"rwkvp.{name}")
+def test_traced_function_is_defined_in_its_module(name):
+    short, attr = name.split(".")
+    assert short in TABLES["TRACED_MODULES"], f"the tracer does not wrap rwkvp.{short}"
+    module = importlib.import_module(f"rwkvp.{short}")
+    fn = vars(module).get(attr)
+    assert inspect.isfunction(fn), f"{module.__name__}.{attr} is missing"
+    assert fn.__module__ == module.__name__, f"{attr} is defined in {fn.__module__}"
 
 
-@pytest.mark.parametrize("owner, name", BOUNDARIES,
-                         ids=[f"{owner.__name__}.{name}" for owner, name in BOUNDARIES])
-def test_boundary_is_defined_on_its_owner(owner, name):
-    assert inspect.isfunction(vars(owner).get(name)), f"{owner.__name__}.{name} is missing"
+@pytest.mark.parametrize("short, cls_name, attr", BOUNDARIES,
+                         ids=[f"{cls_name}.{attr}" if cls_name else f"rwkvp.{short}.{attr}"
+                              for short, cls_name, attr in BOUNDARIES])
+def test_boundary_is_defined_on_its_owner(short, cls_name, attr):
+    module = importlib.import_module(f"rwkvp.{short}")
+    owner = vars(module)[cls_name] if cls_name else module
+    assert inspect.isfunction(vars(owner).get(attr)), f"{owner.__name__}.{attr} is missing"
 
 
 def test_benchmark_selftest_passes():
     """perfbench/selftest.py: on every workload, traced and untraced outputs
     are bitwise equal and every wrapped function is restored afterwards."""
-    root = Path(__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr

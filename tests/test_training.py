@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from conftest import tiny_config
 from rwkvp import corpus as corpus_mod
 from rwkvp import evaluation
 from rwkvp import model as m
+import rwkvp
 from rwkvp import perspectives, training
 
 
@@ -427,3 +432,37 @@ def test_batch_loss_takes_cross_entropy_over_a_view_of_the_head_output(monkeypat
     assert heads[0].shape == (6, 3, cfg.vocab_size)
     assert rows[0].shape == (18, cfg.vocab_size)
     assert np.shares_memory(rows[0], heads[0])
+
+
+# a 40-step pretrain and a 40-step n=4 fine-tune at the README model shape
+_DIGEST_RUN = """
+import numpy as np
+from rwkvp import model as m, synth, training
+from rwkvp.corpus import train_val_split
+train, val = train_val_split(np.frombuffer(synth.generate_corpus(0, 300), np.uint8).astype(np.int64))
+cfg = m.ModelConfig(n_layers=2, d_model=48, context_length=64)
+tc = training.TrainConfig(batch_size=2, lr_max=1e-3, lr_min=2e-4, mini_epochs=1,
+                          contexts_per_mini_epoch=80, context_length=64)
+store, _, _ = training.pretrain_base(cfg, train, val, tc)
+_, ft_store, _, _ = training.finetune_perspectives(store, cfg, 4, "weighted_softmax",
+                                                   train, val, tc)
+print(store.digest(), ft_store.digest())
+"""
+
+
+def test_trained_digests_do_not_depend_on_the_blas_thread_count():
+    """Training is byte-for-byte the same at 1 and 2 OpenBLAS threads, each
+    run in a fresh interpreter (the thread count is read at BLAS load)."""
+    src = str(Path(rwkvp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.Popen([sys.executable, "-c", _DIGEST_RUN], text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                  "PYTHONPATH": path})
+            for threads in ("1", "2")]
+    digests = []
+    for run in runs:
+        out, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err
+        digests.append(out.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
