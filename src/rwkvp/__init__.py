@@ -11,7 +11,8 @@ Pure numpy. The package is organized as:
   aggregation   average / transformer-like / learned softmax-weighted heads
   training      Adam, LR schedule, noise injection, pretrain + frozen-base finetune
   evaluation    perplexity, parameter-count report, ablations, traces
-  tokenizer     byte-level vocab (0..255 plus end-of-text 256)
+  tokenizer     byte-level vocab 0..255; VOCAB_SIZE 257 keeps an id no text maps to,
+                since the vocabulary's size fixes every init draw
   corpus        corpus loading and seeded context sampling
   checkpoint    manifest + binary payload checkpoint format
   synth         deterministic long-range-copy corpus generator

@@ -16,8 +16,6 @@ from rwkvp.params import ParamStore
 
 
 def _mean_embedding(p: Tensor) -> Tensor:
-    if p.shape[-2] == 0:
-        raise ValueError("aggregation requires at least one perspective")
     return ag.scale(ag.sum_(p, axis=-2), 1.0 / p.shape[-2])
 
 

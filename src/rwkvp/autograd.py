@@ -140,22 +140,16 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape == b.data.shape:
-        return
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
-
-
 # ---------------------------------------------------------------------------
 # elementwise primitives
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-    out = Tensor(a.data + b.data, _needs_grad(a, b), (a, b), "add")
+    try:
+        data = a.data + b.data
+    except ValueError:
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
+    out = Tensor(data, _needs_grad(a, b), (a, b), "add")
     if out.requires_grad:
         def bwd(g):
             if a.requires_grad:
@@ -167,8 +161,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    out = Tensor(a.data * b.data, _needs_grad(a, b), (a, b), "mul")
+    try:
+        data = a.data * b.data
+    except ValueError:
+        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
+    out = Tensor(data, _needs_grad(a, b), (a, b), "mul")
     if out.requires_grad:
         def bwd(g):
             if a.requires_grad:
@@ -188,9 +185,12 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def sigmoid_mul(a: Tensor, b: Tensor) -> Tensor:
     """sigmoid(a) * b, the receptance gate, as one node."""
-    _check_same_shape(a, b, "sigmoid_mul")
     s = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(s * b.data, _needs_grad(a, b), (a, b), "sigmoid_mul")
+    try:
+        data = s * b.data
+    except ValueError:
+        raise ShapeError(f"sigmoid_mul: incompatible shapes {a.shape} and {b.shape}") from None
+    out = Tensor(data, _needs_grad(a, b), (a, b), "sigmoid_mul")
     if out.requires_grad:
         def bwd(g):
             if a.requires_grad:
@@ -211,28 +211,30 @@ def relu_square(a: Tensor) -> Tensor:
 
 
 def token_shift(a: Tensor, first_row: np.ndarray, mu: Tensor) -> Tensor:
-    """mu * a + (1 - mu) * prev for a (T, ..., n, d), mu (n, d) broadcast over rows.
+    """mu * a + (1 - mu) * prev for a (T, ..., 1 or n, d), mu (n, d) broadcast over rows.
 
     prev is a shifted one step down the time axis (0) behind first_row (..., n, d),
-    the previous chunk's last rows; no gradient crosses the chunk boundary.
+    the previous chunk's last rows; no gradient crosses the chunk boundary. An
+    input all n perspectives share (1 on axis -2) splits here into n rows.
     """
-    if (a.data.ndim < 3 or mu.shape != a.shape[-2:]
-            or np.shape(first_row) != a.shape[1:]):
-        raise ShapeError(f"token_shift: input {a.shape}, first_row {np.shape(first_row)}, "
-                         f"mu {mu.shape}")
-    prev = np.empty_like(a.data)
+    x, m = a.data, mu.data
+    shape = x.shape
+    if (x.ndim < 3 or m.ndim != 2 or shape[-1] != m.shape[1] or shape[-2] not in (1, m.shape[0])
+            or np.shape(first_row) != shape[1:-2] + m.shape):
+        raise ShapeError(f"token_shift: input {shape}, first_row {np.shape(first_row)}, "
+                         f"mu {m.shape}")
+    prev = np.empty(shape[:-2] + m.shape, x.dtype)
     prev[0] = first_row
-    prev[1:] = a.data[:-1]
-    m = mu.data
-    out = Tensor(a.data * m + prev * (1.0 - m), _needs_grad(a, mu), (a, mu), "token_shift")
+    prev[1:] = x[:-1]
+    out = Tensor(x * m + prev * (1.0 - m), _needs_grad(a, mu), (a, mu), "token_shift")
     if out.requires_grad:
         def bwd(g):
             if a.requires_grad:
                 ga = g * m
                 ga[:-1] += g[1:] * (1.0 - m)
-                a._accumulate(ga)
+                a._accumulate(_unbroadcast(ga, shape))
             if mu.requires_grad:
-                mu._accumulate((g * (a.data - prev)).reshape((-1,) + mu.shape).sum(axis=0))
+                mu._accumulate((g * (x - prev)).reshape((-1,) + m.shape).sum(axis=0))
         out._backward = bwd
     return out
 
@@ -277,15 +279,6 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
                 g = np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(g, a.shape))
         out._backward = bwd
-    return out
-
-
-def expand(a: Tensor, n: int) -> Tensor:
-    """n copies of a (..., d) along a new axis -2; the gradient sums over them."""
-    out = Tensor(np.broadcast_to(a.data[..., None, :], a.shape[:-1] + (n, a.shape[-1])).copy(),
-                 _needs_grad(a), (a,), "expand")
-    if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g.sum(axis=-2))
     return out
 
 

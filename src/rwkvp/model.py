@@ -6,8 +6,9 @@ LN -> channel-mix residual] x L -> head (final LN + unembedding).
 Stacked, time-major layout: the n perspectives share every heavy weight and
 differ only in their token-shift mu vectors and recurrent state, so they run
 as one pass. Time leads in every array the model takes and returns: tokens
-(T,) for one stream or (T, B) for B contexts; the embedding and input LN run
-once and are expanded to n copies, so every activation is (T, [B,] n, d),
+(T,) for one stream or (T, B) for B contexts. The streams are equal until layer
+0's token shifts, so the embedding, input LN and layer 0's ln1 run once, on
+(T, [B,] 1, d); from those shifts on every activation is (T, [B,] n, d),
 perspective i at [..., i, :], and the token shift and WKV scan walk axis 0.
 Each token-shift slot holds one (n, d) leaf, layer{l}.{att|ffn}.mu_{r,k,v},
 row i perspective i's mu (a base holds (1, d)), which ag.token_shift
@@ -208,9 +209,10 @@ class StreamState:
 
 def time_mixing(store: ParamStore, layer: int, xx: Tensor,
                 st: StreamState) -> tuple[Tensor, np.ndarray, tuple]:
-    """Time-mix block over post-LN chunks xx (T, [B,] n, d), one per perspective.
+    """Time-mix block over post-LN chunks xx (T, [B,] n, d), one per perspective
+    (at layer 0 one (T, [B,] 1, d) chunk that all n share).
 
-    Returns (residual delta, new att_prev rows, new wkv state).
+    Returns (residual delta, new att_prev rows ([B,] n, d), new wkv state).
     """
     pre = f"layer{layer}.att"
     xr = ag.token_shift(xx, st.att_prev, store[f"{pre}.mu_r"])
@@ -222,7 +224,9 @@ def time_mixing(store: ParamStore, layer: int, xx: Tensor,
     y, wkv_state = wkv.wkv_sequence(k, v, store[f"{pre}.decay"], store[f"{pre}.bonus"],
                                     st.wkv_state)
     out = ag.matmul(ag.sigmoid_mul(r, y), store[f"{pre}.w_o"])
-    return out, xx.data[-1].copy(), wkv_state
+    att_prev = np.empty_like(st.att_prev)
+    att_prev[...] = xx.data[-1]
+    return out, att_prev, wkv_state
 
 
 def channel_mixing(store: ParamStore, layer: int, xx: Tensor,
@@ -248,14 +252,12 @@ def run_stream(cfg: ModelConfig, store: ParamStore, tokens: np.ndarray,
     """
     tokens = np.asarray(tokens)
     check_token_range(tokens, cfg.vocab_size)
-    n = cfg.n_perspectives
     if states is None:
-        shape = tokens.shape[1:] + (n, cfg.d_model)
+        shape = tokens.shape[1:] + (cfg.n_perspectives, cfg.d_model)
         states = [StreamState.zeros(shape, store["emb.weight"].data.dtype)
                   for _ in range(cfg.n_layers)]
-    x = ag.embed(store["emb.weight"], tokens)
+    x = ag.embed(store["emb.weight"], tokens[..., None])     # (T, [B,] 1, d)
     x = ag.layer_norm(x, store["ln0.g"], store["ln0.b"])
-    x = ag.expand(x, n)
     new_states = []
     for l in range(cfg.n_layers):
         st = states[l]

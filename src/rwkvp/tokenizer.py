@@ -1,10 +1,10 @@
-"""Byte-level tokenizer: ids 0..255 are raw bytes, 256 is end-of-text."""
+"""Byte-level tokenizer: ids 0..255 are raw bytes. VOCAB_SIZE keeps one more id,
+256, that no text maps to: the vocabulary's size fixes every init draw."""
 
 from __future__ import annotations
 
 import numpy as np
 
-EOT = 256
 VOCAB_SIZE = 257
 
 

@@ -165,5 +165,3 @@ def test_dispatch_validates_count():
     store = _head_store(cfg.d_model, cfg.vocab_size, rng, n=3, selector=True)
     with pytest.raises(ValueError, match="perspectives"):
         aggregation.aggregate(cfg, store, Tensor(np.ones((2, 1, cfg.d_model))))
-    with pytest.raises(ValueError):
-        aggregation.aggregate_average(Tensor(np.ones((2, 0, cfg.d_model))), store)

@@ -46,7 +46,6 @@ UNARY_OPS = {
     "neg": lambda t: ag.scale(t, -1.0),
     "transpose": ag.transpose,
     "sum_axis": lambda t: (lambda s: ag.mul(s, s))(ag.sum_(t, axis=0)),
-    "expand": lambda t: (lambda e: ag.mul(e, e))(ag.expand(t, 2)),
     "reshape": lambda t: ag.reshape(t, (4, 3)),
 }
 
@@ -110,17 +109,20 @@ def test_binary_gradients_match_finite_differences(name):
             assert (np.abs(t.grad - fd) / denom).max() < 1e-4, name
 
 
-# the ids name the axes present; the shapes are time-major, (T, [B,] n, d)
-@pytest.mark.parametrize("shape", [(3, 2, 2, 4), (1, 2, 2, 4), (5, 3, 2)],
-                         ids=["n-B-T-d", "T1", "n-T-d"])
-def test_token_shift_gradients_match_finite_differences(shape):
+# the ids name the axes present; the shapes are time-major, (T, [B,] n, d); an
+# input shared by the n perspectives has 1 on axis -2, where mu has n rows
+@pytest.mark.parametrize("shape,n", [((3, 2, 2, 4), 2), ((1, 2, 2, 4), 2), ((5, 3, 2), 3),
+                                     ((3, 2, 1, 4), 3)],
+                         ids=["n-B-T-d", "T1", "n-T-d", "shared-input"])
+def test_token_shift_gradients_match_finite_differences(shape, n):
     rng = np.random.default_rng(11)
-    n, d = shape[-2:]
+    d = shape[-1]
+    out_shape = shape[:-2] + (n, d)
     for _ in range(20):
         x = rng.uniform(-2, 2, shape)
-        first = rng.uniform(-2, 2, shape[1:])
+        first = rng.uniform(-2, 2, out_shape[1:])
         mus = rng.uniform(0, 1, (n, d))
-        weight = rng.uniform(-1, 1, shape)
+        weight = rng.uniform(-1, 1, out_shape)
         tx = Tensor(x.copy(), requires_grad=True)
         tmu = Tensor(mus.copy(), requires_grad=True)
         assert tx.data.dtype == tmu.data.dtype == np.float64
@@ -136,6 +138,28 @@ def test_token_shift_gradients_match_finite_differences(shape):
         for got, fd in ((tx.grad, fd_x), (tmu.grad, fd_mu)):
             denom = np.maximum(np.maximum(np.abs(got), np.abs(fd)), 1e-8)
             assert (np.abs(got - fd) / denom).max() < 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_shared_input_shift_equals_shift_of_n_copies(dtype):
+    """A (T, B, 1, d) input shifts, bit for bit, as its n copies do; its gradient
+    is their gradients summed, and mu's is the same."""
+    rng = np.random.default_rng(13)
+    n = 3
+    x = rng.uniform(-3, 3, (4, 2, 1, 5)).astype(dtype)
+    first = rng.uniform(-3, 3, (2, n, 5)).astype(dtype)
+    mus = rng.uniform(0, 1, (n, 5)).astype(dtype)
+    weight = rng.uniform(-1, 1, (4, 2, n, 5)).astype(dtype)
+    grads = []
+    for arr in (x, np.repeat(x, n, axis=-2)):
+        tx, tmu = Tensor(arr, requires_grad=True), Tensor(mus.copy(), requires_grad=True)
+        out = ag.token_shift(tx, first, tmu)
+        ag.sum_(ag.mul(out, Tensor(weight))).backward()
+        grads.append((out.data, tx.grad, tmu.grad))
+    (shared, gx, gmu), (copies, gx_n, gmu_n) = grads
+    assert shared.dtype == dtype and np.array_equal(shared, copies)
+    assert np.array_equal(gx, gx_n.sum(axis=-2, keepdims=True))
+    assert np.array_equal(gmu, gmu_n)
 
 
 def _shifted(x, first):

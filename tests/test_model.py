@@ -207,6 +207,34 @@ def test_time_mixing_state_advances():
     assert np.all(np.isfinite(wkv_state[0]))
 
 
+def test_perspectives_split_at_layer_0_token_shift(monkeypatch):
+    """The embedding, ln0 and layer 0's ln1 run once per token, on a size-1
+    perspective axis; every state array still holds all n rows."""
+    from rwkvp import perspectives
+    cfg = tiny_config()
+    base, _ = m.init_base_params(cfg, seed=0)
+    ft_cfg, store, _ = perspectives.extend_to_perspectives(base, cfg, 4)
+    gains = {id(store[name]): name for name in store.names()}
+    shapes = {}
+
+    def recording(name, fn, key):
+        def wrapper(*args):
+            out = fn(*args)
+            shapes.setdefault(key(args), out.shape)
+            return out
+        monkeypatch.setattr(ag, name, wrapper)
+
+    recording("embed", ag.embed, lambda args: "embed")
+    recording("layer_norm", ag.layer_norm, lambda args: gains[id(args[1])])
+    T, B, d = 5, 2, cfg.d_model
+    x, states = m.run_stream(ft_cfg, store, np.arange(T * B).reshape(T, B) % cfg.vocab_size)
+    for key in ("embed", "ln0.g", "layer0.ln1.g"):
+        assert shapes[key] == (T, B, 1, d), key
+    assert shapes["layer0.ln2.g"] == shapes["layer1.ln1.g"] == x.shape == (T, B, 4, d)
+    for st in states:
+        assert all(a.shape == (B, 4, d) for a in (st.att_prev, st.ffn_prev, *st.wkv_state))
+
+
 def test_base_init_requires_average_aggregation():
     with pytest.raises(m.ConfigError, match="average"):
         m.init_base_params(tiny_config(aggregation="weighted_softmax"), seed=0)

@@ -35,13 +35,13 @@ def test_tokenize_bytes_and_str_agree():
 def test_tokenizer_roundtrip_bytes(data):
     tokens = tokenizer.tokenize(data)
     assert tokens.dtype == np.int64
-    assert np.all(tokens >= 0) and np.all(tokens < tokenizer.EOT)
+    assert np.all(tokens >= 0) and np.all(tokens < 256)
     assert tokens.astype(np.uint8).tobytes() == data
 
 
 def test_vocab_constants():
+    # ids 0..255 are the bytes; 256 is a reserved id that no text maps to
     assert tokenizer.VOCAB_SIZE == 257
-    assert tokenizer.EOT == 256
 
 
 # ---------------------------------------------------------------------------
