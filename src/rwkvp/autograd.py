@@ -36,7 +36,8 @@ class ShapeError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """Raised where a non-finite value would otherwise go on silently: a WKV
-    step's input, a perplexity's NLL sum, a gradient check's perturbed loss."""
+    step's input, a perplexity's NLL sum, a gradient check's perturbed loss,
+    a gradient's global norm."""
 
 
 _grad_enabled = True

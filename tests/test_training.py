@@ -1,3 +1,4 @@
+import ctypes
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
+from rwkvp import autograd as ag
 from rwkvp import corpus as corpus_mod
 from rwkvp import evaluation
 from rwkvp import model as m
@@ -141,6 +143,38 @@ def test_clip_global_norm():
     grad = np.array([3.0, 4.0])
     assert training.clip_global_norm(grad, [2], 0.0) == 5.0    # 0 turns clipping off
     np.testing.assert_array_equal(grad, [3.0, 4.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_clip_global_norm_rejects_a_non_finite_norm(bad):
+    """A non-finite entry raises before the clip scales anything."""
+    grad = np.array([bad, 1.0, 2.0], dtype=np.float32)
+    with pytest.raises(ag.NonFiniteError, match="global norm"):
+        training.clip_global_norm(grad, [3], 1.0)
+    np.testing.assert_array_equal(grad, np.array([bad, 1.0, 2.0], dtype=np.float32))
+
+
+def test_a_non_finite_gradient_never_reaches_the_parameters(synth_split, monkeypatch):
+    """A NaN in the step's flat gradient stops the loop before Adam steps."""
+    from rwkvp.params import ParamStore
+    train_tokens, val_tokens = synth_split
+    collect_grads = ParamStore.collect_grads
+
+    def poisoned(self, mask):
+        grad = collect_grads(self, mask)
+        grad[0] = np.nan
+        return grad
+
+    monkeypatch.setattr(ParamStore, "collect_grads", poisoned)
+    cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
+    store, mask = m.init_base_params(cfg, seed=0)
+    trainable = mask.trainable_names()
+    before = store.digest(trainable)
+    tc = training.TrainConfig(batch_size=2, lr_max=1e-3, lr_min=5e-4, mini_epochs=1,
+                              contexts_per_mini_epoch=4, context_length=8, seed=0)
+    with pytest.raises(ag.NonFiniteError, match="global norm"):
+        training._train_loop(m.Model(cfg, store, mask), train_tokens, val_tokens[:32], tc)
+    assert store.digest(trainable) == before
 
 
 def test_clip_norm_sums_leaf_by_leaf():
@@ -434,6 +468,24 @@ def test_batch_loss_takes_cross_entropy_over_a_view_of_the_head_output(monkeypat
     assert np.shares_memory(rows[0], heads[0])
 
 
+def _run_in_fresh_interpreters(code, *envs):
+    """Run code in one fresh interpreter per env (variables added to this
+    process's environment), all side by side with src/ on the path, and
+    return each run's stdout."""
+    src = str(Path(rwkvp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.Popen([sys.executable, "-c", code], text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env={**os.environ, **env, "PYTHONPATH": path})
+            for env in envs]
+    outputs = []
+    for run in runs:
+        out, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err
+        outputs.append(out)
+    return outputs
+
+
 # a 40-step pretrain and a 40-step n=4 fine-tune at the README model shape
 _DIGEST_RUN = """
 import numpy as np
@@ -453,16 +505,53 @@ print(store.digest(), ft_store.digest())
 def test_trained_digests_do_not_depend_on_the_blas_thread_count():
     """Training is byte-for-byte the same at 1 and 2 OpenBLAS threads, each
     run in a fresh interpreter (the thread count is read at BLAS load)."""
-    src = str(Path(rwkvp.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    runs = [subprocess.Popen([sys.executable, "-c", _DIGEST_RUN], text=True,
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                             env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                                  "PYTHONPATH": path})
-            for threads in ("1", "2")]
-    digests = []
-    for run in runs:
-        out, err = run.communicate(timeout=300)
-        assert run.returncode == 0, err
-        digests.append(out.split())
+    digests = [out.split() for out in _run_in_fresh_interpreters(
+        _DIGEST_RUN, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})]
     assert len(digests[0]) == 2 and digests[0] == digests[1]
+
+
+# minor page faults of each step of a 24-step n=4 fine-tune at the README
+# model shape, read from zero_grad (a step's first call) to the end of
+# Adam.step (its last)
+_FAULT_RUN = """
+import resource
+import numpy as np
+from rwkvp import model as m, params, synth, training
+from rwkvp.corpus import train_val_split
+
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+starts, faults = [], []
+zero_grad, adam_step = params.ParamStore.zero_grad, training.Adam.step
+
+def counted_zero_grad(self):
+    starts.append(minor_faults())
+    zero_grad(self)
+
+def counted_step(self, *args):
+    adam_step(self, *args)
+    faults.append(minor_faults() - starts[-1])
+
+params.ParamStore.zero_grad, training.Adam.step = counted_zero_grad, counted_step
+train, val = train_val_split(np.frombuffer(synth.generate_corpus(0, 300), np.uint8).astype(np.int64))
+cfg = m.ModelConfig(n_layers=2, d_model=48, context_length=64)
+base, _ = m.init_base_params(cfg, seed=0)
+tc = training.TrainConfig(batch_size=2, lr_max=1e-3, lr_min=2e-4, mini_epochs=1,
+                          contexts_per_mini_epoch=48, context_length=64)
+training.finetune_perspectives(base, cfg, 4, "weighted_softmax", train, val, tc)
+print(*faults)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="the C library has no mallopt (not glibc)")
+def test_fine_tune_steps_after_the_first_take_no_page_faults():
+    """The training loop keeps a step's freed memory mapped, so the steps
+    after the first reuse it instead of faulting fresh pages in (about 2800
+    a step under glibc's default trim and mmap thresholds). Run in a fresh
+    interpreter: the allocator policy holds for the rest of a process."""
+    (out,) = _run_in_fresh_interpreters(_FAULT_RUN, {})
+    faults = [int(f) for f in out.split()]
+    assert len(faults) == 24
+    assert max(faults[1:]) <= 200, faults
