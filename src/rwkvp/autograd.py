@@ -12,6 +12,14 @@ views of one buffer that the optimizer updates in place (params.flatten,
 training.Adam), so a graph that outlived a step would differentiate at the
 new values. Between steps, several graphs may evaluate over the same leaves.
 
+The hand-over rule: a node's first gradient is its own array, which later
+gradients are added into in place. An op whose backward allocated a gradient
+array, holds it nowhere else and matches the parent's shape and dtype hands
+that array over (_accumulate's fresh=True); every other gradient is copied:
+add's g, which both parents share, sum_'s broadcast view, the views of
+reshape and transpose, an upstream g that _unbroadcast passes through. So no
+two nodes' gradients share memory.
+
 Fused primitives: token_shift, sigmoid_mul and relu_square each run a chain
 of the RWKV block's elementwise ops as one node with a hand-written backward,
 because at the model's sizes a node costs more in dispatch and temporaries
@@ -85,10 +93,16 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add g to this node's gradient. fresh: the op allocated g in this
+        backward call and holds it nowhere else, so a first gradient of the
+        node's shape and dtype is g itself, not a copy of it."""
         if self.grad is None:
-            # an owned copy, never g itself (add hands both parents one g, sum_ a
-            # read-only broadcast view); copyto broadcasts and casts as it copies
+            if fresh and g.shape == self.data.shape and g.dtype == self.data.dtype:
+                self.grad = g
+                return
+            # an owned copy, never a g that is not fresh (add hands both parents
+            # one g, sum_ a read-only broadcast view); copyto broadcasts and casts
             self.grad = np.empty_like(self.data)
             np.copyto(self.grad, g)
         else:
@@ -170,9 +184,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         def bwd(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape))
+                a._accumulate(_unbroadcast(g * b.data, a.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape))
+                b._accumulate(_unbroadcast(g * a.data, b.shape), fresh=True)
         out._backward = bwd
     return out
 
@@ -180,7 +194,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c, _needs_grad(a), (a,), "scale")
     if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g * c)
+        out._backward = lambda g: a._accumulate(g * c, fresh=True)
     return out
 
 
@@ -195,9 +209,9 @@ def sigmoid_mul(a: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         def bwd(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data * s * (1.0 - s), a.shape))
+                a._accumulate(_unbroadcast(g * b.data * s * (1.0 - s), a.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * s, b.shape))
+                b._accumulate(_unbroadcast(g * s, b.shape), fresh=True)
         out._backward = bwd
     return out
 
@@ -207,7 +221,7 @@ def relu_square(a: Tensor) -> Tensor:
     r = np.maximum(a.data, 0.0)
     out = Tensor(r * r, _needs_grad(a), (a,), "relu_square")
     if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g * 2.0 * r)
+        out._backward = lambda g: a._accumulate(g * 2.0 * r, fresh=True)
     return out
 
 
@@ -233,9 +247,9 @@ def token_shift(a: Tensor, first_row: np.ndarray, mu: Tensor) -> Tensor:
             if a.requires_grad:
                 ga = g * m
                 ga[:-1] += g[1:] * (1.0 - m)
-                a._accumulate(_unbroadcast(ga, shape))
+                a._accumulate(_unbroadcast(ga, shape), fresh=True)
             if mu.requires_grad:
-                mu._accumulate((g * (x - prev)).reshape((-1,) + m.shape).sum(axis=0))
+                mu._accumulate((g * (x - prev)).reshape((-1,) + m.shape).sum(axis=0), fresh=True)
         out._backward = bwd
     return out
 
@@ -257,9 +271,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def bwd(g):
             g2 = g.reshape(-1, b.shape[1])
             if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.shape))
+                a._accumulate((g2 @ b.data.T).reshape(a.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(rows.T @ g2)
+                b._accumulate(rows.T @ g2, fresh=True)
         out._backward = bwd
     return out
 
@@ -299,7 +313,7 @@ def softmax(a: Tensor) -> Tensor:
     if out.requires_grad:
         def bwd(g):
             dot = (g * p).sum(axis=-1, keepdims=True)
-            a._accumulate(p * (g - dot))
+            a._accumulate(p * (g - dot), fresh=True)
         out._backward = bwd
     return out
 
@@ -331,7 +345,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                 dxhat = g * gain.data
                 m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
                 m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
-                a._accumulate(invstd * (dxhat - m1 - xhat * m2))
+                a._accumulate(invstd * (dxhat - m1 - xhat * m2), fresh=True)
         out._backward = bwd
     return out
 
@@ -346,7 +360,7 @@ def embed(table: Tensor, ids: np.ndarray) -> Tensor:
         def bwd(g):
             gt = np.zeros_like(table.data)
             np.add.at(gt, ids, g)
-            table._accumulate(gt)
+            table._accumulate(gt, fresh=True)
         out._backward = bwd
     return out
 
@@ -366,6 +380,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         def bwd(g):
             p = np.exp(logp)
             p[rows, targets] -= 1.0
-            logits._accumulate(p * (g / targets.shape[0]))
+            logits._accumulate(p * (g / targets.shape[0]), fresh=True)
         out._backward = bwd
     return out
