@@ -3,8 +3,10 @@
 All operate position-wise on the stacked pre-head embeddings p
 (T, [B,] n, d), perspective i at p[..., i, :], and return time-major logits
 (T, [B,] V), which Model.forward hands back as they are; the shared head
-(final LN + unembedding) is applied inside each aggregator. With n=1 every
-mode reduces to the plain head.
+(final LN + unembedding) is applied inside each aggregator. The weighted head
+mixes the normalised embeddings and projects once, which equals mixing the
+per-perspective logits up to rounding. With n=1 every mode reduces to the
+plain head.
 """
 
 from __future__ import annotations
@@ -35,17 +37,17 @@ def aggregate_transformer(p: Tensor, store: ParamStore) -> Tensor:
 def aggregate_weighted(p: Tensor, store: ParamStore) -> tuple[Tensor, Tensor]:
     """Learned softmax-weighted combination of per-perspective logits.
 
-    weights = softmax(selector(mean of embeddings)) per position; the output
-    is the weight-convex combination of head(p_i), so it always lies in the
-    convex hull of the per-perspective logits. Returns (logits, weights
-    (T, [B,] n)).
+    weights = softmax(selector(mean of embeddings)) per position. The output
+    mixes the normalised embeddings LN(p_i) by the weights and projects the
+    mixture onto the vocabulary once. The projection is linear and the weights
+    sum to 1, so this equals the weight-convex combination of head(p_i) and
+    lies in the convex hull of the per-perspective logits, up to rounding; no
+    (..., n, V) array is built. Returns (logits, weights (T, [B,] n)).
     """
     mean_p = _mean_embedding(p)
     z = ag.add(ag.matmul(mean_p, ag.transpose(store["selector.W"])), store["selector.b"])
     weights = ag.softmax(z)
-    per_persp = ag.reshape(weights, weights.shape + (1,))
-    logits = ag.sum_(ag.mul(per_persp, head_logits(store, p)), axis=-2)
-    return logits, weights
+    return head_logits(store, p, weights), weights
 
 
 def aggregate(cfg: ModelConfig, store: ParamStore, p: Tensor

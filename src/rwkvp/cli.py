@@ -8,10 +8,13 @@ and seed in its output directory, so any run can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
 
 from rwkvp import autograd as ag
 from rwkvp import checkpoint as ckpt
@@ -98,14 +101,54 @@ def _outdir(args) -> Path:
     return out
 
 
+# OpenBLAS's kernel query as numpy's wheels (scipy-openblas, 64- or 32-bit
+# integers) and a plain OpenBLAS name it
+_CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename")
+
+
+def _blas_kernel() -> str | None:
+    """The kernel OpenBLAS picked when numpy loaded it, asked of that library."""
+    here = Path(np.__file__).parent
+    for path in sorted([*here.parent.glob("numpy.libs/*openblas*"),
+                        *here.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in _CORENAME_SYMBOLS:
+            query = getattr(lib, symbol, None)
+            if query is not None:
+                query.argtypes, query.restype = (), ctypes.c_char_p
+                return query().decode()
+    return None
+
+
+def _runtime() -> dict:
+    """What a run's bytes depend on besides its settings (README: one numpy
+    build, BLAS kernel and SIMD level); None where a value cannot be read."""
+    try:
+        from numpy._core._multiarray_umath import (__cpu_baseline__, __cpu_dispatch__,
+                                                   __cpu_features__)
+        simd = " ".join([*__cpu_baseline__,
+                         *(f for f in __cpu_dispatch__ if __cpu_features__[f])])
+    except ImportError:
+        simd = None
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {"numpy_version": np.__version__, "simd_extensions": simd or None,
+            "blas_name": blas.get("name"), "blas_version": blas.get("version"),
+            "blas_kernel": _blas_kernel()}
+
+
 def _echo_config(out: Path, model_cfg, train_cfg, unshared=(), **records) -> None:
-    """The settings the run used, less the unshared fields, plus output-only records."""
+    """The settings the run used, less the unshared fields, plus output-only
+    records: the runtime, and the caller's."""
     eff = {"model": asdict(model_cfg), "train": asdict(train_cfg)}
     for section in eff.values():
         for name in unshared:
             section.pop(name, None)
     (out / "effective_config.json").write_text(
-        json.dumps({**eff, **records}, indent=2, sort_keys=True) + "\n")
+        json.dumps({**eff, "runtime": _runtime(), **records}, indent=2, sort_keys=True) + "\n")
 
 
 def _load_split_corpus(args):

@@ -33,6 +33,7 @@ def _stream(model: m.Model, tokens: np.ndarray, chunk: int):
         raise CorpusError(f"a token stream is 1-D, got shape {tokens.shape}")
     if tokens.size == 0:
         raise CorpusError("cannot stream an empty token array")
+    training._keep_freed_memory_mapped()
     states = model.init_states()
     for start in range(0, len(tokens), chunk):
         piece = tokens[start:start + chunk]

@@ -271,10 +271,14 @@ def run_stream(cfg: ModelConfig, store: ParamStore, tokens: np.ndarray,
     return x, new_states
 
 
-def head_logits(store: ParamStore, p: Tensor) -> Tensor:
-    """Shared head: final LN then unembedding projection."""
-    return ag.matmul(ag.layer_norm(p, store["ln_out.g"], store["ln_out.b"]),
-                     store["head.weight"])
+def head_logits(store: ParamStore, p: Tensor, weights: Tensor | None = None) -> Tensor:
+    """Shared head: final LN then unembedding projection. Given weights
+    (..., n) for p (..., n, d), the normalised rows are mixed by them over
+    the perspective axis first, so the projection runs once, on (..., d)."""
+    x = ag.layer_norm(p, store["ln_out.g"], store["ln_out.b"])
+    if weights is not None:
+        x = ag.sum_(ag.mul(ag.reshape(weights, weights.shape + (1,)), x), axis=-2)
+    return ag.matmul(x, store["head.weight"])
 
 
 @dataclass

@@ -197,15 +197,17 @@ def inject_temporal_noise(store: ParamStore, cfg: m.ModelConfig, std: float,
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
-def _keep_step_memory_mapped() -> None:
-    """Keep the memory a training step frees mapped for the next step.
+def _keep_freed_memory_mapped() -> None:
+    """Keep the memory a training step or an evaluation chunk frees mapped
+    for the next one; _train_loop and evaluation._stream call it first.
 
     A step builds and frees a graph of about 10 MB. By default glibc maps the
     largest temporaries with mmap and trims the freed heap top, so each step
-    faults the same ~2800 pages in again, a fifth of a fine-tuning step. A
-    32 MiB mmap threshold (glibc's largest on 64-bit) and a trim threshold far
-    above any step's transient keep it all on the heap, for the rest of the
-    process. Without glibc's mallopt this does nothing.
+    faults the same ~2800 pages in again, a fifth of a fine-tuning step, and
+    each no-grad chunk 130-240. A 32 MiB mmap threshold (glibc's largest on
+    64-bit) and a trim threshold far above any step's transient keep it all
+    on the heap, for the rest of the process. Without glibc's mallopt this
+    does nothing.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
@@ -236,7 +238,7 @@ def _train_loop(model: m.Model, train_tokens: np.ndarray, val_tokens: np.ndarray
     sampler = corpus_mod.sample_contexts(train_tokens, tc.context_length,
                                          total_steps * tc.batch_size, seed=tc.seed)
     opt = Adam()
-    _keep_step_memory_mapped()
+    _keep_freed_memory_mapped()
     step = 0
     for epoch in range(tc.mini_epochs):
         for _ in range(steps_per_epoch):

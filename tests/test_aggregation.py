@@ -165,3 +165,20 @@ def test_dispatch_validates_count():
     store = _head_store(cfg.d_model, cfg.vocab_size, rng, n=3, selector=True)
     with pytest.raises(ValueError, match="perspectives"):
         aggregation.aggregate(cfg, store, Tensor(np.ones((2, 1, cfg.d_model))))
+
+
+def test_weighted_loss_graph_builds_no_per_perspective_logits():
+    """The weighted head projects the mixed embeddings once: no node of a
+    fine-tune-shaped loss graph (n=4, a batch of 2) or its gradient is
+    (..., n, V)."""
+    from rwkvp import perspectives
+    base_cfg = tiny_config()
+    base, _ = m.init_base_params(base_cfg, seed=0)
+    cfg, store, mask = perspectives.extend_to_perspectives(base, base_cfg, 4, "weighted_softmax")
+    tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, (cfg.context_length + 1, 2))
+    logits, _, _ = m.Model(cfg, store, mask).forward(tokens[:-1])
+    loss = ag.cross_entropy(ag.reshape(logits, (-1, cfg.vocab_size)), tokens[1:].reshape(-1))
+    loss.backward()
+    shapes = [node.shape for node in ag._toposort(loss)]
+    assert (cfg.context_length, 2, cfg.vocab_size) in shapes
+    assert not [s for s in shapes if s[-2:] == (4, cfg.vocab_size)], shapes

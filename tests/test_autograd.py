@@ -411,8 +411,8 @@ def test_token_shift_mu_one_is_identity():
 
 
 def test_first_gradient_is_an_owned_copy():
-    """A node's first gradient is copied, never stored as the array handed
-    over: add gives both parents one array, sum_ gives a read-only view."""
+    """A node's first gradient is copied unless the op hands over an array it
+    allocated: add gives both parents one array, sum_ gives a read-only view."""
     x = Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float32), requires_grad=True)
     s = ag.add(x, x)                          # x reached twice through one add
     p = ag.mul(s, x)                          # and again through a mul
@@ -430,6 +430,28 @@ def test_first_gradient_is_an_owned_copy():
     y = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     ag.sum_(ag.mul(y, c)).backward()          # a float64 first gradient
     assert y.grad.dtype == np.float32
+
+
+@pytest.mark.parametrize("n", [1, 4], ids=["pretrain-n1", "finetune-n4"])
+def test_no_two_gradients_share_memory_after_a_model_backward(n):
+    """Ops hand their fresh gradient arrays to their parents uncopied; still
+    no two nodes of a training-shaped graph (a batch of 2; at n=4 the
+    weighted head over a frozen base) hold one memory."""
+    from rwkvp import model as m
+    from rwkvp import perspectives
+    cfg = m.ModelConfig(n_layers=2, d_model=16, vocab_size=17, context_length=16)
+    store, mask = m.init_base_params(cfg, seed=0)
+    if n > 1:
+        cfg, store, mask = perspectives.extend_to_perspectives(store, cfg, n, "weighted_softmax")
+    tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, (cfg.context_length + 1, 2))
+    logits, _, _ = m.Model(cfg, store, mask).forward(tokens[:-1])
+    loss = ag.cross_entropy(ag.reshape(logits, (-1, cfg.vocab_size)), tokens[1:].reshape(-1))
+    loss.backward()
+    grads = [node.grad for node in ag._toposort(loss) if node.grad is not None]
+    assert len(grads) > 50
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 def test_matmul_leading_axes_match_2d_on_flattened_rows():

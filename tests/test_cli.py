@@ -51,6 +51,13 @@ def test_pretrain_outputs(pretrained_dir):
     assert eff["train"]["seed"] == 0
 
 
+def test_effective_config_records_the_runtime(pretrained_dir):
+    runtime = json.loads((pretrained_dir / "effective_config.json").read_text())["runtime"]
+    assert set(runtime) == {"numpy_version", "simd_extensions", "blas_name", "blas_version",
+                            "blas_kernel"}
+    assert all(value is None or isinstance(value, str) for value in runtime.values()), runtime
+
+
 def test_full_pipeline(tmp_path, corpus_file, micro_config, pretrained_dir):
     ft = tmp_path / "ft"
     rc = cli.main(["finetune", "--config", str(micro_config),

@@ -555,3 +555,44 @@ def test_fine_tune_steps_after_the_first_take_no_page_faults():
     faults = [int(f) for f in out.split()]
     assert len(faults) == 24
     assert max(faults[1:]) <= 200, faults
+
+
+# minor page faults of each chunk of a 32-chunk n=4 weighted_softmax
+# perplexity at the README model shape, read as each chunk's forward starts
+# and after the last chunk
+_EVAL_FAULT_RUN = """
+import resource
+import numpy as np
+from rwkvp import evaluation, model as m, perspectives, synth, tokenizer
+
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+marks, forward = [], m.Model.forward
+
+def counted_forward(self, *args):
+    marks.append(minor_faults())
+    return forward(self, *args)
+
+m.Model.forward = counted_forward
+cfg = m.ModelConfig(n_layers=2, d_model=48, context_length=64)
+base, _ = m.init_base_params(cfg, seed=0)
+model = m.Model(*perspectives.extend_to_perspectives(base, cfg, 4, "weighted_softmax"))
+tokens = tokenizer.tokenize(synth.generate_corpus(0, 300))[:32 * 64]
+evaluation.perplexity(model, tokens)
+marks.append(minor_faults())
+print(*np.diff(marks))
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="the C library has no mallopt (not glibc)")
+def test_eval_chunks_after_the_first_take_no_page_faults():
+    """A no-grad stream sets the training loop's allocator policy, so each
+    chunk after the first reuses the memory the one before it freed (130-240
+    faults a chunk under glibc's defaults). Run in a fresh interpreter: the
+    policy holds for the rest of a process."""
+    (out,) = _run_in_fresh_interpreters(_EVAL_FAULT_RUN, {})
+    faults = [int(f) for f in out.split()]
+    assert len(faults) == 32
+    assert max(faults[1:]) <= 50, faults
