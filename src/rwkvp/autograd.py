@@ -101,8 +101,8 @@ class Tensor:
             if fresh and g.shape == self.data.shape and g.dtype == self.data.dtype:
                 self.grad = g
                 return
-            # an owned copy, never a g that is not fresh (add hands both parents
-            # one g, sum_ a read-only broadcast view); copyto broadcasts and casts
+            # otherwise an owned copy (add hands both parents one g, sum_ a
+            # read-only broadcast view); copyto broadcasts and casts as it copies
             self.grad = np.empty_like(self.data)
             np.copyto(self.grad, g)
         else:

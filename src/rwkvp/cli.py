@@ -101,26 +101,18 @@ def _outdir(args) -> Path:
     return out
 
 
-# OpenBLAS's kernel query as numpy's wheels (scipy-openblas, 64- or 32-bit
-# integers) and a plain OpenBLAS name it
-_CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                     "openblas_get_corename")
-
-
 def _blas_kernel() -> str | None:
-    """The kernel OpenBLAS picked when numpy loaded it, asked of that library."""
+    """The kernel OpenBLAS picked when numpy loaded it, asked of the
+    scipy-openblas library a numpy wheel ships (Linux, Windows, macOS)."""
     here = Path(np.__file__).parent
     for path in sorted([*here.parent.glob("numpy.libs/*openblas*"),
                         *here.glob(".dylibs/*openblas*")]):
         try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
+            query = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
             continue
-        for symbol in _CORENAME_SYMBOLS:
-            query = getattr(lib, symbol, None)
-            if query is not None:
-                query.argtypes, query.restype = (), ctypes.c_char_p
-                return query().decode()
+        query.argtypes, query.restype = (), ctypes.c_char_p
+        return query().decode()
     return None
 
 
