@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from rwkvp import autograd as ag
 from rwkvp import checkpoint as ckpt
 from rwkvp import corpus as corpus_mod
 from rwkvp import model as m
@@ -15,6 +16,14 @@ def tiny_config(**kw):
                 context_length=16)
     base.update(kw)
     return m.ModelConfig(**base)
+
+
+def batch_loss(cfg, store, mask, batch=2):
+    """A training step's loss graph: the mean cross-entropy of Model.forward
+    over one (T+1, batch) window of seeded random tokens."""
+    tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, (cfg.context_length + 1, batch))
+    logits, _, _ = m.Model(cfg, store, mask).forward(tokens[:-1])
+    return ag.cross_entropy(ag.reshape(logits, (-1, cfg.vocab_size)), tokens[1:].reshape(-1))
 
 
 def rewrite_manifest(path, edit):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import batch_loss, tiny_config
 from rwkvp import aggregation
 from rwkvp import autograd as ag
 from rwkvp import model as m
@@ -174,11 +174,8 @@ def test_weighted_loss_graph_builds_no_per_perspective_logits():
     from rwkvp import perspectives
     base_cfg = tiny_config()
     base, _ = m.init_base_params(base_cfg, seed=0)
-    cfg, store, mask = perspectives.extend_to_perspectives(base, base_cfg, 4, "weighted_softmax")
-    tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, (cfg.context_length + 1, 2))
-    logits, _, _ = m.Model(cfg, store, mask).forward(tokens[:-1])
-    loss = ag.cross_entropy(ag.reshape(logits, (-1, cfg.vocab_size)), tokens[1:].reshape(-1))
+    loss = batch_loss(*perspectives.extend_to_perspectives(base, base_cfg, 4, "weighted_softmax"))
     loss.backward()
     shapes = [node.shape for node in ag._toposort(loss)]
-    assert (cfg.context_length, 2, cfg.vocab_size) in shapes
-    assert not [s for s in shapes if s[-2:] == (4, cfg.vocab_size)], shapes
+    assert (base_cfg.context_length, 2, base_cfg.vocab_size) in shapes
+    assert not [s for s in shapes if s[-2:] == (4, base_cfg.vocab_size)], shapes

@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from conftest import batch_loss, tiny_config
 from rwkvp import autograd as ag
 from rwkvp.autograd import Tensor
 from rwkvp.params import FreezeMask, ParamStore
@@ -439,13 +440,11 @@ def test_no_two_gradients_share_memory_after_a_model_backward(n):
     weighted head over a frozen base) hold one memory."""
     from rwkvp import model as m
     from rwkvp import perspectives
-    cfg = m.ModelConfig(n_layers=2, d_model=16, vocab_size=17, context_length=16)
+    cfg = tiny_config()
     store, mask = m.init_base_params(cfg, seed=0)
     if n > 1:
         cfg, store, mask = perspectives.extend_to_perspectives(store, cfg, n, "weighted_softmax")
-    tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, (cfg.context_length + 1, 2))
-    logits, _, _ = m.Model(cfg, store, mask).forward(tokens[:-1])
-    loss = ag.cross_entropy(ag.reshape(logits, (-1, cfg.vocab_size)), tokens[1:].reshape(-1))
+    loss = batch_loss(cfg, store, mask)
     loss.backward()
     grads = [node.grad for node in ag._toposort(loss) if node.grad is not None]
     assert len(grads) > 50

@@ -71,7 +71,7 @@ def test_streams_evolve_independently():
 
 @given(n=st.integers(1, 4), batch=st.sampled_from([(), (1,), (2,), (3,)]),
        chunks=st.lists(st.integers(1, 9), min_size=1, max_size=4), seed=st.integers(0, 999))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_each_perspective_is_the_base_run_with_its_mu_rows(n, batch, chunks, seed):
     """Differential oracle: perspective i of the stacked n-stream run_stream,
     chunk by chunk with the state handed on, is the base's run_stream with
