@@ -365,14 +365,18 @@ def embed(table: Tensor, ids: np.ndarray) -> Tensor:
     return out
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-probabilities over the last axis, shifted by the row max."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean next-token negative log-likelihood (natural log) over all rows."""
     targets = np.asarray(targets)
     if logits.data.ndim != 2 or targets.ndim != 1 or logits.shape[0] != targets.shape[0]:
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets {targets.shape}")
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - lse
+    logp = _log_softmax(logits.data)
     rows = np.arange(targets.shape[0])
     out = Tensor(np.asarray(-logp[rows, targets].mean()), _needs_grad(logits),
                  (logits,), "cross_entropy")

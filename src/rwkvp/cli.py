@@ -34,10 +34,10 @@ def _load_config_file(path) -> dict:
         return {}
     try:
         cfg = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise CliError(f"invalid config file {path}: {e}")
+    except OSError as e:
+        raise CliError(f"cannot read config file {path}: {e.strerror}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CliError(f"invalid config file {path}: {e}") from None
     if not isinstance(cfg, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     return cfg

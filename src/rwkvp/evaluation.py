@@ -21,11 +21,6 @@ from rwkvp.corpus import CorpusError
 from rwkvp.params import ParamStore
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 def _stream(model: m.Model, tokens: np.ndarray, chunk: int):
     """Yield (start, piece, logits, weights) per chunk of a no-grad forward
     over the stream, handing the recurrent state from chunk to chunk."""
@@ -61,7 +56,7 @@ def perplexity(model: m.Model, tokens: np.ndarray, chunk: int | None = None) -> 
     for start, _, logits, _ in _stream(model, tokens, chunk):
         # row t predicts token start + t + 1; the stream's last row predicts nothing
         targets = tokens[start + 1:start + 1 + len(logits)]
-        logp = _log_softmax(logits[:len(targets)])
+        logp = ag._log_softmax(logits[:len(targets)])
         nll_sum -= logp[np.arange(len(targets)), targets].sum()
     if not math.isfinite(nll_sum):
         raise ag.NonFiniteError(f"perplexity: the summed NLL over {len(tokens) - 1} "
@@ -195,7 +190,7 @@ class AblationReport:
 
 def run_ablation(axis: str, base_cfg: m.ModelConfig, base_store: ParamStore,
                  train_tokens: np.ndarray, val_tokens: np.ndarray, tc,
-                 arms=None, seeds=(0, 1, 2), n_perspectives: int = 4) -> AblationReport:
+                 arms=None, seeds=(0, 1, 2), *, n_perspectives: int) -> AblationReport:
     """Fine-tune + evaluate per (arm, seed); report mean and stddev per arm.
 
     The metric is validation perplexity after the arm's fine-tuning run.

@@ -62,7 +62,7 @@ def finite_diff_check(f, store: ParamStore, mask: FreezeMask) -> GradCheckResult
 
 
 def model_gradcheck(seed: int) -> GradCheckResult:
-    """finite_diff_check of the next-token loss of a float64 model: L=2, d=8,
+    """finite_diff_check of training's next-token loss on a float64 model: L=2, d=8,
     V=11, n=3 perspectives with the selector head, over 5 random tokens."""
     cfg = m.ModelConfig(n_layers=2, d_model=8, vocab_size=11, context_length=8)
     store, _ = m.init_base_params(cfg, seed=seed)
@@ -73,9 +73,5 @@ def model_gradcheck(seed: int) -> GradCheckResult:
     training.inject_temporal_noise(ft_store, ft_cfg, 0.02, 0.0, seed=seed + 1)
     ft_store = ft_store.astype(np.float64)     # keeps each leaf's requires_grad
     tokens = np.random.default_rng(seed).integers(0, cfg.vocab_size, 6)
-
-    def loss_fn(s):
-        logits, _, _ = m.Model(ft_cfg, s, ft_mask).forward(tokens[:-1])
-        return ag.cross_entropy(logits, tokens[1:])
-
-    return finite_diff_check(loss_fn, ft_store, ft_mask)
+    return finite_diff_check(lambda s: training._batch_loss(m.Model(ft_cfg, s, ft_mask), tokens),
+                             ft_store, ft_mask)

@@ -12,9 +12,11 @@ as one pass. Time leads in every array the model takes and returns: tokens
 perspective i at [..., i, :], and the token shift and WKV scan walk axis 0.
 Each token-shift slot holds one (n, d) leaf, layer{l}.{att|ffn}.mu_{r,k,v},
 row i perspective i's mu (a base holds (1, d)), which ag.token_shift
-broadcasts. param_shapes(cfg) states every leaf's name and shape once; the
-parameter counts are its sizes. Every model, the base included, runs
-run_stream and then its aggregation head through Model.forward; a base's
+broadcasts. param_shapes(cfg) states every leaf's name and shape once.
+init_base_params and perspectives.extend_to_perspectives walk it, so its
+order is their stores', training's flat trainable buffer's and the gradient
+clip's; the parameter counts are its sizes. Every model, the base included,
+runs run_stream and then its aggregation head through Model.forward; a base's
 "average" head at n=1 is the plain RWKV-v4 head, so a base's Model.forward
 is the n=1 reference that an extended model reduces to. It returns the
 head's logits (T, [B,] V) as they are (the weighted head also its weights
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -85,38 +88,42 @@ class ModelConfig:
             raise ConfigError(f"context_length must be >= 2, got {self.context_length}")
 
 
-def _leaf_shapes(cfg: ModelConfig) -> tuple[dict, dict, dict]:
-    """(the global leaves' shapes, one layer's by slot name, the aggregator's)."""
+def _leaf_shapes(cfg: ModelConfig) -> tuple[dict, dict, dict, dict]:
+    """The leaves' shapes in store order: (the leaves below the layers, one
+    layer's by slot name, the leaves above the layers, the aggregator's)."""
     d, V, n = cfg.d_model, cfg.vocab_size, cfg.n_perspectives
     vec, mat, mu = (d,), (d, d), (n, d)
-    global_leaves = {"emb.weight": (V, d), "ln0.g": vec, "ln0.b": vec,
-                     "ln_out.g": vec, "ln_out.b": vec, "head.weight": (d, V)}
+    below = {"emb.weight": (V, d), "ln0.g": vec, "ln0.b": vec}
     layer = {"ln1.g": vec, "ln1.b": vec, "ln2.g": vec, "ln2.b": vec,
              "att.mu_r": mu, "att.mu_k": mu, "att.mu_v": mu, "att.w_r": mat, "att.w_k": mat,
              "att.w_v": mat, "att.w_o": mat, "att.decay": vec, "att.bonus": vec,
              "ffn.mu_r": mu, "ffn.mu_k": mu, "ffn.w_r": mat, "ffn.w_k": (d, 4 * d),
              "ffn.w_v": (4 * d, d)}
+    above = {"ln_out.g": vec, "ln_out.b": vec, "head.weight": (d, V)}
     aggregator = {"weighted_softmax": {"selector.W": (n, d), "selector.b": (n,)},
                   "transformer_like": {"agghead.W": (n * d, d), "agghead.b": vec}}
-    return global_leaves, layer, aggregator.get(cfg.aggregation, {})
+    return below, layer, above, aggregator.get(cfg.aggregation, {})
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Each leaf's name and shape: the global leaves, one slot table per layer
-    (layer{l}.<slot>, each mu leaf (n, d), row i perspective i), then the
-    aggregator's leaves: what init_base_params and extend_to_perspectives
-    build, and the layout of a checkpoint's payload."""
-    global_leaves, layer, aggregator = _leaf_shapes(cfg)
+    """Each leaf's name and shape, in the order every store built from the
+    table holds them: the embedding and ln0, one slot table per layer
+    (layer{l}.<slot>, each mu leaf (n, d), row i perspective i), ln_out and
+    the head, then the aggregator's leaves. init_base_params and
+    extend_to_perspectives walk it, so it is also the order of training's
+    flat trainable buffer and of the gradient clip's segments; a
+    checkpoint's payload holds the same leaves sorted by name."""
+    below, layer, above, aggregator = _leaf_shapes(cfg)
     layers = {f"layer{l}.{slot}": shape for l in range(cfg.n_layers)
               for slot, shape in layer.items()}
-    return {**global_leaves, **layers, **aggregator}
+    return {**below, **layers, **above, **aggregator}
 
 
 def param_count(cfg: ModelConfig) -> int:
     """The size of param_shapes(cfg) in closed form: no layer is listed."""
-    outer, per_layer, agg = (sum(math.prod(shape) for shape in part.values())
-                             for part in _leaf_shapes(cfg))
-    return outer + cfg.n_layers * per_layer + agg
+    below, per_layer, above, agg = (sum(math.prod(shape) for shape in part.values())
+                                    for part in _leaf_shapes(cfg))
+    return below + cfg.n_layers * per_layer + above + agg
 
 
 def base_param_count(cfg: ModelConfig) -> int:
@@ -143,53 +150,47 @@ def is_aggregator(name: str) -> bool:
 
 
 def init_base_params(cfg: ModelConfig, seed: int) -> tuple[ParamStore, FreezeMask]:
-    """From-scratch init of a single-perspective base model (all trainable)."""
+    """From-scratch init of a single-perspective base model (all trainable):
+    each leaf of param_shapes(cfg), in order, gets its slot's initial value,
+    so the matrices draw from the seeded generator in table order."""
     if cfg.n_perspectives != 1:
         raise ConfigError("base models are initialized with n_perspectives=1")
     if cfg.aggregation != "average":
         raise ConfigError(f"base models have no aggregator leaves, so their aggregation "
                           f"is 'average', got {cfg.aggregation!r}")
     rng = np.random.default_rng(seed)
-    L, d, V = cfg.n_layers, cfg.d_model, cfg.vocab_size
-    store = ParamStore()
-
-    def uniform(shape, s):
-        return rng.uniform(-s, s, size=shape)
-
-    store.add("emb.weight", uniform((V, d), 0.4 / np.sqrt(d)))
-    store.add("ln0.g", np.ones(d))
-    store.add("ln0.b", np.zeros(d))
-
-    pos = (np.arange(d) + 0.5) / d
+    L, d = cfg.n_layers, cfg.d_model
+    channel = np.arange(d)
     s_in = np.sqrt(3.0 / d)
-    s_out = s_in / np.sqrt(2.0 * L)
-    for l in range(L):
-        depth = l / max(L - 1, 1)          # 0 at the bottom, 1 at the top
-        store.add(f"layer{l}.ln1.g", np.ones(d))
-        store.add(f"layer{l}.ln1.b", np.zeros(d))
-        store.add(f"layer{l}.ln2.g", np.ones(d))
-        store.add(f"layer{l}.ln2.b", np.zeros(d))
+    # the uniform bound of each matrix that does not take s_in
+    bounds = {"emb.weight": 0.4 / np.sqrt(d), "att.w_o": s_in / np.sqrt(2.0 * L),
+              "ffn.w_v": np.sqrt(3.0 / (4 * d)) / np.sqrt(2.0 * L)}
+    store = ParamStore()
+    for name, shape in param_shapes(cfg).items():
+        layer = re.match(r"layer(\d+)\.", name)
+        slot = name[layer.end():] if layer else name
+        depth = int(layer[1]) / max(L - 1, 1) if layer else 0.0   # 0 at the bottom, 1 at the top
         # depth-graded token-shift coefficients in (0, 1); one row: perspective 0
-        ramp = pos ** (1.0 - 0.9 * depth)
-        store.add(f"layer{l}.att.mu_r", [0.5 * ramp])
-        store.add(f"layer{l}.att.mu_k", [ramp])
-        store.add(f"layer{l}.att.mu_v", [np.clip(ramp + 0.3 * depth, 0.0, 0.99)])
-        store.add(f"layer{l}.att.w_r", uniform((d, d), s_in))
-        store.add(f"layer{l}.att.w_k", uniform((d, d), s_in))
-        store.add(f"layer{l}.att.w_v", uniform((d, d), s_in))
-        store.add(f"layer{l}.att.w_o", uniform((d, d), s_out))
-        # per-channel decay exponent: channel 0 remembers longest
-        store.add(f"layer{l}.att.decay", 0.1 + 6.0 * (np.arange(d) / max(d - 1, 1)) ** 1.5)
-        store.add(f"layer{l}.att.bonus", 0.3 + 0.2 * np.cos(np.arange(d)))
-        store.add(f"layer{l}.ffn.mu_r", [0.5 * ramp])
-        store.add(f"layer{l}.ffn.mu_k", [ramp])
-        store.add(f"layer{l}.ffn.w_r", uniform((d, d), s_in))
-        store.add(f"layer{l}.ffn.w_k", uniform((d, 4 * d), s_in))
-        store.add(f"layer{l}.ffn.w_v", uniform((4 * d, d), np.sqrt(3.0 / (4 * d)) / np.sqrt(2.0 * L)))
-
-    store.add("ln_out.g", np.ones(d))
-    store.add("ln_out.b", np.zeros(d))
-    store.add("head.weight", uniform((d, V), s_in))
+        ramp = ((channel + 0.5) / d) ** (1.0 - 0.9 * depth)
+        if slot.endswith(".g"):
+            value = np.ones(shape)
+        elif slot.endswith(".b"):
+            value = np.zeros(shape)
+        elif slot.endswith(".mu_r"):
+            value = 0.5 * ramp
+        elif slot.endswith(".mu_k"):
+            value = ramp
+        elif slot == "att.mu_v":
+            value = np.clip(ramp + 0.3 * depth, 0.0, 0.99)
+        elif slot == "att.decay":
+            # per-channel decay exponent: channel 0 remembers longest
+            value = 0.1 + 6.0 * (channel / max(d - 1, 1)) ** 1.5
+        elif slot == "att.bonus":
+            value = 0.3 + 0.2 * np.cos(channel)
+        else:
+            bound = bounds.get(slot, s_in)
+            value = rng.uniform(-bound, bound, size=shape)
+        store.add(name, np.reshape(value, shape))
     return store, FreezeMask.fromkeys(store.names(), True)
 
 

@@ -24,35 +24,32 @@ def extend_to_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
                            ) -> tuple[m.ModelConfig, ParamStore, FreezeMask]:
     """Build the fine-tuning model from a trained base.
 
-    Copies the store with each mu leaf's one row repeated n times (every
-    perspective starts bitwise equal to the base; the noise that
-    differentiates training goes elsewhere, see rwkvp.training), adds the
-    aggregation parameters at an identity-to-base initialization, and
-    returns a freeze mask that leaves only the mu leaves and the aggregator
-    trainable.
+    Walks m.param_shapes of the extended config, in its order: each mu
+    leaf is the base's one row repeated n times (every perspective starts
+    bitwise equal to the base; the noise that differentiates training goes
+    elsewhere, see rwkvp.training), every other base leaf a copy, and each
+    aggregator leaf its identity-to-base value. The freeze mask, built in
+    the same walk, leaves only the mu leaves and the aggregator trainable.
     """
     if base_cfg.n_perspectives != 1:
         raise m.ConfigError(f"extension starts from a base with n_perspectives=1, "
                             f"got {base_cfg.n_perspectives}")
     cfg = replace(base_cfg, n_perspectives=n, aggregation=aggregation)
-    store = ParamStore()
-    for name, t in base_store.items():
-        store.add(name, np.repeat(t.data, n, axis=0) if m.is_temporal(name) else t.data.copy(),
-                  dtype=t.data.dtype)
-    d = cfg.d_model
-    dtype = store["emb.weight"].data.dtype
-    if aggregation == "weighted_softmax":
-        # zero selector => uniform weights => output identical to the base
-        store.add("selector.W", np.zeros((n, d)), dtype=dtype)
-        store.add("selector.b", np.zeros(n), dtype=dtype)
-    elif aggregation == "transformer_like":
-        # stacked identities / n => plain average => identical to the base
-        store.add("agghead.W", np.vstack([np.eye(d)] * n) / n, dtype=dtype)
-        store.add("agghead.b", np.zeros(d), dtype=dtype)
-
-    mask = FreezeMask({name: (m.is_temporal(name) or m.is_aggregator(name))
-                       for name in store.names()})
-    store.apply_freeze(mask)
+    dtype = base_store["emb.weight"].data.dtype
+    store, mask = ParamStore(), FreezeMask()
+    for name, shape in m.param_shapes(cfg).items():
+        mask[name] = m.is_temporal(name) or m.is_aggregator(name)
+        if name == "agghead.W":
+            # stacked identities / n => plain average => identical to the base
+            data = np.asarray(np.vstack([np.eye(cfg.d_model)] * n) / n, dtype=dtype)
+        elif m.is_aggregator(name):
+            # zero selector => uniform weights => identical to the base
+            data = np.zeros(shape, dtype=dtype)
+        elif m.is_temporal(name):
+            data = np.repeat(base_store[name].data, n, axis=0)
+        else:
+            data = base_store[name].data.copy()
+        store.add(name, data, requires_grad=mask[name], dtype=data.dtype)
     return cfg, store, mask
 
 

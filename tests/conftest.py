@@ -4,7 +4,6 @@ import struct
 import numpy as np
 import pytest
 
-from rwkvp import autograd as ag
 from rwkvp import checkpoint as ckpt
 from rwkvp import corpus as corpus_mod
 from rwkvp import model as m
@@ -19,11 +18,10 @@ def tiny_config(**kw):
 
 
 def batch_loss(cfg, store, mask, batch=2):
-    """A training step's loss graph: the mean cross-entropy of Model.forward
-    over one (T+1, batch) window of seeded random tokens."""
+    """A training step's loss graph (training._batch_loss) over one
+    (T+1, batch) window of seeded random tokens."""
     tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, (cfg.context_length + 1, batch))
-    logits, _, _ = m.Model(cfg, store, mask).forward(tokens[:-1])
-    return ag.cross_entropy(ag.reshape(logits, (-1, cfg.vocab_size)), tokens[1:].reshape(-1))
+    return training._batch_loss(m.Model(cfg, store, mask), tokens)
 
 
 def rewrite_manifest(path, edit):

@@ -119,6 +119,23 @@ def test_missing_config_file_errors(tmp_path, capsys, corpus_file):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["directory", "not_utf8"])
+def test_unreadable_config_file_errors(tmp_path, capsys, corpus_file, case):
+    """A --config that is a directory or not UTF-8 text is a CliError with the
+    reason, not a traceback."""
+    config = tmp_path / "config.json"
+    if case == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(b'{"model": "\xff"}')
+    rc = cli.main(["pretrain", "--config", str(config),
+                   "--corpus", str(corpus_file), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "CliError" in err and str(config) in err
+    assert ("Is a directory" if case == "directory" else "utf-8") in err
+
+
 def test_missing_corpus_errors(tmp_path, capsys, micro_config):
     rc = cli.main(["pretrain", "--config", str(micro_config),
                    "--corpus", str(tmp_path / "nope.txt"),

@@ -319,7 +319,7 @@ def test_ablation_marks_a_diverging_arm_failed(synth_split):
     base_cfg, base_store, train, val, tc = _micro_setup(synth_split)
     base_store["layer0.att.mu_k"].data[0, 0] = np.nan
     report = evaluation.run_ablation("n_perspectives", base_cfg, base_store, train, val, tc,
-                                     arms=[1, 2], seeds=(0, 1, 2))
+                                     arms=[1, 2], seeds=(0, 1, 2), n_perspectives=4)
     assert [arm.failed for arm in report.arms] == [True, True]
     assert "FAILED" in report.to_table()
 
@@ -327,10 +327,11 @@ def test_ablation_marks_a_diverging_arm_failed(synth_split):
 def test_ablation_validation(synth_split):
     base_cfg, base_store, train, val, tc = _micro_setup(synth_split)
     with pytest.raises(m.ConfigError):
-        evaluation.run_ablation("nonsense", base_cfg, base_store, train, val, tc)
+        evaluation.run_ablation("nonsense", base_cfg, base_store, train, val, tc,
+                                n_perspectives=4)
     with pytest.raises(m.ConfigError):
         evaluation.run_ablation("aggregation", base_cfg, base_store, train, val,
-                                tc, arms=["average"])
+                                tc, arms=["average"], n_perspectives=4)
     with pytest.raises(m.ConfigError):
         evaluation.run_ablation("aggregation", base_cfg, base_store, train, val,
-                                tc, seeds=(0, 1))
+                                tc, seeds=(0, 1), n_perspectives=4)

@@ -55,14 +55,17 @@ def test_base_init_deterministic_and_counted():
 @pytest.mark.parametrize("aggregation", m.AGGREGATION_MODES)
 @pytest.mark.parametrize("n", [1, 3])
 def test_param_shapes_is_what_init_and_extend_build(n, aggregation):
-    """The one table of leaf names and shapes agrees with the init path, and
-    the closed-form counts with the store's size."""
+    """The one table of leaf names and shapes is what init and extension
+    build, in the table's order, each leaf's requires_grad its mask flag;
+    the closed-form counts agree with the store's size."""
     from rwkvp import perspectives
     base_cfg = tiny_config()
-    base, _ = m.init_base_params(base_cfg, seed=0)
-    cfg, store, _ = perspectives.extend_to_perspectives(base, base_cfg, n, aggregation)
-    assert m.param_shapes(cfg) == {name: t.shape for name, t in store.items()}
-    assert m.param_shapes(base_cfg) == {name: t.shape for name, t in base.items()}
+    base, base_mask = m.init_base_params(base_cfg, seed=0)
+    cfg, store, mask = perspectives.extend_to_perspectives(base, base_cfg, n, aggregation)
+    for c, s, mk in ((base_cfg, base, base_mask), (cfg, store, mask)):
+        assert list(m.param_shapes(c).items()) == [(name, t.shape) for name, t in s.items()]
+        assert list(mk) == s.names()
+        assert all(t.requires_grad == mk[name] for name, t in s.items())
     assert m.base_param_count(cfg) == base.total_size()
     assert m.base_param_count(cfg) + m.extra_param_count(cfg) == store.total_size()
     assert m.param_count(cfg) == store.total_size()
