@@ -12,13 +12,11 @@ views of one buffer that the optimizer updates in place (params.flatten,
 training.Adam), so a graph that outlived a step would differentiate at the
 new values. Between steps, several graphs may evaluate over the same leaves.
 
-The hand-over rule: a node's first gradient is its own array, which later
-gradients are added into in place. An op whose backward allocated a gradient
-array, holds it nowhere else and matches the parent's shape and dtype hands
-that array over (_accumulate's fresh=True); every other gradient is copied:
-add's g, which both parents share, sum_'s broadcast view, the views of
-reshape and transpose, an upstream g that _unbroadcast passes through. So no
-two nodes' gradients share memory.
+The gradient rule: a backward writes only into arrays it allocated in that
+call, and a stored gradient is never written: a node's first gradient is
+stored as given, and each later one replaces it with a new sum. So nodes
+may share one gradient array (add gives both parents its g) or hold a view
+of another's (reshape, transpose, sum_'s broadcast).
 
 Fused primitives: token_shift, sigmoid_mul and relu_square each run a chain
 of the RWKV block's elementwise ops as one node with a hand-written backward,
@@ -26,9 +24,9 @@ because at the model's sizes a node costs more in dispatch and temporaries
 than in arithmetic. They keep the chains' operation order and bitwise output.
 
 Precision: a leaf keeps a float32 or float64 array as given and converts
-anything else to float32; intermediate results follow numpy promotion, so
-casting the leaves to float64 is enough to run a whole graph in double
-precision.
+anything else to float32; intermediate results and gradients follow numpy
+promotion, so casting the leaves to float64 is enough to run a whole graph
+in double precision.
 """
 
 from __future__ import annotations
@@ -93,20 +91,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add g to this node's gradient. fresh: the op allocated g in this
-        backward call and holds it nowhere else, so a first gradient of the
-        node's shape and dtype is g itself, not a copy of it."""
-        if self.grad is None:
-            if fresh and g.shape == self.data.shape and g.dtype == self.data.dtype:
-                self.grad = g
-                return
-            # otherwise an owned copy (add hands both parents one g, sum_ a
-            # read-only broadcast view); copyto broadcasts and casts as it copies
-            self.grad = np.empty_like(self.data)
-            np.copyto(self.grad, g)
-        else:
-            self.grad += g
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Add g to this node's gradient as a new sum, never in place (the gradient rule)."""
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Reverse-accumulate d(self)/d(leaf) for every requires_grad leaf."""
@@ -184,9 +171,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         def bwd(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape), fresh=True)
+                a._accumulate(_unbroadcast(g * b.data, a.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape), fresh=True)
+                b._accumulate(_unbroadcast(g * a.data, b.shape))
         out._backward = bwd
     return out
 
@@ -194,7 +181,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c, _needs_grad(a), (a,), "scale")
     if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g * c, fresh=True)
+        out._backward = lambda g: a._accumulate(g * c)
     return out
 
 
@@ -209,9 +196,9 @@ def sigmoid_mul(a: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         def bwd(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data * s * (1.0 - s), a.shape), fresh=True)
+                a._accumulate(_unbroadcast(g * b.data * s * (1.0 - s), a.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * s, b.shape), fresh=True)
+                b._accumulate(_unbroadcast(g * s, b.shape))
         out._backward = bwd
     return out
 
@@ -221,7 +208,7 @@ def relu_square(a: Tensor) -> Tensor:
     r = np.maximum(a.data, 0.0)
     out = Tensor(r * r, _needs_grad(a), (a,), "relu_square")
     if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g * 2.0 * r, fresh=True)
+        out._backward = lambda g: a._accumulate(g * 2.0 * r)
     return out
 
 
@@ -247,9 +234,9 @@ def token_shift(a: Tensor, first_row: np.ndarray, mu: Tensor) -> Tensor:
             if a.requires_grad:
                 ga = g * m
                 ga[:-1] += g[1:] * (1.0 - m)
-                a._accumulate(_unbroadcast(ga, shape), fresh=True)
+                a._accumulate(_unbroadcast(ga, shape))
             if mu.requires_grad:
-                mu._accumulate((g * (x - prev)).reshape((-1,) + m.shape).sum(axis=0), fresh=True)
+                mu._accumulate((g * (x - prev)).reshape((-1,) + m.shape).sum(axis=0))
         out._backward = bwd
     return out
 
@@ -271,9 +258,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def bwd(g):
             g2 = g.reshape(-1, b.shape[1])
             if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.shape), fresh=True)
+                a._accumulate((g2 @ b.data.T).reshape(a.shape))
             if b.requires_grad:
-                b._accumulate(rows.T @ g2, fresh=True)
+                b._accumulate(rows.T @ g2)
         out._backward = bwd
     return out
 
@@ -313,7 +300,7 @@ def softmax(a: Tensor) -> Tensor:
     if out.requires_grad:
         def bwd(g):
             dot = (g * p).sum(axis=-1, keepdims=True)
-            a._accumulate(p * (g - dot), fresh=True)
+            a._accumulate(p * (g - dot))
         out._backward = bwd
     return out
 
@@ -345,7 +332,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                 dxhat = g * gain.data
                 m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
                 m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
-                a._accumulate(invstd * (dxhat - m1 - xhat * m2), fresh=True)
+                a._accumulate(invstd * (dxhat - m1 - xhat * m2))
         out._backward = bwd
     return out
 
@@ -360,7 +347,7 @@ def embed(table: Tensor, ids: np.ndarray) -> Tensor:
         def bwd(g):
             gt = np.zeros_like(table.data)
             np.add.at(gt, ids, g)
-            table._accumulate(gt, fresh=True)
+            table._accumulate(gt)
         out._backward = bwd
     return out
 
@@ -384,6 +371,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         def bwd(g):
             p = np.exp(logp)
             p[rows, targets] -= 1.0
-            logits._accumulate(p * (g / targets.shape[0]), fresh=True)
+            logits._accumulate(p * (g / targets.shape[0]))
         out._backward = bwd
     return out

@@ -60,8 +60,16 @@ def _check_store_matches(store: ParamStore, config: ModelConfig) -> None:
         raise CheckpointError(f"cannot save: tensors do not match the config: {'; '.join(wrong)}")
 
 
+def _is_seed(seed) -> bool:
+    """What save writes and load accepts in the seed lineage: a JSON integer >= 0."""
+    return type(seed) is int and seed >= 0
+
+
 def save_checkpoint(store: ParamStore, config: ModelConfig, mask: FreezeMask,
                     path, seeds=()) -> None:
+    seeds = list(seeds)
+    if not all(map(_is_seed, seeds)):
+        raise CheckpointError(f"cannot save seeds {seeds!r}: each must be an int >= 0")
     _check_store_matches(store, config)
     names = sorted(store.names())
     blobs = []
@@ -76,7 +84,7 @@ def save_checkpoint(store: ParamStore, config: ModelConfig, mask: FreezeMask,
         "config": asdict(config),
         "payload_sha256": hashlib.sha256(b"".join(blobs)).hexdigest(),
         "freeze_mask": {n: bool(mask[n]) for n in names},
-        "seeds": list(seeds),
+        "seeds": seeds,
     }
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     # renamed onto path once whole: a failed save leaves an earlier file there intact
@@ -112,7 +120,7 @@ def _check_manifest(path, manifest) -> None:
             and isinstance(manifest["freeze_mask"], dict)
             and all(isinstance(flag, bool) for flag in manifest["freeze_mask"].values())
             and isinstance(manifest["seeds"], list)
-            and all(type(seed) is int and seed >= 0 for seed in manifest["seeds"])):
+            and all(map(_is_seed, manifest["seeds"]))):
         raise CheckpointError(f"{path}: manifest payload_sha256 must be a string, freeze_mask "
                               "an object of booleans and seeds a list of non-negative integers")
 

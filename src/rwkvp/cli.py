@@ -40,6 +40,11 @@ def _load_config_file(path) -> dict:
         raise CliError(f"invalid config file {path}: {e}") from None
     if not isinstance(cfg, dict):
         raise CliError(f"config file {path} must hold a JSON object")
+    # the sections _build_configs reads, and the output-only records
+    # _echo_config writes beside them, so effective_config.json works as --config
+    unknown = [key for key in cfg if key not in ("model", "train", "runtime", "ablation")]
+    if unknown:
+        raise CliError(f"config file {path}: unknown section(s) {', '.join(map(repr, unknown))}")
     return cfg
 
 

@@ -273,8 +273,6 @@ def pretrain_base(base_cfg: m.ModelConfig, train_tokens: np.ndarray,
                   val_tokens: np.ndarray, tc: TrainConfig
                   ) -> tuple[ParamStore, FreezeMask, TrainLog]:
     """Train a single-perspective base from scratch, all parameters trainable."""
-    if base_cfg.n_perspectives != 1:
-        raise m.ConfigError("pretraining runs with n_perspectives=1")
     store, mask = m.init_base_params(base_cfg, seed=tc.seed)
     log = _train_loop(m.Model(base_cfg, store, mask), train_tokens, val_tokens, tc)
     return store, mask, log

@@ -167,7 +167,7 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
             if v.requires_grad:
                 dv = da * f2
                 dv += dN * e2
-                v._accumulate(dv.reshape(v.shape), fresh=True)
+                v._accumulate(dv.reshape(v.shape))
             g2 = np.multiply(dN, vd, out=dN)     # via e2 = exp(u + k - q)
             g2 += dD
             g2 *= e2
@@ -176,7 +176,7 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
                 dk += db
                 dk *= f2
                 dk += g2
-                k._accumulate(dk.reshape(k.shape), fresh=True)
+                k._accumulate(dk.reshape(k.shape))
             if w.requires_grad:
                 dw = da * a_in                   # via f1 = exp(p - w - p')
                 dw += db * b_in

@@ -136,6 +136,31 @@ def test_unreadable_config_file_errors(tmp_path, capsys, corpus_file, case):
     assert ("Is a directory" if case == "directory" else "utf-8") in err
 
 
+def test_unknown_config_section_errors(tmp_path, capsys, corpus_file, micro_config):
+    """A misspelt section is a CliError naming it, not a run on the defaults."""
+    cfg = json.loads(micro_config.read_text())
+    cfg["trian"] = cfg.pop("train")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "x"
+    rc = cli.main(["pretrain", "--config", str(config),
+                   "--corpus", str(corpus_file), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "CliError" in err and "'trian'" in err
+    assert not (out / "base.ckpt").exists()
+
+
+def test_effective_config_reproduces_the_run(tmp_path, corpus_file, pretrained_dir):
+    """effective_config.json, runtime record included, fed back as --config
+    rebuilds the same base checkpoint byte for byte."""
+    out = tmp_path / "again"
+    rc = cli.main(["pretrain", "--config", str(pretrained_dir / "effective_config.json"),
+                   "--corpus", str(corpus_file), "--out", str(out)])
+    assert rc == 0
+    assert (out / "base.ckpt").read_bytes() == (pretrained_dir / "base.ckpt").read_bytes()
+
+
 def test_missing_corpus_errors(tmp_path, capsys, micro_config):
     rc = cli.main(["pretrain", "--config", str(micro_config),
                    "--corpus", str(tmp_path / "nope.txt"),

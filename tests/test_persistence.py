@@ -151,6 +151,17 @@ def test_checkpoint_refuses_non_float32_store(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed", [-1, True, np.int64(3)], ids=["negative", "bool", "int64"])
+def test_checkpoint_refuses_seeds_load_would_reject(tmp_path, seed):
+    """save checks seeds as load does (an int >= 0): a bad one is a
+    CheckpointError before anything is written, not a file load refuses."""
+    cfg, store, mask = _small_model()
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ckpt.CheckpointError, match="seeds"):
+        ckpt.save_checkpoint(store, cfg, mask, path, seeds=[0, seed])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_logits_bit_identical(tmp_path):
     cfg, store, mask = _small_model()
     path = tmp_path / "m.ckpt"
