@@ -39,7 +39,9 @@ depend on them, and a gradient routed through the maxes would sum to zero
 (ties included). What is left is one reverse scan for the gradient of
 (a, b), whose coefficient is f1, and dk, dv, dw, du as whole-chunk
 expressions: u + k enters through e2, k through f2, w through f1. Under
-`no_grad` nothing is kept for it.
+`no_grad` nothing is kept for it; otherwise its closure keeps only what the
+wanted gradients read (the (a, b) scan only for w's, v only for k's and
+u's), as every autograd op does.
 """
 
 from __future__ import annotations
@@ -144,10 +146,20 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
     y += e2 * vd
     y /= den
 
-    out = Tensor(y.reshape(k.shape), ag._needs_grad(k, v, w, u), (k, v, w, u), "wkv_sequence")
+    out = Tensor(y.reshape(k.shape), ag._needs_grad(k, v, w, u), "wkv_sequence")
     final_state = tuple(s.reshape(lead + (d,)).copy() for s in (ab[T, 0], ab[T, 1], p[T]))
 
     if out.requires_grad:
+        nk, nv, nw, nu = (ag._node_of(t) for t in (k, v, w, u))
+        # keep only what the wanted gradients read: v for k's and u's, f2
+        # for v's and k's, the (a, b) scan for w's
+        if nk is None and nu is None:
+            vd = None
+        if nk is None and nv is None:
+            f2 = None
+        if nw is None:
+            a_in = b_in = None
+
         def bwd(gy):
             g = gy.reshape(T, D)
             dN = g / den
@@ -164,26 +176,27 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
 
             # p and q are held constant: a gauge (see the module docstring).
             # After dv, g2 and dk reuse the buffers of dN and dD.
-            if v.requires_grad:
+            if nv is not None:
                 dv = da * f2
                 dv += dN * e2
-                v._accumulate(dv.reshape(v.shape))
-            g2 = np.multiply(dN, vd, out=dN)     # via e2 = exp(u + k - q)
-            g2 += dD
-            g2 *= e2
-            if k.requires_grad:
+                ag._accumulate(nv, dv.reshape(gy.shape))
+            if vd is not None:
+                g2 = np.multiply(dN, vd, out=dN)  # via e2 = exp(u + k - q)
+                g2 += dD
+                g2 *= e2
+            if nk is not None:
                 dk = np.multiply(da, vd, out=dD)  # via f2 = exp(k - p')
                 dk += db
                 dk *= f2
                 dk += g2
-                k._accumulate(dk.reshape(k.shape))
-            if w.requires_grad:
+                ag._accumulate(nk, dk.reshape(gy.shape))
+            if nw is not None:
                 dw = da * a_in                   # via f1 = exp(p - w - p')
                 dw += db * b_in
                 dw *= f1
-                w._accumulate(-dw.sum(axis=0).reshape(groups, d).sum(axis=0))
-            if u.requires_grad:
-                u._accumulate(g2.sum(axis=0).reshape(groups, d).sum(axis=0))
-        out._backward = bwd
+                ag._accumulate(nw, -dw.sum(axis=0).reshape(groups, d).sum(axis=0))
+            if nu is not None:
+                ag._accumulate(nu, g2.sum(axis=0).reshape(groups, d).sum(axis=0))
+        out._node = ag._Node(bwd, nk, nv, nw, nu)
 
     return out, final_state

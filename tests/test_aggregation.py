@@ -167,15 +167,31 @@ def test_dispatch_validates_count():
         aggregation.aggregate(cfg, store, Tensor(np.ones((2, 1, cfg.d_model))))
 
 
-def test_weighted_loss_graph_builds_no_per_perspective_logits():
+def test_weighted_loss_graph_builds_no_per_perspective_logits(monkeypatch):
     """The weighted head projects the mixed embeddings once: no node of a
     fine-tune-shaped loss graph (n=4, a batch of 2) or its gradient is
-    (..., n, V)."""
+    (..., n, V). Nodes hold no values, so a node's shape is its op result's,
+    recorded as the forward builds it; gradients are recorded as stored."""
     from rwkvp import perspectives
     base_cfg = tiny_config()
     base, _ = m.init_base_params(base_cfg, seed=0)
+    node_shapes, grad_shapes = [], []
+    init, accumulate = Tensor.__init__, ag._accumulate
+
+    def recording_init(self, data, requires_grad=False, _op="leaf"):
+        init(self, data, requires_grad, _op)
+        if requires_grad and _op != "leaf":
+            node_shapes.append(self.shape)
+
+    def recording_accumulate(node, g):
+        grad_shapes.append(g.shape)
+        accumulate(node, g)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    monkeypatch.setattr(ag, "_accumulate", recording_accumulate)
     loss = batch_loss(*perspectives.extend_to_perspectives(base, base_cfg, 4, "weighted_softmax"))
     loss.backward()
-    shapes = [node.shape for node in ag._toposort(loss)]
-    assert (base_cfg.context_length, 2, base_cfg.vocab_size) in shapes
-    assert not [s for s in shapes if s[-2:] == (4, base_cfg.vocab_size)], shapes
+    logits = (base_cfg.context_length, 2, base_cfg.vocab_size)
+    for shapes in (node_shapes, grad_shapes):
+        assert logits in shapes
+        assert not [s for s in shapes if s[-2:] == (4, base_cfg.vocab_size)], shapes
