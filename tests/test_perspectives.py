@@ -99,10 +99,85 @@ def test_each_perspective_is_the_base_run_with_its_mu_rows(n, batch, chunks, see
     stacked = run(cfg, store)
     for i in range(n):
         for name in m.mu_names(cfg):
-            base.store[name].data = store[name].data[i:i + 1]
+            base.store[name].data = store[name].data[..., i:i + 1, :]
         for got, want in zip(stacked, run(base.config, base.store)):
             assert got.shape[:-2] == want.shape[:-2] and want.shape[-2] == 1
             np.testing.assert_allclose(got[..., i, :], want[..., 0, :], rtol=tol, atol=tol)
+
+
+# The README model: at d=48 a GEMM's rows do not depend on how many other
+# rows share the call once each perspective has 26 or more (T * B), which
+# the backward oracles below rely on for their bitwise cases.
+README_MODEL = dict(d_model=48, vocab_size=257, context_length=64)
+BITWISE_ROWS = 26
+
+
+def _mu_rows_match(got, want, bitwise, rtol):
+    """got equals want bitwise, or within rtol of want's largest entry."""
+    if bitwise:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@given(n=st.integers(1, 4), aggregation=st.sampled_from(m.AGGREGATION_MODES),
+       T=st.integers(1, 64), batch=st.sampled_from([(), (1,), (2,), (3,)]),
+       seed=st.integers(0, 999))
+@settings(max_examples=40, deadline=None)
+def test_each_perspective_mu_gradient_is_the_base_one_over_n(n, aggregation, T, batch, seed):
+    """Backward differential oracle at the identity extension: for the
+    training loss on one (T + 1, [B]) window, each perspective's mu gradient
+    is the base's times float32(1/n). Bitwise at n = 1, 2 and 4 once each
+    perspective has BITWISE_ROWS rows; with fewer, the backward GEMMs of n
+    times the rows take another OpenBLAS kernel, and at n = 3 the 1/3 of
+    the mean and the uniform weights is inexact in float32, so there each
+    row is within 2e-6 of the base's largest entry (a search of 1000 draws
+    found 1.3e-6 at n = 3 and 8.1e-7 elsewhere)."""
+    base_cfg = tiny_config(**README_MODEL)
+    base_store, base_mask = m.init_base_params(base_cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, t in base_store.items():
+        t.data = t.data + rng.normal(0.0, 0.05, t.shape).astype(np.float32)
+    cfg, store, mask = perspectives.extend_to_perspectives(base_store, base_cfg, n, aggregation)
+    tokens = rng.integers(0, cfg.vocab_size, (T + 1,) + batch)
+    training._batch_loss(m.Model(base_cfg, base_store, base_mask), tokens).backward()
+    training._batch_loss(m.Model(cfg, store, mask), tokens).backward()
+    bitwise = n != 3 and T * max(batch, default=1) >= BITWISE_ROWS
+    for name in m.mu_names(cfg):
+        want = base_store[name].grad[..., 0, :] * np.float32(1 / n)
+        for i in range(n):
+            _mu_rows_match(store[name].grad[..., i, :], want, bitwise, 2e-6)
+
+
+@given(n=st.integers(1, 4), T=st.integers(1, 64), batch=st.sampled_from([(), (1,), (2,), (3,)]),
+       seed=st.integers(0, 999))
+@settings(max_examples=40, deadline=None)
+def test_each_perspective_mu_gradient_is_the_base_run_with_its_mu_rows(n, T, batch, seed):
+    """Backward differential oracle, vector-Jacobian form: with temporal
+    noise on the mu rows and a random cotangent G of the stack's output,
+    mu row i's gradient of sum(p * G) is the base run's with row i put in,
+    backpropagating G[..., i:i + 1, :]. Bitwise once each perspective has
+    BITWISE_ROWS rows (T * B); with fewer, the input gradients' GEMMs over n
+    times the rows take another OpenBLAS kernel than the base's, so there
+    each row is within 1e-6 of the base's largest entry (a search of 400
+    draws found 6.9e-7)."""
+    base, cfg, store, _ = _extended(n, "average", seed, **README_MODEL)
+    training.inject_temporal_noise(store, cfg, 0.1, 0.0, seed)
+    rng = np.random.default_rng(seed)
+    tokens = rng.integers(0, cfg.vocab_size, (T,) + batch)
+    p, _ = m.run_stream(cfg, store, tokens)
+    G = rng.normal(0.0, 1.0, p.shape).astype(np.float32)
+    ag.sum_(ag.mul(p, ag.Tensor(G))).backward()
+    bitwise = T * max(batch, default=1) >= BITWISE_ROWS
+    for i in range(n):
+        base.store.zero_grad()
+        for name in m.mu_names(cfg):
+            base.store[name].data = store[name].data[..., i:i + 1, :].copy()
+        q, _ = m.run_stream(base.config, base.store, tokens)
+        ag.sum_(ag.mul(q, ag.Tensor(G[..., i:i + 1, :]))).backward()
+        for name in m.mu_names(cfg):
+            _mu_rows_match(store[name].grad[..., i, :], base.store[name].grad[..., 0, :],
+                           bitwise, 1e-6)
 
 
 def test_cross_perspective_gradient_is_zero():
