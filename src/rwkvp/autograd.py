@@ -34,6 +34,9 @@ Fused primitives: token_shift, sigmoid_mul and relu_square each run a chain
 of the RWKV block's elementwise ops as one node with a hand-written backward,
 because at the model's sizes a node costs more in dispatch and temporaries
 than in arithmetic. They keep the chains' operation order and bitwise output.
+For the same reason token_shift takes a stacked (S, n, d) mu and matmul a
+stacked (S, d, k) weight: the time-mix block's r, k and v are one shift and
+one batched GEMM, each slot bitwise what its own call would give.
 
 Precision: a leaf keeps a float32 or float64 array as given and converts
 anything else to float32; intermediate results and gradients follow numpy
@@ -288,34 +291,48 @@ def relu_square(a: Tensor) -> Tensor:
 
 
 def token_shift(a: Tensor, first_row: np.ndarray, mu: Tensor) -> Tensor:
-    """mu * a + (1 - mu) * prev for a (T, ..., 1 or n, d), mu (n, d) broadcast over rows.
+    """mu * a + (1 - mu) * prev for a (T, ..., 1 or n, d), mu ([S,] n, d) broadcast over rows.
 
     prev is a shifted one step down the time axis (0) behind first_row (..., n, d),
     the previous chunk's last rows; no gradient crosses the chunk boundary. An
     input all n perspectives share (1 on axis -2) splits here into n rows.
+    Each of the S slots of mu mixes the same a and prev, and the result is
+    ([S,] T, ..., n, d), slot s at [s]; a 2-D mu is one slot with no S axis.
     """
     x, m = a.data, mu.data
     shape = x.shape
-    if (x.ndim < 3 or m.ndim != 2 or shape[-1] != m.shape[1] or shape[-2] not in (1, m.shape[0])
-            or np.shape(first_row) != shape[1:-2] + m.shape):
+    if (x.ndim < 3 or m.ndim not in (2, 3) or shape[-1] != m.shape[-1]
+            or shape[-2] not in (1, m.shape[-2])
+            or np.shape(first_row) != shape[1:-2] + m.shape[-2:]):
         raise ShapeError(f"token_shift: input {shape}, first_row {np.shape(first_row)}, "
                          f"mu {m.shape}")
-    prev = np.empty(shape[:-2] + m.shape, x.dtype)
+    prev = np.empty(shape[:-2] + m.shape[-2:], x.dtype)
     prev[0] = first_row
     prev[1:] = x[:-1]
-    out = Tensor(x * m + prev * (1.0 - m), _needs_grad(a, mu), "token_shift")
+    slots = m.reshape((-1,) + m.shape[-2:])
+    out = np.empty(m.shape[:-2] + prev.shape, np.result_type(x, m))
+    for o, ms in zip(out.reshape((-1,) + prev.shape), slots):
+        np.multiply(x, ms, out=o)
+        o += prev * (1.0 - ms)
+    out = Tensor(out, _needs_grad(a, mu), "token_shift")
     if out.requires_grad:
-        na, nmu = _node_of(a), _node_of(mu)
-        if nmu is None:
-            x = prev = None                       # read only for mu's gradient
+        na, nmu, rows, mu_shape = _node_of(a), _node_of(mu), prev.shape, m.shape
+        # mu's gradient reads x - prev, one array that every slot shares
+        dx = x - prev if nmu is not None else None
 
         def bwd(g):
+            gs = g.reshape((-1,) + rows)
             if na is not None:
-                ga = g * m
-                ga[:-1] += g[1:] * (1.0 - m)
-                _accumulate(na, _unbroadcast(ga, shape))
+                ga = None
+                for gi, ms in zip(gs, slots):
+                    gi_a = gi * ms
+                    gi_a[:-1] += gi[1:] * (1.0 - ms)
+                    gi_a = _unbroadcast(gi_a, shape)
+                    ga = gi_a if ga is None else np.add(ga, gi_a, out=ga)
+                _accumulate(na, ga)
             if nmu is not None:
-                _accumulate(nmu, (g * (x - prev)).reshape((-1,) + m.shape).sum(axis=0))
+                dmu = (gs * dx).reshape((len(gs), -1) + rows[-2:]).sum(axis=1)
+                _accumulate(nmu, dmu.reshape(mu_shape))
         out._node = _Node(bwd, na, nmu)
     return out
 
@@ -325,15 +342,17 @@ def token_shift(a: Tensor, first_row: np.ndarray, mu: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., d) @ (d, k), as one GEMM over the flattened rows."""
-    if a.data.ndim == 0 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: need (..., d) @ (d, k), got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    rows = a.data.reshape(-1, b.shape[0])
-    out = Tensor((rows @ b.data).reshape(a.shape[:-1] + b.shape[1:]), _needs_grad(a, b), "matmul")
+    """([S,] ..., d) @ ([S,] d, k): one GEMM over the flattened rows, or with
+    a stacked (S, d, k) weight one batched GEMM, slot s of a by slot s of b."""
+    lead = b.shape[:-2]
+    if (b.data.ndim not in (2, 3) or a.data.ndim <= len(lead)
+            or a.shape[:len(lead)] != lead or a.shape[-1] != b.shape[-2]):
+        raise ShapeError(f"matmul: need (..., d) @ (d, k) or (S, ..., d) @ (S, d, k), "
+                         f"got {a.shape} and {b.shape}")
+    rows = a.data.reshape(lead + (-1, b.shape[-2]))
+    out = Tensor((rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:]), _needs_grad(a, b), "matmul")
     if out.requires_grad:
-        na, nb, a_shape, k = _node_of(a), _node_of(b), a.shape, b.shape[1]
+        na, nb, a_shape, k = _node_of(a), _node_of(b), a.shape, b.shape[-1]
         # the input rows are read only for the weight's gradient, the weight
         # only for the input's
         bd = b.data if na is not None else None
@@ -341,11 +360,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             rows = None
 
         def bwd(g):
-            g2 = g.reshape(-1, k)
+            g2 = g.reshape(lead + (-1, k))
             if na is not None:
-                _accumulate(na, (g2 @ bd.T).reshape(a_shape))
+                _accumulate(na, (g2 @ np.swapaxes(bd, -1, -2)).reshape(a_shape))
             if nb is not None:
-                _accumulate(nb, rows.T @ g2)
+                _accumulate(nb, np.swapaxes(rows, -1, -2) @ g2)
         out._node = _Node(bwd, na, nb)
     return out
 

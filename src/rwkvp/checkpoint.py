@@ -13,7 +13,10 @@ The config fixes every tensor's name and shape, so the file holds no tensor
 directory: save refuses a store that does not match the config's table, and
 load slices the payload by that table. Tensors are written sorted by name,
 so save -> load -> save is byte-identical and the format is platform
-independent. Files of other versions are rejected, not converted.
+independent. Files of other versions are rejected, not converted. Format 4
+holds each layer's time-mix r, k and v stacked (att.mu_rkv, att.w_rkv);
+format 3 held them as six leaves, a payload of the same length, so only
+the version tells the two apart.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from rwkvp.model import ConfigError, ModelConfig, param_count, param_shapes
 from rwkvp.params import FreezeMask, ParamStore
 
 MAGIC = b"RWKVPv4MP\x00"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class CheckpointError(ValueError):

@@ -77,7 +77,7 @@ def _build_configs(args, base_cfg: m.ModelConfig | None = None, fixed: dict | No
     try:
         model_cfg = m.ModelConfig(**{**model_defaults, **file_model})
         train_cfg = training.TrainConfig(**file_train)
-    except (TypeError, m.ConfigError) as e:
+    except TypeError as e:          # a field the config does not have; a bad value is a ConfigError
         raise CliError(f"invalid config field: {e}")
     fixed = dict(fixed or {})
     if base_cfg is not None:

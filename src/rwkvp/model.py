@@ -10,9 +10,15 @@ as one pass. Time leads in every array the model takes and returns: tokens
 0's token shifts, so the embedding, input LN and layer 0's ln1 run once, on
 (T, [B,] 1, d); from those shifts on every activation is (T, [B,] n, d),
 perspective i at [..., i, :], and the token shift and WKV scan walk axis 0.
-Each token-shift slot holds one (n, d) leaf, layer{l}.{att|ffn}.mu_{r,k,v},
-row i perspective i's mu (a base holds (1, d)), which ag.token_shift
-broadcasts. param_shapes(cfg) states every leaf's name and shape once.
+The time-mix block derives r, k and v by one shift-then-project step, so
+they are one stack: layer{l}.att.mu_rkv (3, n, d) and layer{l}.att.w_rkv
+(3, d, d), slot order r, k, v. One ag.token_shift gives the three shifted
+inputs (3, T, [B,] n, d), one batched ag.matmul projects them, and
+wkv.wkv_sequence gates its own output by sigmoid(r), then w_o projects it:
+4 ops per layer. Channel-mix keeps ffn.mu_r and ffn.mu_k (n, d), because
+its two weights differ in shape. In every mu leaf, [..., i, :] is
+perspective i's mu (a base holds one row), which ag.token_shift broadcasts.
+param_shapes(cfg) states every leaf's name and shape once.
 init_base_params and perspectives.extend_to_perspectives walk it, so its
 order is their stores', training's flat trainable buffer's and the gradient
 clip's; the parameter counts are its sizes. Every model, the base included,
@@ -95,8 +101,8 @@ def _leaf_shapes(cfg: ModelConfig) -> tuple[dict, dict, dict, dict]:
     vec, mat, mu = (d,), (d, d), (n, d)
     below = {"emb.weight": (V, d), "ln0.g": vec, "ln0.b": vec}
     layer = {"ln1.g": vec, "ln1.b": vec, "ln2.g": vec, "ln2.b": vec,
-             "att.mu_r": mu, "att.mu_k": mu, "att.mu_v": mu, "att.w_r": mat, "att.w_k": mat,
-             "att.w_v": mat, "att.w_o": mat, "att.decay": vec, "att.bonus": vec,
+             "att.mu_rkv": (3,) + mu, "att.w_rkv": (3,) + mat, "att.w_o": mat,
+             "att.decay": vec, "att.bonus": vec,
              "ffn.mu_r": mu, "ffn.mu_k": mu, "ffn.w_r": mat, "ffn.w_k": (d, 4 * d),
              "ffn.w_v": (4 * d, d)}
     above = {"ln_out.g": vec, "ln_out.b": vec, "head.weight": (d, V)}
@@ -108,7 +114,7 @@ def _leaf_shapes(cfg: ModelConfig) -> tuple[dict, dict, dict, dict]:
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Each leaf's name and shape, in the order every store built from the
     table holds them: the embedding and ln0, one slot table per layer
-    (layer{l}.<slot>, each mu leaf (n, d), row i perspective i), ln_out and
+    (layer{l}.<slot>, each mu leaf ([3,] n, d), perspective i at [..., i, :]), ln_out and
     the head, then the aggregator's leaves. init_base_params and
     extend_to_perspectives walk it, so it is also the order of training's
     flat trainable buffer and of the gradient clip's segments; a
@@ -137,7 +143,7 @@ def extra_param_count(cfg: ModelConfig) -> int:
 
 
 def mu_names(cfg: ModelConfig) -> list[str]:
-    """The token-shift leaves, layer by layer; row i of each is perspective i."""
+    """The token-shift leaves, layer by layer; [..., i, :] of each is perspective i."""
     return [name for name in param_shapes(cfg) if is_temporal(name)]
 
 
@@ -176,12 +182,12 @@ def init_base_params(cfg: ModelConfig, seed: int) -> tuple[ParamStore, FreezeMas
             value = np.ones(shape)
         elif slot.endswith(".b"):
             value = np.zeros(shape)
-        elif slot.endswith(".mu_r"):
+        elif slot == "ffn.mu_r":
             value = 0.5 * ramp
-        elif slot.endswith(".mu_k"):
+        elif slot == "ffn.mu_k":
             value = ramp
-        elif slot == "att.mu_v":
-            value = np.clip(ramp + 0.3 * depth, 0.0, 0.99)
+        elif slot == "att.mu_rkv":
+            value = [0.5 * ramp, ramp, np.clip(ramp + 0.3 * depth, 0.0, 0.99)]
         elif slot == "att.decay":
             # per-channel decay exponent: channel 0 remembers longest
             value = 0.1 + 6.0 * (channel / max(d - 1, 1)) ** 1.5
@@ -216,15 +222,12 @@ def time_mixing(store: ParamStore, layer: int, xx: Tensor,
     Returns (residual delta, new att_prev rows ([B,] n, d), new wkv state).
     """
     pre = f"layer{layer}.att"
-    xr = ag.token_shift(xx, st.att_prev, store[f"{pre}.mu_r"])
-    xk = ag.token_shift(xx, st.att_prev, store[f"{pre}.mu_k"])
-    xv = ag.token_shift(xx, st.att_prev, store[f"{pre}.mu_v"])
-    r = ag.matmul(xr, store[f"{pre}.w_r"])
-    k = ag.matmul(xk, store[f"{pre}.w_k"])
-    v = ag.matmul(xv, store[f"{pre}.w_v"])
-    y, wkv_state = wkv.wkv_sequence(k, v, store[f"{pre}.decay"], store[f"{pre}.bonus"],
+    # r, k and v as one stack (3, T, [B,] n, d): one shift, one batched GEMM
+    rkv = ag.matmul(ag.token_shift(xx, st.att_prev, store[f"{pre}.mu_rkv"]),
+                    store[f"{pre}.w_rkv"])
+    y, wkv_state = wkv.wkv_sequence(rkv, store[f"{pre}.decay"], store[f"{pre}.bonus"],
                                     st.wkv_state)
-    out = ag.matmul(ag.sigmoid_mul(r, y), store[f"{pre}.w_o"])
+    out = ag.matmul(y, store[f"{pre}.w_o"])
     att_prev = np.empty_like(st.att_prev)
     att_prev[...] = xx.data[-1]
     return out, att_prev, wkv_state

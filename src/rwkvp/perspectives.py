@@ -1,7 +1,8 @@
 """n parallel temporal views sharing all projection/decay weights.
 
-Each perspective owns only its token-shift coefficients (row i of the five
-(n, d) mu leaves of every layer, e.g. store["layer0.att.mu_k"].data[i]) and
+Each perspective owns only its token-shift coefficients (row i, on the axis
+before d, of every layer's mu leaves: att.mu_rkv (3, n, d) and ffn.mu_r,
+ffn.mu_k (n, d); store["layer0.att.mu_rkv"].data[1, i] is its key's) and
 its recurrent state; everything heavy is shared. The streams never mix before
 the aggregation head, so they run as one stacked, time-major pass (see
 rwkvp.model): tokens (T, [B]), activations (T, [B,] n, d), state arrays
@@ -25,7 +26,7 @@ def extend_to_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
     """Build the fine-tuning model from a trained base.
 
     Walks m.param_shapes of the extended config, in its order: each mu
-    leaf is the base's one row repeated n times (every perspective starts
+    leaf is the base's one row repeated n times on axis -2 (every perspective starts
     bitwise equal to the base; the noise that differentiates training goes
     elsewhere, see rwkvp.training), every other base leaf a copy, and each
     aggregator leaf its identity-to-base value. The freeze mask, built in
@@ -46,7 +47,7 @@ def extend_to_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
             # zero selector => uniform weights => identical to the base
             data = np.zeros(shape, dtype=dtype)
         elif m.is_temporal(name):
-            data = np.repeat(base_store[name].data, n, axis=0)
+            data = np.repeat(base_store[name].data, n, axis=-2)
         else:
             data = base_store[name].data.copy()
         store.add(name, data, requires_grad=mask[name], dtype=data.dtype)

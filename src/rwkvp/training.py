@@ -35,6 +35,7 @@ class FreezeViolationError(AssertionError):
 
 
 NOISE_TARGETS = ("selector", "temporal")
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -59,6 +60,11 @@ class TrainConfig:
                             floats=("lr_max", "lr_min", "noise_std", "grad_clip"))
         if not (0 < self.lr_min <= self.lr_max):
             raise m.ConfigError(f"need 0 < lr_min <= lr_max, got {self.lr_min}, {self.lr_max}")
+        for name in ("lr_max", "lr_min", "noise_std"):
+            # the rate scales and the noise lands in float32 arrays
+            if getattr(self, name) > FLOAT32_MAX:
+                raise m.ConfigError(f"{name} must be at most float32's largest value "
+                                    f"{FLOAT32_MAX:.7g}, got {getattr(self, name)!r}")
         if self.noise_std < 0:
             raise m.ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.grad_clip < 0:
@@ -152,10 +158,11 @@ def clip_global_norm(grad: np.ndarray, sizes, max_norm: float) -> float:
     """Scale the flat gradient in place to a global L2 norm of at most
     max_norm; returns the norm before clipping.
 
-    sizes are the lengths of the leaves' segments, in order. Each segment's
-    squares are summed on their own and the sums added in leaf order, so the
-    norm is bitwise the one a leaf-by-leaf sum gives. A non-finite norm
-    raises NonFiniteError before anything is scaled.
+    sizes are the lengths of the segments, in order: one per leaf, and one
+    per slot of a stacked (3, ...) leaf. Each segment's squares are summed on
+    their own and the sums added in order, so the norm is bitwise the one a
+    leaf-by-leaf sum gives. A non-finite norm raises NonFiniteError before
+    anything is scaled.
     """
     sq = grad * grad
     bounds = [0, *itertools.accumulate(sizes)]
@@ -181,16 +188,18 @@ def inject_temporal_noise(store: ParamStore, cfg: m.ModelConfig, std: float,
                           mean: float, seed: int) -> None:
     """One-time Gaussian perturbation of every perspective's mu rows.
 
-    Draws run perspective by perspective, then layer by layer and slot by slot.
+    Draws run perspective by perspective, then layer by layer and slot by
+    slot (att r, k, v, the three slots of att.mu_rkv, then ffn r, k).
     """
     if std < 0:
         raise m.ConfigError(f"noise_std must be >= 0, got {std}")
     names = m.mu_names(cfg)
+    slots = [math.prod(store[name].shape[:-2]) for name in names]   # 3 for att.mu_rkv
     noise = np.random.default_rng(seed).normal(
-        mean, std, size=(cfg.n_perspectives, len(names), cfg.d_model))
-    for j, name in enumerate(names):
+        mean, std, size=(cfg.n_perspectives, sum(slots), cfg.d_model)).swapaxes(0, 1)
+    for name, part in zip(names, np.split(noise, np.cumsum(slots)[:-1])):
         p = store[name]
-        p.data = p.data + noise[:, j].astype(p.data.dtype)
+        p.data = p.data + part.reshape(p.shape).astype(p.data.dtype)
 
 
 # glibc's mallopt parameters, from <malloc.h>
@@ -231,7 +240,10 @@ def _train_loop(model: m.Model, train_tokens: np.ndarray, val_tokens: np.ndarray
     store, mask = model.store, model.mask
     names = mask.trainable_names()
     params = store.flatten(names)
-    sizes = [store[name].data.size for name in names]
+    # the clip sums a stacked (3, ...) leaf slot by slot, as it summed the
+    # three leaves the slots once were
+    sizes = [part.size for name in names for part in
+             (store[name].data if store[name].data.ndim == 3 else [store[name].data])]
     log = TrainLog(seeds=[tc.seed])
     steps_per_epoch = math.ceil(tc.contexts_per_mini_epoch / tc.batch_size)
     total_steps = steps_per_epoch * tc.mini_epochs

@@ -7,9 +7,13 @@ B = b*e^p, with p a running log-scale maximum that keeps every exp argument
 `wkv_step` is the plain one-token update: the reference the tests compare
 against, and what `wkv_sequence` runs for a one-token chunk that needs no
 gradient (T=1 decoding), where the scan buffers and the tiled w and u would
-cost more than the step itself. `wkv_sequence` runs a whole
-(T, ..., d) chunk inside a single autograd node with a hand-written backward
-over k, v, w, u. The axes between T and d (contexts, perspectives) are
+cost more than the step itself. `wkv_sequence` takes the time-mix block's
+r, k and v as one stacked (3, T, ..., d) chunk, the batched projection's
+output, and returns sigmoid(r) * wkv inside a single autograd node with a
+hand-written backward over r, k, v, w, u. The gate is r's only use, so it
+costs no node of its own, and r, k and v's gradients are written straight
+into one stacked array, in sigmoid_mul's operation order for r's. The axes
+between T and d (contexts, perspectives) are
 independent sequences that share w and u; time leads, so they are the G*d
 channels of a free (T, G*d) reshape. The chunk-boundary state is a detached
 numpy triple (gradients never cross it).
@@ -41,7 +45,8 @@ depend on them, and a gradient routed through the maxes would sum to zero
 expressions: u + k enters through e2, k through f2, w through f1. Under
 `no_grad` nothing is kept for it; otherwise its closure keeps only what the
 wanted gradients read (the (a, b) scan only for w's, v only for k's and
-u's), as every autograd op does.
+u's, and f2 as a compact copy, not the (T, 2, G*d) buffer it is built in),
+as every autograd op does.
 """
 
 from __future__ import annotations
@@ -75,35 +80,38 @@ def wkv_step(state, k_t: np.ndarray, v_t: np.ndarray, w: np.ndarray, u: np.ndarr
     return y, (f1 * a + f2 * v_t, f1 * b + f2, q2)
 
 
-def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
-    """Run the recurrence over a (T, ..., d) chunk.
+def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state=None):
+    """Run the recurrence over a chunk and gate it: sigmoid(r) * wkv.
 
-    Returns (y: Tensor (T, ..., d), final_state) where final_state is a
-    detached (a, b, p) numpy triple, each (..., d), for handing off to the
-    next chunk. The final state owns its memory: a view into the chunk's
-    scan buffers would keep them alive for as long as the state is carried.
-    A non-finite value in k or v raises NonFiniteError on every route.
+    rkv stacks the receptance, key and value chunks, (3, T, ..., d). Returns
+    (out: Tensor (T, ..., d), final_state) where final_state is a detached
+    (a, b, p) numpy triple, each (..., d), for handing off to the next
+    chunk. The final state owns its memory: a view into the chunk's scan
+    buffers would keep them alive for as long as the state is carried. A
+    non-finite value in rkv raises NonFiniteError on every route.
     """
-    if k.shape != v.shape or k.data.ndim < 2:
-        raise ag.ShapeError(f"wkv_sequence: k {k.shape} vs v {v.shape}")
-    T, lead, d = k.shape[0], k.shape[1:-1], k.shape[-1]
+    if rkv.data.ndim < 3 or rkv.shape[0] != 3:
+        raise ag.ShapeError(f"wkv_sequence: rkv {rkv.shape}, need (3, T, ..., d)")
+    T, lead, d = rkv.shape[1], rkv.shape[2:-1], rkv.shape[-1]
     if w.shape != (d,) or u.shape != (d,):
         raise ag.ShapeError(f"wkv_sequence: w {w.shape} / u {u.shape} vs d={d}")
-    dtype = k.data.dtype
+    dtype = rkv.data.dtype
     if state is None:
         state = empty_state(lead + (d,), dtype=dtype)
     if any(np.shape(s) != lead + (d,) for s in state):
         raise ag.ShapeError(f"wkv_sequence: state {[np.shape(s) for s in state]} "
                             f"vs {lead + (d,)}")
-    if not (np.isfinite(k.data).all() and np.isfinite(v.data).all()):
-        raise ag.NonFiniteError("wkv_sequence: non-finite k or v")
-    if T == 1 and not ag._needs_grad(k, v, w, u):
+    if not np.isfinite(rkv.data).all():
+        raise ag.NonFiniteError("wkv_sequence: non-finite r, k or v")
+    r, k, v = rkv.data
+    gate = 1.0 / (1.0 + np.exp(-r))              # sigmoid(r), as ag.sigmoid_mul computes it
+    if T == 1 and not ag._needs_grad(rkv, w, u):
         # the same formula as the scans below, bitwise; w and u broadcast over lead
-        y, final_state = wkv_step(state, k.data[0], v.data[0], w.data, u.data)
-        return Tensor(y.reshape(k.shape), _op="wkv_sequence"), final_state
+        y, final_state = wkv_step(state, k[0], v[0], w.data, u.data)
+        return Tensor(gate * y, _op="wkv_sequence"), final_state
     groups = math.prod(lead)
     D = groups * d
-    kd, vd = k.data.reshape(T, D), v.data.reshape(T, D)
+    kd, vd = k.reshape(T, D), v.reshape(T, D)
     wd, ud = np.tile(w.data, groups), np.tile(u.data, groups)
 
     # scan 1: p[t + 1] = max(p[t] - w, k[t]); row t is the log-scale entering step t
@@ -146,22 +154,23 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
     y += e2 * vd
     y /= den
 
-    out = Tensor(y.reshape(k.shape), ag._needs_grad(k, v, w, u), "wkv_sequence")
+    out = Tensor(gate * y.reshape(k.shape), ag._needs_grad(rkv, w, u), "wkv_sequence")
     final_state = tuple(s.reshape(lead + (d,)).copy() for s in (ab[T, 0], ab[T, 1], p[T]))
 
     if out.requires_grad:
-        nk, nv, nw, nu = (ag._node_of(t) for t in (k, v, w, u))
-        # keep only what the wanted gradients read: v for k's and u's, f2
-        # for v's and k's, the (a, b) scan for w's
-        if nk is None and nu is None:
-            vd = None
-        if nk is None and nv is None:
-            f2 = None
+        nrkv, nw, nu = (ag._node_of(t) for t in (rkv, w, u))
+        gate, rkv_shape = gate.reshape(T, D), rkv.shape
+        # keep only what the wanted gradients read: v for k's and u's, a
+        # compact f2 for v's and k's (not the inc buffer it lies in), the
+        # (a, b) scan for w's
+        vd = vd if nrkv is not None or nu is not None else None
+        f2 = f2.copy() if nrkv is not None else None
         if nw is None:
             a_in = b_in = None
 
-        def bwd(gy):
-            g = gy.reshape(T, D)
+        def bwd(gout):
+            go = gout.reshape(T, D)
+            g = go * gate                        # the gradient reaching wkv
             dN = g / den
             dD = -g * y / den
 
@@ -175,21 +184,25 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
             da, db = dab[1:, 0], dab[1:, 1]      # gradient of the state after step t
 
             # p and q are held constant: a gauge (see the module docstring).
-            # After dv, g2 and dk reuse the buffers of dN and dD.
-            if nv is not None:
-                dv = da * f2
+            # r, k and v's gradients are written into their slots of one array.
+            if nrkv is not None:
+                drkv = np.empty((3, T, D), dtype=np.result_type(go, y))
+                dr, dk, dv = drkv
+                np.multiply(go, y, out=dr)       # via the gate, in sigmoid_mul's order
+                dr *= gate
+                dr *= 1.0 - gate
+                np.multiply(da, f2, out=dv)
                 dv += dN * e2
-                ag._accumulate(nv, dv.reshape(gy.shape))
             if vd is not None:
                 g2 = np.multiply(dN, vd, out=dN)  # via e2 = exp(u + k - q)
                 g2 += dD
                 g2 *= e2
-            if nk is not None:
-                dk = np.multiply(da, vd, out=dD)  # via f2 = exp(k - p')
+            if nrkv is not None:
+                np.multiply(da, vd, out=dk)      # via f2 = exp(k - p')
                 dk += db
                 dk *= f2
                 dk += g2
-                ag._accumulate(nk, dk.reshape(gy.shape))
+                ag._accumulate(nrkv, drkv.reshape(rkv_shape))
             if nw is not None:
                 dw = da * a_in                   # via f1 = exp(p - w - p')
                 dw += db * b_in
@@ -197,6 +210,6 @@ def wkv_sequence(k: Tensor, v: Tensor, w: Tensor, u: Tensor, state=None):
                 ag._accumulate(nw, -dw.sum(axis=0).reshape(groups, d).sum(axis=0))
             if nu is not None:
                 ag._accumulate(nu, g2.sum(axis=0).reshape(groups, d).sum(axis=0))
-        out._node = ag._Node(bwd, nk, nv, nw, nu)
+        out._node = ag._Node(bwd, nrkv, nw, nu)
 
     return out, final_state

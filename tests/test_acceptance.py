@@ -98,9 +98,11 @@ def test_criterion_04_freeze_invariant(capsys, synth_split):
 
 
 def test_criterion_05_wkv_chunking_and_extremes(capsys):
-    """Sequential vs two-chunk WKV within 1e-5 on 100 random cases; outputs
-    stay finite at k = +/-200."""
-    rng = np.random.default_rng(0)
+    """Sequential vs two-chunk gated WKV within 1e-5 on 100 random cases;
+    outputs stay finite at k = +/-200. The receptances come from a second
+    generator, so k, v, w, u and the cuts are the draws they were before
+    the gate moved into wkv_sequence."""
+    rng, r_rng = np.random.default_rng(0), np.random.default_rng(1)
     worst = 0.0
     for _ in range(100):
         T, d = 16, 4
@@ -109,20 +111,19 @@ def test_criterion_05_wkv_chunking_and_extremes(capsys):
         w = rng.uniform(0.05, 2.0, d)
         u = rng.uniform(-1, 1, d)
         cut = int(rng.integers(1, T))
+        rkv = np.stack([r_rng.uniform(-1, 1, (T, d)), k, v])
         with ag.no_grad():
-            full, _ = wkv.wkv_sequence(Tensor(k), Tensor(v), Tensor(w), Tensor(u))
-            y1, mid = wkv.wkv_sequence(Tensor(k[:cut]), Tensor(v[:cut]),
-                                       Tensor(w), Tensor(u))
-            y2, _ = wkv.wkv_sequence(Tensor(k[cut:]), Tensor(v[cut:]),
-                                     Tensor(w), Tensor(u), state=mid)
+            full, _ = wkv.wkv_sequence(Tensor(rkv), Tensor(w), Tensor(u))
+            y1, mid = wkv.wkv_sequence(Tensor(rkv[:, :cut]), Tensor(w), Tensor(u))
+            y2, _ = wkv.wkv_sequence(Tensor(rkv[:, cut:]), Tensor(w), Tensor(u), state=mid)
         worst = max(worst, float(np.abs(full.data - np.vstack([y1.data, y2.data])).max()))
     finite = True
     for extreme in (-200.0, 200.0):
         k = rng.uniform(-1, 1, (8, 4))
         k[3] = extreme
+        rkv = np.stack([r_rng.uniform(-1, 1, (8, 4)), k, rng.uniform(-1, 1, (8, 4))])
         with ag.no_grad():
-            y, _ = wkv.wkv_sequence(Tensor(k), Tensor(rng.uniform(-1, 1, (8, 4))),
-                                    Tensor(np.full(4, 0.5)), Tensor(np.zeros(4)))
+            y, _ = wkv.wkv_sequence(Tensor(rkv), Tensor(np.full(4, 0.5)), Tensor(np.zeros(4)))
         finite = finite and bool(np.all(np.isfinite(y.data)))
     _report(capsys, 5, worst < 1e-5 and finite,
             f"max chunking deviation {worst:.2e} (limit 1e-5), "

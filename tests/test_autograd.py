@@ -143,6 +143,100 @@ def test_token_shift_gradients_match_finite_differences(shape, n):
             assert (np.abs(got - fd) / denom).max() < 1e-5
 
 
+def test_stacked_token_shift_gradients_match_finite_differences():
+    """A (3, n, d) mu over a shared (T, B, 1, d) input: x's and mu's gradients."""
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-2, 2, (3, 2, 1, 4))
+    first = rng.uniform(-2, 2, (2, 2, 4))
+    mus = rng.uniform(0, 1, (3, 2, 4))
+    weight = rng.uniform(-1, 1, (3, 3, 2, 2, 4))
+    tx, tmu = Tensor(x.copy(), requires_grad=True), Tensor(mus.copy(), requires_grad=True)
+    ag.sum_(ag.mul(ag.token_shift(tx, first, tmu), Tensor(weight))).backward()
+
+    def loss(xx, mm):
+        with ag.no_grad():
+            return ag.token_shift(Tensor(xx.copy()), first, Tensor(mm.copy())).data * weight
+
+    fd_x = _fd_scalar(lambda arr: loss(arr, mus), x.copy())
+    fd_mu = _fd_scalar(lambda arr: loss(x, arr), mus.copy())
+    for got, fd in ((tx.grad, fd_x), (tmu.grad, fd_mu)):
+        denom = np.maximum(np.maximum(np.abs(got), np.abs(fd)), 1e-8)
+        assert (np.abs(got - fd) / denom).max() < 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(5, 2, 3, 4), (5, 2, 1, 4), (1, 3, 4)],
+                         ids=["T-B-n-d", "shared-input", "T1"])
+def test_stacked_token_shift_is_its_slots_bitwise(dtype, shape):
+    """One shift with a (3, n, d) mu is three shifts with its slots, bit for
+    bit: each slot's output and mu gradient, and the input's gradient as the
+    three shifts' gradients summed in slot order."""
+    rng = np.random.default_rng(19)
+    n, d = 3, shape[-1]
+    x = rng.uniform(-3, 3, shape).astype(dtype)
+    first = rng.uniform(-3, 3, shape[1:-2] + (n, d)).astype(dtype)
+    mus = rng.uniform(0, 1, (3, n, d)).astype(dtype)
+    weight = rng.uniform(-1, 1, (3,) + shape[:-2] + (n, d)).astype(dtype)
+    tx, tmu = Tensor(x.copy(), requires_grad=True), Tensor(mus.copy(), requires_grad=True)
+    out = ag.token_shift(tx, first, tmu)
+    ag.sum_(ag.mul(out, Tensor(weight))).backward()
+    gx = None
+    for s in range(3):
+        sx, smu = Tensor(x.copy(), requires_grad=True), Tensor(mus[s].copy(), requires_grad=True)
+        slot = ag.token_shift(sx, first, smu)
+        ag.sum_(ag.mul(slot, Tensor(weight[s]))).backward()
+        assert out.data[s].tobytes() == slot.data.tobytes()
+        assert tmu.grad[s].tobytes() == smu.grad.tobytes()
+        gx = sx.grad if gx is None else gx + sx.grad
+    assert out.data.dtype == tx.grad.dtype == dtype and tx.grad.tobytes() == gx.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 4, 64, 512])
+def test_batched_matmul_is_its_slots_bitwise(rows):
+    """(3, R, d) @ (3, d, k) is three 2-D GEMMs, bit for bit: the output, the
+    input's gradient and the weight's, at decode (R = 4) to training row counts."""
+    rng = np.random.default_rng(rows)
+    x = rng.uniform(-1, 1, (3, rows, 48)).astype(np.float32)
+    w = rng.uniform(-1, 1, (3, 48, 48)).astype(np.float32)
+    g = rng.uniform(-1, 1, (3, rows, 48)).astype(np.float32)
+    tx, tw = Tensor(x.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)
+    out = ag.matmul(tx, tw)
+    ag.sum_(ag.mul(out, Tensor(g))).backward()
+    for s in range(3):
+        sx, sw = Tensor(x[s].copy(), requires_grad=True), Tensor(w[s].copy(), requires_grad=True)
+        slot = ag.matmul(sx, sw)
+        ag.sum_(ag.mul(slot, Tensor(g[s]))).backward()
+        for got, want in ((out.data[s], slot.data), (tx.grad[s], sx.grad), (tw.grad[s], sw.grad)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_batched_matmul_gradients_match_finite_differences():
+    rng = np.random.default_rng(23)
+    a = rng.uniform(-2, 2, (3, 2, 2, 4))
+    b = rng.uniform(-2, 2, (3, 4, 3))
+    weight = rng.uniform(-1, 1, (3, 2, 2, 3))
+    ta, tb = Tensor(a.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+    ag.sum_(ag.mul(ag.matmul(ta, tb), Tensor(weight))).backward()
+
+    def loss(aa, bb):
+        with ag.no_grad():
+            return ag.matmul(Tensor(aa.copy()), Tensor(bb.copy())).data * weight
+
+    fd_a = _fd_scalar(lambda arr: loss(arr, b), a.copy())
+    fd_b = _fd_scalar(lambda arr: loss(a, arr), b.copy())
+    for got, fd in ((ta.grad, fd_a), (tb.grad, fd_b)):
+        denom = np.maximum(np.maximum(np.abs(got), np.abs(fd)), 1e-8)
+        assert (np.abs(got - fd) / denom).max() < 1e-4
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [((2, 5, 4), (3, 4, 2)), ((5, 4), (3, 4, 2)),
+                                             ((3, 5, 4), (1, 3, 4, 2))],
+                         ids=["two-slots-for-three", "no-slot-axis", "4d-weight"])
+def test_matmul_rejects_mismatched_stacks(a_shape, b_shape):
+    with pytest.raises(ag.ShapeError, match="matmul"):
+        ag.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_shared_input_shift_equals_shift_of_n_copies(dtype):
     """A (T, B, 1, d) input shifts, bit for bit, as its n copies do; its gradient
@@ -192,9 +286,10 @@ def test_fused_forwards_bitwise_equal_unfused_composition(dtype):
     assert out.data.dtype == dtype and np.array_equal(out.data, mix)
 
 
-@pytest.mark.parametrize("mu_shape", [(1, 4), (3, 4), (2, 3), (4,), (2, 4, 1), (8,)],
+@pytest.mark.parametrize("mu_shape", [(1, 4), (3, 4), (2, 3), (4,), (2, 4, 1), (8,),
+                                      (1, 3, 2, 4)],
                          ids=["one-row-for-two-slices", "three-rows", "short-rows", "one-vector",
-                              "3d", "flat"])
+                              "3d", "flat", "4d"])
 def test_token_shift_rejects_mu_not_n_by_d(mu_shape):
     x = Tensor(np.ones((3, 2, 4)))
     with pytest.raises(ag.ShapeError, match="mu"):
@@ -556,10 +651,11 @@ def _readme_finetune_model(base_config):
 
 
 # One step's array peak (numpy reports its buffers to tracemalloc) at the
-# README config: 5.6 MB with nodes that keep only what backward reads, 14.9
-# MB when every node held its forward value and every interior gradient
-# lived until the loss was dropped. The bound is 43 % over the first and
-# 46 % under the second.
+# README config: 5.2 MB with nodes that keep only what backward reads (5.6
+# MB while token_shift kept both x and prev, and the WKV node the whole inc
+# buffer around f2), 14.9 MB when every node held its forward value and
+# every interior gradient lived until the loss was dropped. The bound is
+# 54 % over the first and 46 % under the last.
 FINETUNE_STEP_PEAK_MB = 8.0
 
 

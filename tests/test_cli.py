@@ -2,6 +2,7 @@ import json
 import re
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ def _mismatched_checkpoint(case):
 
 @pytest.mark.parametrize("case,named", [
     ("missing-head", "head.weight"), ("extra-tensor", "selector.W"),
-    ("n4-over-base", "layer0.att.mu_k"), ("d16-over-d8", "emb.weight")])
+    ("n4-over-base", "layer0.att.mu_rkv"), ("d16-over-d8", "emb.weight")])
 def test_eval_checkpoint_tensors_must_match_config(tmp_path, case, named):
     """The config fixes the tensors a checkpoint holds, so save refuses a
     store that does not match it, naming the tensor, and writes no file."""
@@ -346,6 +347,30 @@ def test_pretrain_wrongly_typed_config_errors(tmp_path, capsys, corpus_file, mic
                    "--out", str(tmp_path / "x")])
     assert rc == 1
     assert field in capsys.readouterr().err
+
+
+def test_pretrain_rate_float32_cannot_hold_errors(tmp_path, corpus_file, micro_config):
+    """A rate of 1e308 is finite, but the float32 parameters would overflow in
+    Adam's first step: the config refuses it. Run in a fresh interpreter, so
+    stderr is what a user sees: one typed error line, no RuntimeWarning."""
+    import os
+    import subprocess
+    import sys
+    cfg = json.loads(micro_config.read_text())
+    cfg["train"].update(lr_max=1e308, lr_min=1e308)
+    path = tmp_path / "huge_lr.json"
+    path.write_text(json.dumps(cfg))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from rwkvp import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "pretrain", "--config", str(path), "--corpus", str(corpus_file),
+         "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    assert run.returncode == 1, run.stderr
+    assert "RuntimeWarning" not in run.stderr and "Traceback" not in run.stderr
+    errors = [line for line in run.stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and errors[0].startswith("error: ConfigError: lr_max"), run.stderr
 
 
 def test_pretrain_corpus_beyond_vocab_errors(tmp_path, capsys, corpus_file, micro_config):

@@ -317,7 +317,7 @@ def test_ablation_marks_a_diverging_arm_failed(synth_split):
     """A non-finite weight reaches the WKV inputs, which refuse it: the arm
     is reported failed, not the whole ablation ended."""
     base_cfg, base_store, train, val, tc = _micro_setup(synth_split)
-    base_store["layer0.att.mu_k"].data[0, 0] = np.nan
+    base_store["layer0.att.mu_rkv"].data[1, 0, 0] = np.nan      # the key slot
     report = evaluation.run_ablation("n_perspectives", base_cfg, base_store, train, val, tc,
                                      arms=[1, 2], seeds=(0, 1, 2), n_perspectives=4)
     assert [arm.failed for arm in report.arms] == [True, True]

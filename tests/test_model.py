@@ -249,3 +249,78 @@ def test_base_init_requires_average_aggregation():
 def test_config_rejects_non_int_counts(field, value):
     with pytest.raises(m.ConfigError, match=field):
         tiny_config(**{field: value})
+
+
+def _count_ops(monkeypatch, modules):
+    """Wrap every public function of each module in a counter; returns the
+    dict of counts by name, which the wrappers update."""
+    import inspect
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in modules:
+        for name, fn in list(vars(module).items()):
+            if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                    and not name.startswith("_") and name != "no_grad"):
+                monkeypatch.setattr(module, name, counting(f"{module.__name__}.{name}", fn))
+    return counts
+
+
+def test_time_mixing_is_one_shift_one_projection_wkv_and_output(monkeypatch):
+    """r, k and v take one token shift and one batched GEMM; the WKV node
+    gates its own output; w_o projects it: 4 op calls per layer."""
+    from rwkvp import wkv
+    cfg = tiny_config()
+    store, _ = m.init_base_params(cfg, seed=0)
+    xx = Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 1, cfg.d_model)).astype(np.float32))
+    st = m.StreamState.zeros((1, cfg.d_model))
+    counts = _count_ops(monkeypatch, (ag, wkv))
+    m.time_mixing(store, 0, xx, st)
+    assert counts == {"rwkvp.autograd.token_shift": 1, "rwkvp.autograd.matmul": 2,
+                      "rwkvp.wkv.wkv_sequence": 1}
+
+
+DECODE_POSITIONS = (16, 2999)     # an early and a late token of a 3000-token decode
+DECODE_OPS_PER_TOKEN = 41         # autograd op calls per token of the README n=4 model
+
+
+def test_decode_cost_per_token_does_not_grow_with_position(base_config, monkeypatch):
+    """The paper's linear cost of inference, counted rather than timed: the
+    README n=4 model decodes 3000 tokens one at a time, and a late token
+    makes the same autograd op calls (at most DECODE_OPS_PER_TOKEN) and has
+    the same tracemalloc peak as an early one, while the carried state holds
+    the same bytes at every position."""
+    import tracemalloc
+
+    from rwkvp import perspectives, training
+    base, _ = m.init_base_params(base_config, seed=0)
+    cfg, store, mask = perspectives.extend_to_perspectives(base, base_config, 4,
+                                                           "weighted_softmax")
+    training.inject_selector_noise(store, 0.5, 0.0, 0)
+    training.inject_temporal_noise(store, cfg, 0.05, 0.0, 0)
+    model = m.Model(cfg, store, mask)
+    tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, DECODE_POSITIONS[-1] + 1)
+    counts = _count_ops(monkeypatch, (ag,))
+    state_bytes, ops, peaks = set(), [], []
+    with ag.no_grad():
+        states = model.init_states()
+        for t in range(len(tokens)):
+            measured = t in DECODE_POSITIONS
+            if measured:
+                counts.clear()
+                tracemalloc.start()
+            _, _, states = model.forward(tokens[t:t + 1], states)
+            if measured:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+                ops.append(sum(counts.values()))
+            state_bytes.add(sum(a.nbytes for st in states
+                                for a in (st.att_prev, *st.wkv_state, st.ffn_prev)))
+    assert ops[0] == ops[1] <= DECODE_OPS_PER_TOKEN, ops
+    assert peaks[0] == peaks[1], peaks
+    assert len(state_bytes) == 1

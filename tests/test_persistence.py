@@ -208,7 +208,7 @@ def test_checkpoint_manifest_records_payload_sha256(tmp_path):
     (mlen,) = struct.unpack_from("<I", raw, len(ckpt.MAGIC))
     start = len(ckpt.MAGIC) + 4
     manifest = json.loads(raw[start:start + mlen])
-    assert manifest["version"] == ckpt.FORMAT_VERSION == 3
+    assert manifest["version"] == ckpt.FORMAT_VERSION == 4
     # the config fixes every tensor's name and shape: no directory is stored
     assert manifest.keys() == {"version", "config", "payload_sha256", "freeze_mask", "seeds"}
     assert manifest["payload_sha256"] == hashlib.sha256(raw[start + mlen:]).hexdigest()
@@ -216,7 +216,7 @@ def test_checkpoint_manifest_records_payload_sha256(tmp_path):
 
 def test_checkpoint_payload_bytes_are_pinned(tmp_path):
     """The payload is the tensors sorted by name, float32 little-endian, in
-    their param_shapes shapes: the bytes format 2 wrote, pinned by hash."""
+    their param_shapes shapes: the bytes format 4 writes, pinned by hash."""
     import hashlib
     cfg, store, mask = _small_model()
     path = tmp_path / "m.ckpt"
@@ -226,7 +226,7 @@ def test_checkpoint_payload_bytes_are_pinned(tmp_path):
     payload = raw[len(ckpt.MAGIC) + 4 + mlen:]
     assert len(payload) == 4 * store.total_size()
     assert hashlib.sha256(payload).hexdigest() == (
-        "83f86e560461be3967ba9feb960d6ba1939cf374dcc5bdead24f8641ff4aca17")
+        "a1cf1ca9d4c6437f70cc883579c43a02fc66beb39618a3e798a7676beba1f6cd")
 
 
 @pytest.mark.parametrize("where", [0, 1000, -1], ids=["first", "middle", "last"])
@@ -276,6 +276,38 @@ def test_checkpoint_rejects_version_2_file(tmp_path):
 
     rewrite_manifest(path, to_v2)
     with pytest.raises(ckpt.VersionMismatchError, match="version 2"):
+        ckpt.load_checkpoint(path)
+
+
+# the init payload of _small_model as format 3 wrote it (its old pin)
+FORMAT_3_PAYLOAD_SHA256 = "83f86e560461be3967ba9feb960d6ba1939cf374dcc5bdead24f8641ff4aca17"
+
+
+def test_checkpoint_rejects_version_3_file(tmp_path):
+    """A format-3 file holds att.mu_r/mu_k/mu_v and att.w_r/w_k/w_v as leaves
+    of their own. Its payload has format 4's length and a valid SHA-256, so
+    only the version tells the layouts apart: the file is refused by it,
+    before its payload is sliced by the new names."""
+    import hashlib
+    from dataclasses import asdict
+    cfg, store, mask = _small_model()
+    leaves, flags = {}, {}
+    for name, t in store.items():
+        slots = zip("rkv", t.data) if name.endswith("_rkv") else [("", t.data)]
+        for suffix, data in slots:
+            key = name[:-3] + suffix if suffix else name
+            leaves[key], flags[key] = data, mask[name]
+    payload = b"".join(np.ascontiguousarray(leaves[n], dtype="<f4").tobytes()
+                       for n in sorted(leaves))
+    assert len(payload) == 4 * m.param_count(cfg)
+    assert hashlib.sha256(payload).hexdigest() == FORMAT_3_PAYLOAD_SHA256
+    manifest = json.dumps({"version": 3, "config": asdict(cfg),
+                           "payload_sha256": hashlib.sha256(payload).hexdigest(),
+                           "freeze_mask": flags, "seeds": [0]},
+                          sort_keys=True, separators=(",", ":")).encode()
+    path = tmp_path / "v3.ckpt"
+    path.write_bytes(ckpt.MAGIC + struct.pack("<I", len(manifest)) + manifest + payload)
+    with pytest.raises(ckpt.VersionMismatchError, match="version 3, expected 4"):
         ckpt.load_checkpoint(path)
 
 

@@ -21,17 +21,18 @@ def _extended(n, aggregation="weighted_softmax", seed=0, **cfg_kw):
 def test_replicas_start_bitwise_equal():
     base, cfg, store, _ = _extended(4)
     for name in m.mu_names(cfg):
-        assert base.store[name].shape == (1, cfg.d_model)
-        assert store[name].shape == (4, cfg.d_model)
+        slots = base.store[name].shape[:-2]              # (3,) for att.mu_rkv
+        assert base.store[name].shape == slots + (1, cfg.d_model)
+        assert store[name].shape == slots + (4, cfg.d_model)
         for i in range(4):
-            assert np.array_equal(store[name].data[i], base.store[name].data[0])
+            assert np.array_equal(store[name].data[..., i, :], base.store[name].data[..., 0, :])
 
 
 def test_extension_copies_do_not_alias_base():
     base, cfg, store, _ = _extended(2)
-    mu = store["layer0.att.mu_k"].data
+    mu = store["layer0.att.mu_rkv"].data[1]                     # the key slot
     mu[0] += 1.0
-    assert not np.array_equal(mu[0], base.store["layer0.att.mu_k"].data[0])
+    assert not np.array_equal(mu[0], base.store["layer0.att.mu_rkv"].data[1, 0])
     mu[1] += 2.0
     assert not np.array_equal(mu[1], mu[0])
 
@@ -43,7 +44,7 @@ def test_freeze_mask_partition():
         assert mask[name] == expected, name
         assert store[name].requires_grad == expected, name
     # all heavy weights are shared: exactly one copy of each projection
-    assert sum(1 for n in store.names() if n.endswith("att.w_k")) == cfg.n_layers
+    assert sum(1 for n in store.names() if n.endswith("att.w_rkv")) == cfg.n_layers
 
 
 def test_parameter_accounting_matches_analytic():
@@ -60,9 +61,9 @@ def test_streams_evolve_independently():
     tokens = np.arange(8) % cfg.vocab_size
     with ag.no_grad():
         before, _ = perspectives.multi_forward(cfg, store, tokens)
-        mu = store["layer0.att.mu_k"].data.copy()
-        mu[1] = np.clip(mu[1] + 0.2, 0.0, 1.0)
-        store["layer0.att.mu_k"].data = mu
+        mu = store["layer0.att.mu_rkv"].data.copy()
+        mu[1, 1] = np.clip(mu[1, 1] + 0.2, 0.0, 1.0)            # perspective 1's key row
+        store["layer0.att.mu_rkv"].data = mu
         after, _ = perspectives.multi_forward(cfg, store, tokens)
     assert np.array_equal(before.data[:, 0], after.data[:, 0])
     assert np.array_equal(before.data[:, 2], after.data[:, 2])
@@ -196,9 +197,9 @@ def test_cross_perspective_gradient_is_zero():
     # other streams' rows must be exactly zero
     for name in m.mu_names(cfg):
         grad = store[name].grad
-        assert grad is None or not grad[[0, 2]].any(), name
+        assert grad is None or not grad[..., [0, 2], :].any(), name
     touched = [name for name in m.mu_names(cfg)
-               if store[name].grad is not None and store[name].grad[1].any()]
+               if store[name].grad is not None and store[name].grad[..., 1, :].any()]
     assert touched  # stream 1's own coefficients do receive gradient
 
 

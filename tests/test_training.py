@@ -61,6 +61,18 @@ def test_train_config_rejects_out_of_range_values(field, value):
         training.TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("fields,named", [
+    ({"lr_max": 1e308, "lr_min": 1e308}, "lr_max"), ({"noise_std": 1e39}, "noise_std")],
+    ids=["lr", "noise_std"])
+def test_train_config_rejects_values_float32_cannot_hold(fields, named):
+    """Finite in Python, infinite in the float32 arrays they scale: Adam's
+    first step would overflow at a *= lr. The largest float32 is accepted."""
+    with pytest.raises(m.ConfigError, match=f"{named} must be at most float32's largest"):
+        training.TrainConfig(**fields)
+    top = float(np.finfo(np.float32).max)
+    assert training.TrainConfig(lr_max=top, lr_min=top, noise_std=top).lr_max == top
+
+
 def test_train_config_accepts_integer_rates():
     assert training.TrainConfig(lr_max=1, lr_min=1, noise_std=0).noise_std == 0
 
@@ -106,18 +118,21 @@ def test_temporal_noise_targets_all_perspectives():
 
 def test_temporal_noise_draws_perspective_then_layer_then_slot():
     """Row i of every mu leaf gets the draws of perspective i, taken from one
-    generator in the order: perspective, layer, slot (att r/k/v, ffn r/k)."""
+    generator in the order: perspective, layer, slot (att r/k/v, the three
+    slots of att.mu_rkv, then ffn r/k)."""
     cfg, store, _ = _noisy_extended(n=3)
     _, fresh, _ = _noisy_extended(n=3)
     training.inject_temporal_noise(store, cfg, 0.01, 0.002, seed=11)
     rng = np.random.default_rng(11)
+    slots = [("att.mu_rkv", (0,)), ("att.mu_rkv", (1,)), ("att.mu_rkv", (2,)),
+             ("ffn.mu_r", ()), ("ffn.mu_k", ())]
     for i in range(3):
         for l in range(cfg.n_layers):
-            for slot in ("att.mu_r", "att.mu_k", "att.mu_v", "ffn.mu_r", "ffn.mu_k"):
+            for slot, at in slots:
                 name = f"layer{l}.{slot}"
-                row = fresh[name].data[i]
+                row = fresh[name].data[at + (i,)]
                 expected = row + rng.normal(0.002, 0.01, size=row.shape).astype(row.dtype)
-                assert np.array_equal(store[name].data[i], expected), (name, i)
+                assert np.array_equal(store[name].data[at + (i,)], expected), (name, at, i)
 
 
 def test_noise_statistics():
@@ -328,8 +343,8 @@ def test_average_mode_falls_back_to_temporal_noise(synth_split):
     cfg, store, mask, _ = training.finetune_perspectives(
         base_store, base_cfg, 2, "average", train_tokens, val_tokens, tc)
     # the two perspectives must have been desymmetrized despite having no selector
-    mu = store["layer0.att.mu_k"].data
-    assert not np.array_equal(mu[0], base_store["layer0.att.mu_k"].data[0]) or \
+    mu = store["layer0.att.mu_rkv"].data[1]                     # the key slot
+    assert not np.array_equal(mu[0], base_store["layer0.att.mu_rkv"].data[1, 0]) or \
            not np.array_equal(mu[1], mu[0])
 
 
@@ -360,8 +375,9 @@ def test_memorization_single_pattern():
 
 def test_recorded_grad_norms_match_a_leaf_by_leaf_recomputation(synth_split):
     """A tiny pretrain run against the same steps taken leaf by leaf: the
-    per-leaf norm, clip and Adam give the logged norms and clip flags, the
-    losses and the trained parameters bitwise."""
+    per-leaf norm (a stacked (3, ...) leaf summed slot by slot), clip and
+    Adam give the logged norms and clip flags, the losses and the trained
+    parameters bitwise."""
     train_tokens, val_tokens = synth_split
     cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
     tc = training.TrainConfig(batch_size=2, lr_max=1e-2, lr_min=5e-3, mini_epochs=1,
@@ -380,7 +396,8 @@ def test_recorded_grad_norms_match_a_leaf_by_leaf_recomputation(synth_split):
         loss.backward()
         losses.append(loss.item())
         grads = {name: ref[name].grad for name in mask.trainable_names()}
-        norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        norm = math.sqrt(sum(float((s * s).sum()) for g in grads.values()
+                             for s in (g if g.ndim == 3 else [g])))
         expected.append((step, norm, norm > tc.grad_clip))
         for g in grads.values():
             g *= min(1.0, tc.grad_clip / norm)
