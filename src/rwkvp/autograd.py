@@ -309,12 +309,12 @@ def token_shift(a: Tensor, first_row: np.ndarray, mu: Tensor) -> Tensor:
     prev = np.empty(shape[:-2] + m.shape[-2:], x.dtype)
     prev[0] = first_row
     prev[1:] = x[:-1]
-    slots = m.reshape((-1,) + m.shape[-2:])
-    out = np.empty(m.shape[:-2] + prev.shape, np.result_type(x, m))
-    for o, ms in zip(out.reshape((-1,) + prev.shape), slots):
-        np.multiply(x, ms, out=o)
-        o += prev * (1.0 - ms)
-    out = Tensor(out, _needs_grad(a, mu), "token_shift")
+    # every slot of mu, broadcast over a's rows: (S, 1, ..., 1, n, d)
+    slots = m.reshape((-1,) + (1,) * (x.ndim - 2) + m.shape[-2:])
+    keep = 1.0 - slots
+    out = np.multiply(x, slots)
+    out += prev * keep
+    out = Tensor(out.reshape(m.shape[:-2] + prev.shape), _needs_grad(a, mu), "token_shift")
     if out.requires_grad:
         na, nmu, rows, mu_shape = _node_of(a), _node_of(mu), prev.shape, m.shape
         # mu's gradient reads x - prev, one array that every slot shares
@@ -323,13 +323,10 @@ def token_shift(a: Tensor, first_row: np.ndarray, mu: Tensor) -> Tensor:
         def bwd(g):
             gs = g.reshape((-1,) + rows)
             if na is not None:
-                ga = None
-                for gi, ms in zip(gs, slots):
-                    gi_a = gi * ms
-                    gi_a[:-1] += gi[1:] * (1.0 - ms)
-                    gi_a = _unbroadcast(gi_a, shape)
-                    ga = gi_a if ga is None else np.add(ga, gi_a, out=ga)
-                _accumulate(na, ga)
+                ga = gs * slots
+                ga[:, :-1] += gs[:, 1:] * keep
+                # each slot summed back to a's shape, then the slots in order
+                _accumulate(na, _unbroadcast(ga, (len(ga),) + shape).sum(axis=0))
             if nmu is not None:
                 dmu = (gs * dx).reshape((len(gs), -1) + rows[-2:]).sum(axis=1)
                 _accumulate(nmu, dmu.reshape(mu_shape))

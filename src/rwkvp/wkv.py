@@ -104,7 +104,11 @@ def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state=None):
     if not np.isfinite(rkv.data).all():
         raise ag.NonFiniteError("wkv_sequence: non-finite r, k or v")
     r, k, v = rkv.data
-    gate = 1.0 / (1.0 + np.exp(-r))              # sigmoid(r), as ag.sigmoid_mul computes it
+    # sigmoid(r) in ag.sigmoid_mul's operations, 1 / (1 + exp(-r)), in place
+    gate = np.negative(r)
+    np.exp(gate, out=gate)
+    gate += 1.0
+    np.divide(1.0, gate, out=gate)
     if T == 1 and not ag._needs_grad(rkv, w, u):
         # the same formula as the scans below, bitwise; w and u broadcast over lead
         y, final_state = wkv_step(state, k[0], v[0], w.data, u.data)
@@ -172,7 +176,9 @@ def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state=None):
             go = gout.reshape(T, D)
             g = go * gate                        # the gradient reaching wkv
             dN = g / den
-            dD = -g * y / den
+            dD = np.negative(g)                  # -g * y / den
+            dD *= y
+            dD /= den
 
             # reverse scan: dab[t] is the gradient of (a, b) entering step t
             dab = np.empty((T + 1, 2, D), dtype=dtype)
