@@ -83,6 +83,28 @@ def test_sequence_matches_stepwise_bitwise():
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gate_is_sigmoid_mul_of_the_stepwise_recurrence_bitwise(dtype):
+    """The gated output and r's gradient are bitwise what ag.sigmoid_mul gives
+    on the ungated wkv_step outputs, as when the gate was a node of its own."""
+    rng = np.random.default_rng(14)
+    T, lead, d = 6, (2, 3), 4
+    r, k, v, weight = (rng.uniform(-2, 2, (T,) + lead + (d,)).astype(dtype) for _ in range(4))
+    w = rng.uniform(0.05, 2.0, d).astype(dtype)
+    u = rng.uniform(-1, 1, d).astype(dtype)
+    y, _, (rkv, _, _) = _seq(r, k, v, w, u, grad=True)
+    ag.sum_(ag.mul(y, Tensor(weight))).backward()
+    state, ys = wkv.empty_state(lead + (d,), dtype), []
+    for t in range(T):
+        yt, state = wkv.wkv_step(state, k[t], v[t], w, u)
+        ys.append(yt)
+    tr = Tensor(r, requires_grad=True)
+    gated = ag.sigmoid_mul(tr, Tensor(np.stack(ys)))
+    ag.sum_(ag.mul(gated, Tensor(weight))).backward()
+    assert y.data.tobytes() == gated.data.tobytes()
+    assert rkv.grad[0].tobytes() == tr.grad.tobytes()
+
+
 def test_sequence_matches_unstabilized_reference():
     rng = np.random.default_rng(2)
     for _ in range(50):
