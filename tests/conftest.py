@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from rwkvp import checkpoint as ckpt
 from rwkvp import corpus as corpus_mod
 from rwkvp import model as m
-from rwkvp import perspectives, synth, training
+from rwkvp import evaluation, gradcheck, perspectives, synth, training
 
 
 def tiny_config(**kw):
@@ -48,30 +49,68 @@ def forbid_model_builds(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
 
 
-@pytest.fixture(scope="session")
-def synth_tokens():
+def corpus_split():
+    """The shared synthetic corpus, split 90/10 into train and validation tokens."""
     data = synth.generate_corpus(0, 3000)
-    return np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+    return corpus_mod.train_val_split(np.frombuffer(data, dtype=np.uint8).astype(np.int64))
+
+
+def readme_config():
+    """The README model: a base (n=1, the average head)."""
+    return m.ModelConfig(n_layers=2, d_model=48, vocab_size=257,
+                         n_perspectives=1, context_length=64)
+
+
+def pretrain_shared_base(cfg, split):
+    """A lightly pretrained tiny base: 200 steps of the README model."""
+    train_tokens, val_tokens = split
+    tc = training.TrainConfig(batch_size=2, lr_max=1e-3, lr_min=2e-4,
+                              mini_epochs=2, contexts_per_mini_epoch=200,
+                              context_length=cfg.context_length, seed=0)
+    return training.pretrain_base(cfg, train_tokens, val_tokens, tc)
+
+
+def finetune_win(cfg, base, split):
+    """Criterion 7's runs: the frozen base's validation perplexity and, at
+    seeds 1, 2 and 3, the n=4 weighted_softmax fine-tune's."""
+    base_store, base_mask, _ = base
+    train_tokens, val_tokens = split
+    baseline = evaluation.perplexity(m.Model(cfg, base_store, base_mask), val_tokens, chunk=64)
+    tc = training.TrainConfig(batch_size=2, lr_max=1e-2, lr_min=1e-3,
+                              mini_epochs=2, contexts_per_mini_epoch=400,
+                              context_length=64)
+    finetuned = []
+    for seed in (1, 2, 3):
+        _, _, _, log = training.finetune_perspectives(
+            base_store, cfg, 4, "weighted_softmax", train_tokens, val_tokens,
+            replace(tc, seed=seed))
+        finetuned.append(log.val_ppl[-1][1])
+    return baseline, finetuned
 
 
 @pytest.fixture(scope="session")
-def synth_split(synth_tokens):
-    return corpus_mod.train_val_split(synth_tokens)
+def synth_split():
+    return corpus_split()
 
 
 @pytest.fixture(scope="session")
 def base_config():
-    return m.ModelConfig(n_layers=2, d_model=48, vocab_size=257,
-                         n_perspectives=1, context_length=64)
+    return readme_config()
 
 
 @pytest.fixture(scope="session")
 def pretrained_base(base_config, synth_split):
     """A lightly pretrained tiny base, shared by training/eval/acceptance tests."""
-    train_tokens, val_tokens = synth_split
-    tc = training.TrainConfig(batch_size=2, lr_max=1e-3, lr_min=2e-4,
-                              mini_epochs=2, contexts_per_mini_epoch=200,
-                              context_length=base_config.context_length, seed=0)
-    store, mask, log = training.pretrain_base(base_config, train_tokens,
-                                              val_tokens, tc)
-    return store, mask, log
+    return pretrain_shared_base(base_config, synth_split)
+
+
+@pytest.fixture(scope="session")
+def criterion_03():
+    """Criterion 3's finite-difference gradcheck, shared with the golden record."""
+    return gradcheck.model_gradcheck(seed=0)
+
+
+@pytest.fixture(scope="session")
+def criterion_07(base_config, pretrained_base, synth_split):
+    """Criterion 7's (baseline, fine-tuned perplexities), shared with the golden record."""
+    return finetune_win(base_config, pretrained_base, synth_split)

@@ -13,7 +13,7 @@ import pytest
 from conftest import tiny_config
 from rwkvp import autograd as ag
 from rwkvp import checkpoint as ckpt
-from rwkvp import evaluation, gradcheck, perspectives, training, wkv
+from rwkvp import evaluation, perspectives, training, wkv
 from rwkvp import model as m
 from rwkvp.autograd import Tensor
 
@@ -61,10 +61,10 @@ def test_criterion_02_n1_reduction_bit_identical(capsys):
             f"{identical}/100 sequences bit-identical")
 
 
-def test_criterion_03_finite_difference_gradcheck(capsys):
+def test_criterion_03_finite_difference_gradcheck(capsys, criterion_03):
     """Full-model analytic gradients vs central differences: L=2, d=8, n=3,
     T=5, epsilon=1e-5, float64; max relative error < 1e-4."""
-    result = gradcheck.model_gradcheck(seed=0)
+    result = criterion_03
     _report(capsys, 3, result.max_rel_error < 1e-4,
             f"max rel error {result.max_rel_error:.3e} over "
             f"{result.coords_checked} coordinates (limit 1e-4)")
@@ -151,24 +151,10 @@ def test_criterion_06_trace_weight_properties(capsys):
             f"nonnegative={nonneg}, sums within 1e-6={sums_ok}")
 
 
-def test_criterion_07_finetune_beats_frozen_baseline(capsys, pretrained_base,
-                                                     base_config, synth_split):
+def test_criterion_07_finetune_beats_frozen_baseline(capsys, criterion_07):
     """Mean validation perplexity of the fine-tuned n=4 softmax-weighted
     model over 3 seeds is at most 99% of the frozen baseline's."""
-    base_store, base_mask, _ = pretrained_base
-    train_tokens, val_tokens = synth_split
-    baseline = evaluation.perplexity(m.Model(base_config, base_store, base_mask),
-                                     val_tokens, chunk=64)
-    tc = training.TrainConfig(batch_size=2, lr_max=1e-2, lr_min=1e-3,
-                              mini_epochs=2, contexts_per_mini_epoch=400,
-                              context_length=64)
-    finetuned = []
-    for seed in (1, 2, 3):
-        from dataclasses import replace
-        _, _, _, log = training.finetune_perspectives(
-            base_store, base_config, 4, "weighted_softmax",
-            train_tokens, val_tokens, replace(tc, seed=seed))
-        finetuned.append(log.val_ppl[-1][1])
+    baseline, finetuned = criterion_07
     ratio = float(np.mean(finetuned)) / baseline
     _report(capsys, 7, ratio <= 0.99,
             f"baseline ppl {baseline:.4f}, finetuned mean "
