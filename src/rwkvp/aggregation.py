@@ -12,8 +12,8 @@ plain head.
 from __future__ import annotations
 
 from rwkvp import autograd as ag
+from rwkvp import model as m
 from rwkvp.autograd import Tensor
-from rwkvp.model import ModelConfig, head_logits
 from rwkvp.params import ParamStore
 
 
@@ -23,7 +23,7 @@ def _mean_embedding(p: Tensor) -> Tensor:
 
 def aggregate_average(p: Tensor, store: ParamStore) -> Tensor:
     """head(mean of perspective embeddings)."""
-    return head_logits(store, _mean_embedding(p))
+    return m.head_logits(store, _mean_embedding(p))
 
 
 def aggregate_transformer(p: Tensor, store: ParamStore) -> Tensor:
@@ -31,7 +31,7 @@ def aggregate_transformer(p: Tensor, store: ParamStore) -> Tensor:
     # (T, [B,] n, d) -> (T, [B,] n*d): each row is [p_1 | p_2 | ... | p_n]
     cat = ag.reshape(p, p.shape[:-2] + (p.shape[-2] * p.shape[-1],))
     mixed = ag.add(ag.matmul(cat, store["agghead.W"]), store["agghead.b"])
-    return head_logits(store, mixed)
+    return m.head_logits(store, mixed)
 
 
 def aggregate_weighted(p: Tensor, store: ParamStore) -> tuple[Tensor, Tensor]:
@@ -47,14 +47,12 @@ def aggregate_weighted(p: Tensor, store: ParamStore) -> tuple[Tensor, Tensor]:
     mean_p = _mean_embedding(p)
     z = ag.add(ag.matmul(mean_p, ag.transpose(store["selector.W"])), store["selector.b"])
     weights = ag.softmax(z)
-    return head_logits(store, p, weights), weights
+    return m.head_logits(store, p, weights), weights
 
 
-def aggregate(cfg: ModelConfig, store: ParamStore, p: Tensor
+def aggregate(cfg: m.ModelConfig, store: ParamStore, p: Tensor
               ) -> tuple[Tensor, Tensor | None]:
     """Dispatch on cfg.aggregation; returns (logits, weights-or-None)."""
-    if p.shape[-2] != cfg.n_perspectives:
-        raise ValueError(f"got {p.shape[-2]} perspectives, config says {cfg.n_perspectives}")
     if cfg.aggregation == "average":
         return aggregate_average(p, store), None
     if cfg.aggregation == "transformer_like":

@@ -158,17 +158,16 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, FreezeMask, list]:
         raise CheckpointError(f"{path}: {len(payload) - need} trailing bytes after the last tensor")
     if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:
         raise CheckpointError(f"{path}: payload does not match its SHA-256 (corrupted file)")
+    shapes, mask = param_shapes(config), FreezeMask(manifest["freeze_mask"])
+    if mask.keys() != shapes.keys():
+        raise CheckpointError(f"{path}: freeze mask does not cover the config's tensors")
     store = ParamStore()
     offset = 0
-    for name, shape in sorted(param_shapes(config).items()):
+    for name, shape in sorted(shapes.items()):
         size = math.prod(shape)
         data = np.frombuffer(payload, dtype="<f4", count=size, offset=offset).reshape(shape)
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
-        store.add(name, data.copy())
+        store.add(name, data.copy(), requires_grad=mask[name])
         offset += 4 * size
-    mask = FreezeMask(manifest["freeze_mask"])
-    if set(mask) != set(store.names()):
-        raise CheckpointError(f"{path}: freeze mask does not cover the config's tensors")
-    store.apply_freeze(mask)
     return store, config, mask, manifest["seeds"]

@@ -46,8 +46,6 @@ def train_val_split(tokens: np.ndarray, val_fraction: float = 0.1):
 
 def sample_contexts(tokens: np.ndarray, context_length: int, count: int, seed: int):
     """Yield `count` uniformly sampled windows of exactly context_length tokens."""
-    if context_length < 2:
-        raise CorpusError(f"context_length must be >= 2, got {context_length}")
     n_starts = len(tokens) - context_length + 1
     if n_starts < 1:
         raise CorpusError(f"corpus ({len(tokens)} tokens) shorter than "

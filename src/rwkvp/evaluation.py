@@ -22,7 +22,7 @@ from rwkvp.params import ParamStore
 
 
 def _stream(model: m.Model, tokens: np.ndarray, chunk: int):
-    """Yield (start, piece, logits, weights) per chunk of a no-grad forward
+    """Yield (start, logits, weights) per chunk of a no-grad forward
     over the stream, handing the recurrent state from chunk to chunk."""
     if tokens.ndim != 1:
         raise CorpusError(f"a token stream is 1-D, got shape {tokens.shape}")
@@ -31,10 +31,9 @@ def _stream(model: m.Model, tokens: np.ndarray, chunk: int):
     training._keep_freed_memory_mapped()
     states = model.init_states()
     for start in range(0, len(tokens), chunk):
-        piece = tokens[start:start + chunk]
         with ag.no_grad():     # not held across the yield
-            logits, weights, states = model.forward(piece, states)
-        yield start, piece, logits.data, weights
+            logits, weights, states = model.forward(tokens[start:start + chunk], states)
+        yield start, logits.data, weights
 
 
 def perplexity(model: m.Model, tokens: np.ndarray, chunk: int | None = None) -> float:
@@ -53,7 +52,7 @@ def perplexity(model: m.Model, tokens: np.ndarray, chunk: int | None = None) -> 
     if tokens.size < 2:
         raise CorpusError("perplexity needs at least two tokens")
     nll_sum = 0.0
-    for start, _, logits, _ in _stream(model, tokens, chunk):
+    for start, logits, _ in _stream(model, tokens, chunk):
         # row t predicts token start + t + 1; the stream's last row predicts nothing
         targets = tokens[start + 1:start + 1 + len(logits)]
         logp = ag._log_softmax(logits[:len(targets)])
@@ -94,7 +93,7 @@ def trace_weights(model: m.Model, tokens: np.ndarray) -> np.ndarray:
     if model.config.aggregation != "weighted_softmax":
         raise m.ConfigError("trace_weights requires aggregation='weighted_softmax', "
                             f"got {model.config.aggregation!r}")
-    return np.concatenate([weights for _, _, _, weights in
+    return np.concatenate([weights for _, _, weights in
                            _stream(model, np.asarray(tokens), model.config.context_length)])
 
 

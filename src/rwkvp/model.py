@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from rwkvp import aggregation, perspectives
 from rwkvp import autograd as ag
 from rwkvp import wkv
 from rwkvp.autograd import Tensor
@@ -298,7 +299,6 @@ class Model:
         tokens: (T,) or (T, B). Returns (logits Tensor (T, [B,] V), weights
         ndarray (T, [B,] n) or None, new states: one StreamState per layer).
         """
-        from rwkvp import aggregation, perspectives
         p, new_states = perspectives.multi_forward(self.config, self.store, tokens, states)
         logits, weights = aggregation.aggregate(self.config, self.store, p)
         return logits, None if weights is None else weights.data, new_states

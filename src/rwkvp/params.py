@@ -50,9 +50,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self):
         return list(self._params)
 
@@ -67,14 +64,6 @@ class ParamStore:
         for name, t in self._params.items():
             out.add(name, t.data, t.requires_grad, dtype=dtype)
         return out
-
-    def apply_freeze(self, mask: FreezeMask) -> None:
-        """Set requires_grad from the mask; mask must cover the store exactly."""
-        if set(mask) != set(self._params):
-            missing = set(self._params) ^ set(mask)
-            raise KeyError(f"freeze mask does not match store; mismatched: {sorted(missing)}")
-        for name, flag in mask.items():
-            self._params[name].requires_grad = bool(flag)
 
     def flatten(self, names) -> np.ndarray:
         """Copy the named leaves, in order, into one contiguous buffer and

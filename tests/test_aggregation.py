@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from conftest import batch_loss, tiny_config
 from rwkvp import aggregation
@@ -157,14 +156,6 @@ def test_n1_all_modes_identical():
     assert np.array_equal(avg.data, wgt.data)
     np.testing.assert_allclose(trf.data, avg.data, rtol=1e-10, atol=1e-12)
     np.testing.assert_array_equal(weights.data, np.ones((T, 1)))
-
-
-def test_dispatch_validates_count():
-    rng = np.random.default_rng(8)
-    cfg = tiny_config(n_perspectives=3)
-    store = _head_store(cfg.d_model, cfg.vocab_size, rng, n=3, selector=True)
-    with pytest.raises(ValueError, match="perspectives"):
-        aggregation.aggregate(cfg, store, Tensor(np.ones((2, 1, cfg.d_model))))
 
 
 def test_weighted_loss_graph_builds_no_per_perspective_logits(monkeypatch):

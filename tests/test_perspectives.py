@@ -187,7 +187,6 @@ def test_cross_perspective_gradient_is_zero():
     base_store, _ = m.init_base_params(base_cfg, seed=0)
     cfg, store, mask = perspectives.extend_to_perspectives(base_store, base_cfg, 3)
     store = store.astype(np.float64)
-    store.apply_freeze(mask)
     tokens = np.arange(5) % cfg.vocab_size
     p, _ = perspectives.multi_forward(cfg, store, tokens)
     one_hot = ag.Tensor(np.array([0.0, 1.0, 0.0]).reshape(3, 1))

@@ -29,13 +29,6 @@ def test_lr_schedule_monotone_decreasing():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_lr_schedule_validation():
-    with pytest.raises(m.ConfigError):
-        training.lr_schedule(5, 4, 1e-3, 1e-5)
-    with pytest.raises(m.ConfigError):
-        training.lr_schedule(0, 10, 1e-5, 1e-3)
-
-
 def test_train_config_validation():
     with pytest.raises(m.ConfigError):
         training.TrainConfig(lr_max=1e-5, lr_min=1e-3)
