@@ -12,7 +12,8 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -222,6 +223,33 @@ def _keep_freed_memory_mapped() -> None:
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
+def _steps(tc: TrainConfig) -> tuple[int, int]:
+    """(steps per mini-epoch, total steps): each mini-epoch's contexts in batches."""
+    per_epoch = -(-tc.contexts_per_mini_epoch // tc.batch_size)
+    return per_epoch, per_epoch * tc.mini_epochs
+
+
+def _check_fits(cfg: m.ModelConfig, tc: TrainConfig) -> None:
+    """Raise ConfigError, before anything is walked or allocated, if the run's
+    float32 parameters (cfg's, counted in closed form) and the int64 context
+    starts the sampler draws up front need more bytes than the machine's
+    physical memory. Where os.sysconf does not report it, nothing is checked."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    total_steps = _steps(tc)[1]
+    params, starts = 4 * m.param_count(cfg), 8 * total_steps * tc.batch_size
+    if 0 < memory < params + starts:
+        raise m.ConfigError(f"the run needs {params} bytes of float32 parameters and {starts} "
+                            f"bytes of context starts ({total_steps} steps of {tc.batch_size}), "
+                            f"more than the machine's {memory} bytes of memory")
+
+
+# A diverging run overflows on its way to the non-finite loss, gradient norm,
+# WKV input or perplexity that stops it with a typed error; numpy's warnings
+# would only repeat that error, ahead of it.
+@np.errstate(over="ignore", invalid="ignore")
 def _train_loop(model: m.Model, train_tokens: np.ndarray, val_tokens: np.ndarray,
                 tc: TrainConfig) -> TrainLog:
     """Adam steps on the model's trainable parameters over batches of
@@ -241,8 +269,7 @@ def _train_loop(model: m.Model, train_tokens: np.ndarray, val_tokens: np.ndarray
     sizes = [part.size for name in names for part in
              (store[name].data if store[name].data.ndim == 3 else [store[name].data])]
     log = TrainLog(seeds=[tc.seed])
-    steps_per_epoch = math.ceil(tc.contexts_per_mini_epoch / tc.batch_size)
-    total_steps = steps_per_epoch * tc.mini_epochs
+    steps_per_epoch, total_steps = _steps(tc)
     sampler = corpus_mod.sample_contexts(train_tokens, tc.context_length,
                                          total_steps * tc.batch_size, seed=tc.seed)
     opt = Adam()
@@ -281,6 +308,7 @@ def pretrain_base(base_cfg: m.ModelConfig, train_tokens: np.ndarray,
                   val_tokens: np.ndarray, tc: TrainConfig
                   ) -> tuple[ParamStore, FreezeMask, TrainLog]:
     """Train a single-perspective base from scratch, all parameters trainable."""
+    _check_fits(base_cfg, tc)
     store, mask = m.init_base_params(base_cfg, seed=tc.seed)
     log = _train_loop(m.Model(base_cfg, store, mask), train_tokens, val_tokens, tc)
     return store, mask, log
@@ -291,6 +319,7 @@ def finetune_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
                           val_tokens: np.ndarray, tc: TrainConfig
                           ) -> tuple[m.ModelConfig, ParamStore, FreezeMask, TrainLog]:
     """Frozen-base fine-tuning of the temporal components and aggregator."""
+    _check_fits(replace(base_cfg, n_perspectives=n, aggregation=aggregation), tc)
     cfg, store, mask = persp_mod.extend_to_perspectives(base_store, base_cfg, n,
                                                         aggregation)
     if tc.noise_target == "selector" and cfg.aggregation != "average":

@@ -349,28 +349,73 @@ def test_pretrain_wrongly_typed_config_errors(tmp_path, capsys, corpus_file, mic
     assert field in capsys.readouterr().err
 
 
-def test_pretrain_rate_float32_cannot_hold_errors(tmp_path, corpus_file, micro_config):
-    """A rate of 1e308 is finite, but the float32 parameters would overflow in
-    Adam's first step: the config refuses it. Run in a fresh interpreter, so
-    stderr is what a user sees: one typed error line, no RuntimeWarning."""
+def _pretrain_in_fresh_interpreter(tmp_path, corpus_file, cfg, timeout=120, preexec_fn=None):
+    """`rwkvp pretrain --config` on cfg in a new interpreter, so stderr is what a
+    user sees; returns the error lines after checking it holds no traceback or
+    RuntimeWarning."""
     import os
     import subprocess
     import sys
-    cfg = json.loads(micro_config.read_text())
-    cfg["train"].update(lr_max=1e308, lr_min=1e308)
-    path = tmp_path / "huge_lr.json"
+    path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     src = str(Path(cli.__file__).resolve().parents[1])
     run = subprocess.run(
         [sys.executable, "-c", "import sys; from rwkvp import cli; sys.exit(cli.main(sys.argv[1:]))",
          "pretrain", "--config", str(path), "--corpus", str(corpus_file),
          "--out", str(tmp_path / "x")],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=timeout, preexec_fn=preexec_fn,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))})
     assert run.returncode == 1, run.stderr
-    assert "RuntimeWarning" not in run.stderr and "Traceback" not in run.stderr
-    errors = [line for line in run.stderr.splitlines() if line.startswith("error: ")]
-    assert len(errors) == 1 and errors[0].startswith("error: ConfigError: lr_max"), run.stderr
+    assert "RuntimeWarning" not in run.stderr and "Traceback" not in run.stderr, run.stderr
+    return [line for line in run.stderr.splitlines() if line.startswith("error: ")]
+
+
+def test_pretrain_rate_float32_cannot_hold_errors(tmp_path, corpus_file, micro_config):
+    """A rate of 1e308 is finite, but the float32 parameters would overflow in
+    Adam's first step: the config refuses it, with one typed error line and no
+    RuntimeWarning."""
+    cfg = json.loads(micro_config.read_text())
+    cfg["train"].update(lr_max=1e308, lr_min=1e308)
+    errors = _pretrain_in_fresh_interpreter(tmp_path, corpus_file, cfg)
+    assert len(errors) == 1 and errors[0].startswith("error: ConfigError: lr_max"), errors
+
+
+def test_pretrain_diverging_rate_is_one_typed_error(tmp_path, capsys, corpus_file, micro_config):
+    """A finite rate of 1e16 blows the weights up after one step, and the next
+    forward overflows on its way to the non-finite WKV input that stops the
+    run: one typed error, with no numpy RuntimeWarning (an error in tier-1)
+    ahead of it."""
+    cfg = json.loads(micro_config.read_text())
+    cfg["train"]["lr_max"] = 1e16
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main(["pretrain", "--config", str(path), "--corpus", str(corpus_file),
+                   "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 1 and re.fullmatch(r"error: (NonFiniteError|DivergenceError): [^\n]*\n", err), err
+
+
+@pytest.mark.parametrize("section,field", [
+    ("model", "n_layers"), ("model", "d_model"), ("model", "vocab_size"),
+    ("train", "batch_size"), ("train", "contexts_per_mini_epoch"), ("train", "mini_epochs")])
+def test_pretrain_refuses_a_run_that_cannot_fit_before_allocating(tmp_path, corpus_file,
+                                                                  micro_config, section, field):
+    """A size of 2**70 in the parameters or in the sampler's up-front draw is
+    one ConfigError, raised before init walks the layers or numpy is asked for
+    the array. In a fresh interpreter capped at 1 GiB of address space with a
+    timeout, so a run that walks or allocates fails instead of taking the
+    machine's memory."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    cfg = json.loads(micro_config.read_text())
+    cfg[section][field] = 2 ** 70
+    errors = _pretrain_in_fresh_interpreter(tmp_path, corpus_file, cfg, timeout=30,
+                                            preexec_fn=cap)
+    assert len(errors) == 1 and errors[0].startswith("error: ConfigError: the run needs"), errors
+    assert "more than the machine's" in errors[0]
 
 
 def test_pretrain_corpus_beyond_vocab_errors(tmp_path, capsys, corpus_file, micro_config):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import forbid_model_builds, tiny_config
 from rwkvp import autograd as ag
 from rwkvp import corpus as corpus_mod
 from rwkvp import evaluation
@@ -68,6 +68,41 @@ def test_train_config_rejects_values_float32_cannot_hold(fields, named):
 
 def test_train_config_accepts_integer_rates():
     assert training.TrainConfig(lr_max=1, lr_min=1, noise_std=0).noise_std == 0
+
+
+def test_the_size_check_compares_with_the_reported_memory(monkeypatch):
+    """The float32 parameters plus the int64 context starts (steps x batch)
+    must fit in the memory os.sysconf reports; where it reports none, the
+    check passes."""
+    cfg = tiny_config()
+    tc = training.TrainConfig(batch_size=2, mini_epochs=3, contexts_per_mini_epoch=3,
+                              context_length=16)
+    params = 4 * m.param_count(cfg)
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": params + 8 * 6 * 2}   # 2 steps x 3 epochs
+    monkeypatch.setattr(training.os, "sysconf", memory.__getitem__)
+    training._check_fits(cfg, tc)
+    memory["SC_PHYS_PAGES"] -= 1
+    with pytest.raises(m.ConfigError, match=f"{params} bytes of float32 parameters and 96 "
+                                            r"bytes of context starts \(6 steps of 2\)"):
+        training._check_fits(cfg, tc)
+
+    def unreported(name):
+        raise ValueError(name)
+    monkeypatch.setattr(training.os, "sysconf", unreported)
+    training._check_fits(m.ModelConfig(n_layers=2 ** 70), tc)
+
+
+def test_finetune_refuses_an_extension_that_cannot_fit(monkeypatch):
+    """2**70 perspectives is one ConfigError, raised before the extension
+    walks or allocates anything."""
+    base_cfg = tiny_config()
+    base_store, _ = m.init_base_params(base_cfg, seed=0)
+    forbid_model_builds(monkeypatch)
+    tokens = np.arange(64) % base_cfg.vocab_size
+    tc = training.TrainConfig(mini_epochs=1, contexts_per_mini_epoch=2, context_length=16)
+    with pytest.raises(m.ConfigError, match="float32 parameters"):
+        training.finetune_perspectives(base_store, base_cfg, 2 ** 70, "weighted_softmax",
+                                       tokens, tokens, tc)
 
 
 def _noisy_extended(n=3, seed=0, aggregation="weighted_softmax"):
