@@ -64,10 +64,9 @@ def test_criterion_02_n1_reduction_bit_identical(capsys):
 def test_criterion_03_finite_difference_gradcheck(capsys, criterion_03):
     """Full-model analytic gradients vs central differences: L=2, d=8, n=3,
     T=5, epsilon=1e-5, float64; max relative error < 1e-4."""
-    result = criterion_03
-    _report(capsys, 3, result.max_rel_error < 1e-4,
-            f"max rel error {result.max_rel_error:.3e} over "
-            f"{result.coords_checked} coordinates (limit 1e-4)")
+    _report(capsys, 3, criterion_03.max_rel_error < 1e-4,
+            f"max rel error {criterion_03.max_rel_error:.3e} over "
+            f"{criterion_03.coords_checked} coordinates (limit 1e-4)")
 
 
 def test_criterion_04_freeze_invariant(capsys, synth_split):

@@ -101,15 +101,3 @@ def test_pretrain_exits_cleanly_on_any_config(corpus_dir, overrides):
     if code == 1:
         assert len(ERROR_LINE.findall(err)) == 1 and err.startswith("error: "), err
 
-
-def test_the_generated_sizes_reach_both_outcomes(corpus_dir):
-    """The base config runs, and a large size is refused with one line."""
-    path = corpus_dir / "base.json"
-    path.write_text(json.dumps(BASE))
-    argv = ["pretrain", "--config", str(path), "--corpus", str(corpus_dir / "corpus.txt"),
-            "--out", str(corpus_dir / "run")]
-    assert _run(argv) == (0, "")
-    path.write_text(json.dumps({**BASE, "model": {**BASE["model"], "n_layers": 2 ** 40}}))
-    code, err = _run(argv)
-    assert code == 1 and err.startswith("error: ConfigError: the run needs"), err
-
