@@ -42,8 +42,9 @@ def perplexity(model: m.Model, tokens: np.ndarray, chunk: int | None = None) -> 
     The stream is processed in chunks (by default of the context length)
     with recurrent-state handoff, so the result is invariant to the chunk size.
     Raises CorpusError for a stream that is not 1-D or holds fewer than two
-    tokens, and ag.NonFiniteError if the NLL is not finite (non-finite or
-    overflowing logits).
+    tokens, and ag.NonFiniteError if the perplexity is not finite: a
+    non-finite NLL (non-finite or overflowing logits), or a mean NLL whose
+    exp overflows the logits' dtype (above about 88.7 in float32).
     """
     chunk = model.config.context_length if chunk is None else chunk
     if chunk < 1:
@@ -57,10 +58,13 @@ def perplexity(model: m.Model, tokens: np.ndarray, chunk: int | None = None) -> 
         targets = tokens[start + 1:start + 1 + len(logits)]
         logp = ag._log_softmax(logits[:len(targets)])
         nll_sum -= logp[np.arange(len(targets)), targets].sum()
-    if not math.isfinite(nll_sum):
-        raise ag.NonFiniteError(f"perplexity: the summed NLL over {len(tokens) - 1} "
-                                f"predictions is {nll_sum}")
-    return float(np.exp(nll_sum / (len(tokens) - 1)))
+    mean = nll_sum / (len(tokens) - 1)
+    with np.errstate(over="ignore"):    # an overflow is the inf refused below
+        ppl = float(np.exp(mean))
+    if not math.isfinite(ppl):
+        raise ag.NonFiniteError(f"perplexity: the mean NLL over {len(tokens) - 1} "
+                                f"predictions is {mean}, so the perplexity is {ppl}")
+    return ppl
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +197,9 @@ def run_ablation(axis: str, base_cfg: m.ModelConfig, base_store: ParamStore,
     """Fine-tune + evaluate per (arm, seed); report mean and stddev per arm.
 
     The metric is validation perplexity after the arm's fine-tuning run.
-    A diverging arm (a non-finite loss, or a non-finite value the WKV or the
-    perplexity refuses) is marked failed; the report is still emitted.
+    A diverging arm (training.DivergenceError: a non-finite loss, an
+    overflow, or a non-finite value the WKV, the clip or the perplexity
+    refuses) is marked failed; the report is still emitted.
     """
     if axis not in ABLATION_AXES:
         raise m.ConfigError(f"unknown ablation axis {axis!r}; one of {ABLATION_AXES}")
@@ -218,7 +223,7 @@ def run_ablation(axis: str, base_cfg: m.ModelConfig, base_store: ParamStore,
                     base_store, base_cfg, setting["n_perspectives"], setting["aggregation"],
                     train_tokens, val_tokens, arm_tc)
                 values.append(log.val_ppl[-1][1])
-            except (training.DivergenceError, ag.NonFiniteError):
+            except training.DivergenceError:
                 failed = True
                 break
         if failed:

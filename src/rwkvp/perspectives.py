@@ -20,6 +20,15 @@ from rwkvp.autograd import Tensor
 from rwkvp.params import FreezeMask, ParamStore
 
 
+def extended_config(base_cfg: m.ModelConfig, n: int,
+                    aggregation: str = "weighted_softmax") -> m.ModelConfig:
+    """The config of base_cfg's n=1 base extended to n perspectives."""
+    if base_cfg.n_perspectives != 1:
+        raise m.ConfigError(f"extension starts from a base with n_perspectives=1, "
+                            f"got {base_cfg.n_perspectives}")
+    return replace(base_cfg, n_perspectives=n, aggregation=aggregation)
+
+
 def extend_to_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
                            n: int, aggregation: str = "weighted_softmax"
                            ) -> tuple[m.ModelConfig, ParamStore, FreezeMask]:
@@ -32,10 +41,7 @@ def extend_to_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
     aggregator leaf its identity-to-base value. The freeze mask, built in
     the same walk, leaves only the mu leaves and the aggregator trainable.
     """
-    if base_cfg.n_perspectives != 1:
-        raise m.ConfigError(f"extension starts from a base with n_perspectives=1, "
-                            f"got {base_cfg.n_perspectives}")
-    cfg = replace(base_cfg, n_perspectives=n, aggregation=aggregation)
+    cfg = extended_config(base_cfg, n, aggregation)
     dtype = base_store["emb.weight"].data.dtype
     store, mask = ParamStore(), FreezeMask()
     for name, shape in m.param_shapes(cfg).items():

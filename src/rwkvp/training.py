@@ -13,7 +13,7 @@ import ctypes
 import itertools
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from rwkvp.params import FreezeMask, ParamStore
 
 
 class DivergenceError(RuntimeError):
-    def __init__(self, step: int, value: float):
-        super().__init__(f"training diverged at step {step} (loss={value})")
+    def __init__(self, step: int, detail: str):
+        super().__init__(f"training diverged at step {step} ({detail})")
         self.step = step
 
 
@@ -246,10 +246,6 @@ def _check_fits(cfg: m.ModelConfig, tc: TrainConfig) -> None:
                             f"more than the machine's {memory} bytes of memory")
 
 
-# A diverging run overflows on its way to the non-finite loss, gradient norm,
-# WKV input or perplexity that stops it with a typed error; numpy's warnings
-# would only repeat that error, ahead of it.
-@np.errstate(over="ignore", invalid="ignore")
 def _train_loop(model: m.Model, train_tokens: np.ndarray, val_tokens: np.ndarray,
                 tc: TrainConfig) -> TrainLog:
     """Adam steps on the model's trainable parameters over batches of
@@ -275,26 +271,34 @@ def _train_loop(model: m.Model, train_tokens: np.ndarray, val_tokens: np.ndarray
     opt = Adam()
     _keep_freed_memory_mapped()
     step = 0
-    for epoch in range(tc.mini_epochs):
-        for _ in range(steps_per_epoch):
-            lr = lr_schedule(step, total_steps, tc.lr_max, tc.lr_min)
-            store.zero_grad()
-            batch = np.stack([next(sampler) for _ in range(tc.batch_size)], axis=1)
-            loss = _batch_loss(model, batch)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise DivergenceError(step, value)
-            loss.backward()
-            # opt.step updates the leaves in place: the graph must be gone
-            del loss
-            grad = store.collect_grads(mask)
-            norm = clip_global_norm(grad, sizes, tc.grad_clip)
-            opt.step(params, grad, lr)
-            log.steps.append((step, lr, value))
-            log.grad_norms.append((step, norm, norm > tc.grad_clip > 0))
-            step += 1
-        ppl = evaluation.perplexity(model, val_tokens, chunk=tc.context_length)
-        log.val_ppl.append((epoch, ppl))
+    # A diverging run overflows on its way to a non-finite value. numpy raises
+    # at the first overflow or invalid value, and the gradient-norm, WKV and
+    # perplexity checks at the first non-finite one; either ends the run as
+    # one DivergenceError naming the step (for a mini-epoch's validation, its
+    # last step).
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for epoch in range(tc.mini_epochs):
+                for step in range(epoch * steps_per_epoch, (epoch + 1) * steps_per_epoch):
+                    lr = lr_schedule(step, total_steps, tc.lr_max, tc.lr_min)
+                    store.zero_grad()
+                    batch = np.stack([next(sampler) for _ in range(tc.batch_size)], axis=1)
+                    loss = _batch_loss(model, batch)
+                    value = loss.item()
+                    if not math.isfinite(value):
+                        raise DivergenceError(step, f"loss={value}")
+                    loss.backward()
+                    # opt.step updates the leaves in place: the graph must be gone
+                    del loss
+                    grad = store.collect_grads(mask)
+                    norm = clip_global_norm(grad, sizes, tc.grad_clip)
+                    opt.step(params, grad, lr)
+                    log.steps.append((step, lr, value))
+                    log.grad_norms.append((step, norm, norm > tc.grad_clip > 0))
+                ppl = evaluation.perplexity(model, val_tokens, chunk=tc.context_length)
+                log.val_ppl.append((epoch, ppl))
+        except FloatingPointError as e:     # ag.NonFiniteError is one
+            raise DivergenceError(step, str(e)) from e
     return log
 
 
@@ -319,7 +323,7 @@ def finetune_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
                           val_tokens: np.ndarray, tc: TrainConfig
                           ) -> tuple[m.ModelConfig, ParamStore, FreezeMask, TrainLog]:
     """Frozen-base fine-tuning of the temporal components and aggregator."""
-    _check_fits(replace(base_cfg, n_perspectives=n, aggregation=aggregation), tc)
+    _check_fits(persp_mod.extended_config(base_cfg, n, aggregation), tc)
     cfg, store, mask = persp_mod.extend_to_perspectives(base_store, base_cfg, n,
                                                         aggregation)
     if tc.noise_target == "selector" and cfg.aggregation != "average":

@@ -382,9 +382,8 @@ def test_pretrain_rate_float32_cannot_hold_errors(tmp_path, corpus_file, micro_c
 
 def test_pretrain_diverging_rate_is_one_typed_error(tmp_path, capsys, corpus_file, micro_config):
     """A finite rate of 1e16 blows the weights up after one step, and the next
-    forward overflows on its way to the non-finite WKV input that stops the
-    run: one typed error, with no numpy RuntimeWarning (an error in tier-1)
-    ahead of it."""
+    forward overflows: one DivergenceError naming that step, with no numpy
+    RuntimeWarning (an error in tier-1) ahead of it."""
     cfg = json.loads(micro_config.read_text())
     cfg["train"]["lr_max"] = 1e16
     path = tmp_path / "diverging.json"
@@ -392,7 +391,8 @@ def test_pretrain_diverging_rate_is_one_typed_error(tmp_path, capsys, corpus_fil
     rc = cli.main(["pretrain", "--config", str(path), "--corpus", str(corpus_file),
                    "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
-    assert rc == 1 and re.fullmatch(r"error: (NonFiniteError|DivergenceError): [^\n]*\n", err), err
+    assert rc == 1 and re.fullmatch(r"error: DivergenceError: training diverged at step 1 "
+                                    r"\(overflow encountered in \w+\)\n", err), err
 
 
 @pytest.mark.parametrize("section,field", [

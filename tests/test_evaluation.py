@@ -88,6 +88,16 @@ def test_perplexity_non_finite_nll_raises(bad):
         evaluation.perplexity(StubModel(row_fn), tokens)
 
 
+def test_perplexity_whose_exp_overflows_float32_raises():
+    """Each float32 row puts 100 nats on the target: the summed NLL is
+    finite, but exp of its mean overflows float32 (past about 88.7). That is
+    a NonFiniteError, with no numpy warning (an error in tier-1) ahead of it."""
+    from rwkvp.autograd import NonFiniteError
+    row = np.array([0.0, 100.0, 0.0, 0.0], dtype=np.float32)
+    with pytest.raises(NonFiniteError, match=r"mean NLL over 19 predictions is 100\.0.*is inf"):
+        evaluation.perplexity(StubModel(lambda pos, tok: row), np.zeros(20, dtype=np.int64))
+
+
 def test_perplexity_invariant_to_chunk_size():
     rng = np.random.default_rng(1)
     rows = rng.uniform(-2, 2, (300, 4))

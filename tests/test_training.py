@@ -215,9 +215,27 @@ def test_a_non_finite_gradient_never_reaches_the_parameters(synth_split, monkeyp
     before = store.digest(trainable)
     tc = training.TrainConfig(batch_size=2, lr_max=1e-3, lr_min=5e-4, mini_epochs=1,
                               contexts_per_mini_epoch=4, context_length=8, seed=0)
-    with pytest.raises(ag.NonFiniteError, match="global norm"):
+    with pytest.raises(training.DivergenceError, match=r"at step 0 \(the gradient's global norm"):
         training._train_loop(m.Model(cfg, store, mask), train_tokens, val_tokens[:32], tc)
     assert store.digest(trainable) == before
+
+
+def test_a_finite_loss_with_an_overflowing_perplexity_is_a_divergence(synth_split):
+    """Logits scaled until the validation's mean NLL (about 244) is past
+    float32's exp limit (about 88.7): the step's loss is finite, and the
+    perplexity's inf ends the run as a DivergenceError naming the mini-epoch's
+    last step, with no numpy warning (an error in tier-1) ahead of it."""
+    train_tokens, val_tokens = synth_split
+    cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
+    store, mask = m.init_base_params(cfg, seed=0)
+    store["head.weight"].data *= 100
+    tc = training.TrainConfig(batch_size=2, lr_max=1e-6, lr_min=1e-6, mini_epochs=1,
+                              contexts_per_mini_epoch=2, context_length=8, seed=0)
+    with pytest.raises(training.DivergenceError,
+                       match=r"at step 0 \(perplexity: the mean NLL over 31 predictions is 2\d\d\."
+                       ) as info:
+        training._train_loop(m.Model(cfg, store, mask), train_tokens, val_tokens[:32], tc)
+    assert isinstance(info.value.__cause__, ag.NonFiniteError) and info.value.step == 0
 
 
 def test_clip_norm_sums_leaf_by_leaf():
