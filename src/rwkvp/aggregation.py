@@ -6,7 +6,9 @@ All operate position-wise on the stacked pre-head embeddings p
 (final LN + unembedding) is applied inside each aggregator. The weighted head
 mixes the normalised embeddings and projects once, which equals mixing the
 per-perspective logits up to rounding. With n=1 every mode reduces to the
-plain head.
+plain RWKV-v4 head. Each head takes p and the store as run_stream's composition
+does: Tensors and the ParamStore on the tape path, arrays and the leaves'
+arrays by name on the plain path.
 """
 
 from __future__ import annotations
@@ -17,16 +19,16 @@ from rwkvp.autograd import Tensor
 from rwkvp.params import ParamStore
 
 
-def _mean_embedding(p: Tensor) -> Tensor:
+def _mean_embedding(p):
     return ag.scale(ag.sum_(p, axis=-2), 1.0 / p.shape[-2])
 
 
-def aggregate_average(p: Tensor, store: ParamStore) -> Tensor:
+def aggregate_average(p, store):
     """head(mean of perspective embeddings)."""
     return m.head_logits(store, _mean_embedding(p))
 
 
-def aggregate_transformer(p: Tensor, store: ParamStore) -> Tensor:
+def aggregate_transformer(p, store):
     """head(affine projection of the concatenated embeddings)."""
     # (T, [B,] n, d) -> (T, [B,] n*d): each row is [p_1 | p_2 | ... | p_n]
     cat = ag.reshape(p, p.shape[:-2] + (p.shape[-2] * p.shape[-1],))
@@ -34,7 +36,7 @@ def aggregate_transformer(p: Tensor, store: ParamStore) -> Tensor:
     return m.head_logits(store, mixed)
 
 
-def aggregate_weighted(p: Tensor, store: ParamStore) -> tuple[Tensor, Tensor]:
+def aggregate_weighted(p, store):
     """Learned softmax-weighted combination of per-perspective logits.
 
     weights = softmax(selector(mean of embeddings)) per position. The output
@@ -52,9 +54,19 @@ def aggregate_weighted(p: Tensor, store: ParamStore) -> tuple[Tensor, Tensor]:
 
 def aggregate(cfg: m.ModelConfig, store: ParamStore, p: Tensor
               ) -> tuple[Tensor, Tensor | None]:
-    """Dispatch on cfg.aggregation; returns (logits, weights-or-None)."""
+    """Dispatch on cfg.aggregation; returns (logits, weights-or-None).
+
+    Under no_grad the head runs on p's and the leaves' arrays (the plain
+    path, see rwkvp.model) and wraps its results in Tensors.
+    """
+    tape = ag._grad_enabled
+    leaves, x = (store, p) if tape else (store.arrays(), p.data)
     if cfg.aggregation == "average":
-        return aggregate_average(p, store), None
-    if cfg.aggregation == "transformer_like":
-        return aggregate_transformer(p, store), None
-    return aggregate_weighted(p, store)
+        logits, weights = aggregate_average(x, leaves), None
+    elif cfg.aggregation == "transformer_like":
+        logits, weights = aggregate_transformer(x, leaves), None
+    else:
+        logits, weights = aggregate_weighted(x, leaves)
+    if tape:
+        return logits, weights
+    return Tensor(logits), None if weights is None else Tensor(weights)

@@ -38,6 +38,13 @@ For the same reason token_shift takes a stacked (S, n, d) mu and matmul a
 stacked (S, d, k) weight: the time-mix block's r, k and v are one shift and
 one batched GEMM, each slot bitwise what its own call would give.
 
+The plain path: every op the model's forward calls (all but cross_entropy)
+also takes plain arrays, where it runs its forward arithmetic alone and
+returns an array: no Tensor, no node, no shape check. A forward under
+no_grad runs this way on the leaves' arrays (see rwkvp.model), having
+checked its inputs once where they enter. Both paths run the same code for
+the forward (the ops' kernels), so they give bitwise the same arrays.
+
 Precision: a leaf keeps a float32 or float64 array as given and converts
 anything else to float32; intermediate results and gradients follow numpy
 promotion, so casting the leaves to float64 is enough to run a whole graph
@@ -209,10 +216,70 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# forward kernels: an op's arithmetic on plain arrays, with what its backward
+# reads. The op runs its kernel on either path (see the module docstring).
+
+
+def _sigmoid_mul(a: np.ndarray, b: np.ndarray):
+    """(sigmoid(a) * b, sigmoid(a))."""
+    s = 1.0 / (1.0 + np.exp(-a))
+    return s * b, s
+
+
+def _relu_square(a: np.ndarray):
+    """(max(a, 0) ** 2, max(a, 0))."""
+    r = np.maximum(a, 0.0)
+    return r * r, r
+
+
+def _token_shift(x: np.ndarray, first_row: np.ndarray, m: np.ndarray):
+    """(token_shift's result, prev, mu's slots broadcast over x's rows, 1 - slots)."""
+    prev = np.empty(x.shape[:-2] + m.shape[-2:], x.dtype)
+    prev[0] = first_row
+    if len(x) > 1:                   # a one-token chunk (decoding) has no rows to shift
+        prev[1:] = x[:-1]
+    # every slot of mu, broadcast over x's rows: (S, 1, ..., 1, n, d)
+    slots = m.reshape((-1,) + (1,) * (x.ndim - 2) + m.shape[-2:])
+    keep = 1.0 - slots
+    out = np.multiply(x, slots)
+    out += prev * keep
+    return out.reshape(m.shape[:-2] + prev.shape), prev, slots, keep
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    rows = a.reshape(b.shape[:-2] + (-1, b.shape[-2]))
+    return (rows @ b).reshape(a.shape[:-1] + b.shape[-1:])
+
+
+def _softmax(a: np.ndarray) -> np.ndarray:
+    z = a - a.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+LAYER_NORM_EPS = 1e-5
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """(the normalised rows times gain plus bias, the normalised rows, 1 / std)."""
+    # row means as add.reduce / d: what ndarray.mean computes, bitwise,
+    # without its Python-level wrapper
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
+    xm = x - mu
+    var = np.add.reduce(xm * xm, axis=-1, keepdims=True) / d
+    invstd = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = xm * invstd
+    return xhat * gain + bias, xhat, invstd
+
+
+# ---------------------------------------------------------------------------
 # elementwise primitives
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    if not isinstance(a, Tensor):
+        return a + b
     try:
         data = a.data + b.data
     except ValueError:
@@ -231,6 +298,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    if not isinstance(a, Tensor):
+        return a * b
     try:
         data = a.data * b.data
     except ValueError:
@@ -252,6 +321,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
+    if not isinstance(a, Tensor):
+        return a * c
     out = Tensor(a.data * c, _needs_grad(a), "scale")
     if out.requires_grad:
         na = _node_of(a)
@@ -261,9 +332,10 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def sigmoid_mul(a: Tensor, b: Tensor) -> Tensor:
     """sigmoid(a) * b, the receptance gate, as one node."""
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    if not isinstance(a, Tensor):
+        return _sigmoid_mul(a, b)[0]
     try:
-        data = s * b.data
+        data, s = _sigmoid_mul(a.data, b.data)
     except ValueError:
         raise ShapeError(f"sigmoid_mul: incompatible shapes {a.shape} and {b.shape}") from None
     out = Tensor(data, _needs_grad(a, b), "sigmoid_mul")
@@ -282,8 +354,10 @@ def sigmoid_mul(a: Tensor, b: Tensor) -> Tensor:
 
 def relu_square(a: Tensor) -> Tensor:
     """max(a, 0) ** 2, the channel-mix key activation, as one node."""
-    r = np.maximum(a.data, 0.0)
-    out = Tensor(r * r, _needs_grad(a), "relu_square")
+    if not isinstance(a, Tensor):
+        return _relu_square(a)[0]
+    data, r = _relu_square(a.data)
+    out = Tensor(data, _needs_grad(a), "relu_square")
     if out.requires_grad:
         na = _node_of(a)
         out._node = _Node(lambda g: _accumulate(na, g * 2.0 * r), na)
@@ -299,6 +373,8 @@ def token_shift(a: Tensor, first_row: np.ndarray, mu: Tensor) -> Tensor:
     Each of the S slots of mu mixes the same a and prev, and the result is
     ([S,] T, ..., n, d), slot s at [s]; a 2-D mu is one slot with no S axis.
     """
+    if not isinstance(a, Tensor):
+        return _token_shift(a, first_row, mu)[0]
     x, m = a.data, mu.data
     shape = x.shape
     if (x.ndim < 3 or m.ndim not in (2, 3) or shape[-1] != m.shape[-1]
@@ -306,15 +382,8 @@ def token_shift(a: Tensor, first_row: np.ndarray, mu: Tensor) -> Tensor:
             or np.shape(first_row) != shape[1:-2] + m.shape[-2:]):
         raise ShapeError(f"token_shift: input {shape}, first_row {np.shape(first_row)}, "
                          f"mu {m.shape}")
-    prev = np.empty(shape[:-2] + m.shape[-2:], x.dtype)
-    prev[0] = first_row
-    prev[1:] = x[:-1]
-    # every slot of mu, broadcast over a's rows: (S, 1, ..., 1, n, d)
-    slots = m.reshape((-1,) + (1,) * (x.ndim - 2) + m.shape[-2:])
-    keep = 1.0 - slots
-    out = np.multiply(x, slots)
-    out += prev * keep
-    out = Tensor(out.reshape(m.shape[:-2] + prev.shape), _needs_grad(a, mu), "token_shift")
+    data, prev, slots, keep = _token_shift(x, first_row, m)
+    out = Tensor(data, _needs_grad(a, mu), "token_shift")
     if out.requires_grad:
         na, nmu, rows, mu_shape = _node_of(a), _node_of(mu), prev.shape, m.shape
         # mu's gradient reads x - prev, one array that every slot shares
@@ -341,20 +410,20 @@ def token_shift(a: Tensor, first_row: np.ndarray, mu: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """([S,] ..., d) @ ([S,] d, k): one GEMM over the flattened rows, or with
     a stacked (S, d, k) weight one batched GEMM, slot s of a by slot s of b."""
+    if not isinstance(a, Tensor):
+        return _matmul(a, b)
     lead = b.shape[:-2]
     if (b.data.ndim not in (2, 3) or a.data.ndim <= len(lead)
             or a.shape[:len(lead)] != lead or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"matmul: need (..., d) @ (d, k) or (S, ..., d) @ (S, d, k), "
                          f"got {a.shape} and {b.shape}")
-    rows = a.data.reshape(lead + (-1, b.shape[-2]))
-    out = Tensor((rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:]), _needs_grad(a, b), "matmul")
+    out = Tensor(_matmul(a.data, b.data), _needs_grad(a, b), "matmul")
     if out.requires_grad:
         na, nb, a_shape, k = _node_of(a), _node_of(b), a.shape, b.shape[-1]
         # the input rows are read only for the weight's gradient, the weight
         # only for the input's
         bd = b.data if na is not None else None
-        if nb is None:
-            rows = None
+        rows = a.data.reshape(lead + (-1, b.shape[-2])) if nb is not None else None
 
         def bwd(g):
             g2 = g.reshape(lead + (-1, k))
@@ -367,6 +436,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
+    if not isinstance(a, Tensor):
+        return a.T
     out = Tensor(a.data.T, _needs_grad(a), "transpose")
     if out.requires_grad:
         na = _node_of(a)
@@ -376,6 +447,8 @@ def transpose(a: Tensor) -> Tensor:
 
 def sum_(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum of all entries, or over one axis."""
+    if not isinstance(a, Tensor):
+        return np.asarray(a.sum(axis=axis))
     out = Tensor(np.asarray(a.data.sum(axis=axis)), _needs_grad(a), "sum")
     if out.requires_grad:
         na, a_shape = _node_of(a), a.shape
@@ -389,6 +462,8 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
+    if not isinstance(a, Tensor):
+        return a.reshape(shape)
     out = Tensor(a.data.reshape(shape), _needs_grad(a), "reshape")
     if out.requires_grad:
         na, a_shape = _node_of(a), a.shape
@@ -398,9 +473,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    if not isinstance(a, Tensor):
+        return _softmax(a)
+    p = _softmax(a.data)
     out = Tensor(p, _needs_grad(a), "softmax")
     if out.requires_grad:
         na = _node_of(a)
@@ -412,24 +487,17 @@ def softmax(a: Tensor) -> Tensor:
     return out
 
 
-LAYER_NORM_EPS = 1e-5
-
-
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis; constant rows map to the bias."""
+    if not isinstance(a, Tensor):
+        return _layer_norm(a, gain, bias)[0]
     if a.shape[-1] != gain.shape[0] or gain.shape != bias.shape:
         raise ShapeError(f"layer_norm: shapes {a.shape}, {gain.shape}, {bias.shape}")
-    # row means as add.reduce / d: what ndarray.mean computes, bitwise,
-    # without its Python-level wrapper
-    d = a.shape[-1]
-    mu = np.add.reduce(a.data, axis=-1, keepdims=True) / d
-    xm = a.data - mu
-    var = np.add.reduce(xm * xm, axis=-1, keepdims=True) / d
-    invstd = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xm * invstd
-    out = Tensor(xhat * gain.data + bias.data, _needs_grad(a, gain, bias), "layer_norm")
+    data, xhat, invstd = _layer_norm(a.data, gain.data, bias.data)
+    out = Tensor(data, _needs_grad(a, gain, bias), "layer_norm")
     if out.requires_grad:
-        na, ngain, nbias, p_shape = _node_of(a), _node_of(gain), _node_of(bias), gain.shape
+        na, ngain, nbias, p_shape, d = (_node_of(a), _node_of(gain), _node_of(bias),
+                                        gain.shape, a.shape[-1])
         gd = gain.data if na is not None else None
 
         def bwd(g):
@@ -448,6 +516,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def embed(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup: out[t] = table[ids[t]]; run_stream has checked the ids' range."""
+    if not isinstance(table, Tensor):
+        return table[ids]
     out = Tensor(table.data[ids], _needs_grad(table), "embed")
     if out.requires_grad:
         nt, td = _node_of(table), table.data

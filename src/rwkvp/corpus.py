@@ -20,7 +20,8 @@ class CorpusError(ValueError):
 def check_token_range(tokens: np.ndarray, vocab_size: int) -> None:
     """Raise CorpusError unless tokens is a non-empty integer array and every id
     lies in [0, vocab_size)."""
-    if not np.issubdtype(tokens.dtype, np.integer):
+    # by kind, signed or unsigned: numpy ranks timedelta64 under np.integer
+    if tokens.dtype.kind not in "iu":
         raise CorpusError(f"token ids must be integers, got dtype {tokens.dtype}")
     if tokens.size == 0:
         raise CorpusError(f"empty token array {tokens.shape}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,14 +42,15 @@ def perplexity(model: m.Model, tokens: np.ndarray, chunk: int | None = None) -> 
 
     The stream is processed in chunks (by default of the context length)
     with recurrent-state handoff, so the result is invariant to the chunk size.
-    Raises CorpusError for a stream that is not 1-D or holds fewer than two
+    Raises ConfigError for a chunk that is not an integer >= 1 (a bool is
+    not one), CorpusError for a stream that is not 1-D or holds fewer than two
     tokens, and ag.NonFiniteError if the perplexity is not finite: a
     non-finite NLL (non-finite or overflowing logits), or a mean NLL whose
     exp overflows the logits' dtype (above about 88.7 in float32).
     """
     chunk = model.config.context_length if chunk is None else chunk
-    if chunk < 1:
-        raise m.ConfigError(f"chunk must be >= 1, got {chunk}")
+    if not isinstance(chunk, numbers.Integral) or isinstance(chunk, bool) or chunk < 1:
+        raise m.ConfigError(f"chunk must be an integer >= 1, got {chunk!r}")
     tokens = np.asarray(tokens)
     if tokens.size < 2:
         raise CorpusError("perplexity needs at least two tokens")

@@ -28,6 +28,17 @@ is the n=1 reference that an extended model reduces to. It returns the
 head's logits (T, [B,] V) as they are (the weighted head also its weights
 (T, [B,] n)). The recurrent parts cross chunk boundaries as detached numpy
 state: one StreamState per layer, each array ([B,] n, d), with no time axis.
+
+Two paths run this one composition (run_stream, time_mixing,
+channel_mixing, head_logits and the aggregation heads). With the tape on,
+the ops take the store's Tensors. Under ag.no_grad, run_stream and
+aggregation.aggregate read the leaves' arrays once per call
+(ParamStore.arrays) and the ops take those (the plain path; see
+rwkvp.autograd), with wkv.wkv_forward for the WKV: no Tensor, no graph node
+and no per-op check, the tokens and the state's shapes being checked once at
+run_stream's entry. The ops run the same forward arithmetic on both paths,
+so the numbers are bitwise equal; the results come back wrapped in a
+Tensor, as on the tape path.
 """
 
 from __future__ import annotations
@@ -215,28 +226,31 @@ class StreamState:
                    np.zeros(shape, dtype=dtype))
 
 
-def time_mixing(store: ParamStore, layer: int, xx: Tensor,
-                st: StreamState) -> tuple[Tensor, np.ndarray, tuple]:
+def time_mixing(store, layer: int, xx, st: StreamState):
     """Time-mix block over post-LN chunks xx (T, [B,] n, d), one per perspective
     (at layer 0 one (T, [B,] 1, d) chunk that all n share).
 
+    On the tape path store is the ParamStore and xx a Tensor; on the plain
+    path (see run_stream) store maps each leaf's name to its array
+    (ParamStore.arrays) and xx is an array, as is the delta returned.
     Returns (residual delta, new att_prev rows ([B,] n, d), new wkv state).
     """
+    tape = isinstance(xx, Tensor)
     pre = f"layer{layer}.att"
     # r, k and v as one stack (3, T, [B,] n, d): one shift, one batched GEMM
     rkv = ag.matmul(ag.token_shift(xx, st.att_prev, store[f"{pre}.mu_rkv"]),
                     store[f"{pre}.w_rkv"])
-    y, wkv_state = wkv.wkv_sequence(rkv, store[f"{pre}.decay"], store[f"{pre}.bonus"],
-                                    st.wkv_state)
+    y, wkv_state = (wkv.wkv_sequence if tape else wkv.wkv_forward)(
+        rkv, store[f"{pre}.decay"], store[f"{pre}.bonus"], st.wkv_state)
     out = ag.matmul(y, store[f"{pre}.w_o"])
     att_prev = np.empty_like(st.att_prev)
-    att_prev[...] = xx.data[-1]
+    att_prev[...] = (xx.data if tape else xx)[-1]
     return out, att_prev, wkv_state
 
 
-def channel_mixing(store: ParamStore, layer: int, xx: Tensor,
-                   st: StreamState) -> tuple[Tensor, np.ndarray]:
-    """Channel-mix block over post-LN chunks xx (T, [B,] n, d), one per perspective.
+def channel_mixing(store, layer: int, xx, st: StreamState):
+    """Channel-mix block over post-LN chunks xx (T, [B,] n, d), one per
+    perspective; store and xx as in time_mixing.
 
     Returns (residual delta, new ffn_prev rows).
     """
@@ -245,7 +259,22 @@ def channel_mixing(store: ParamStore, layer: int, xx: Tensor,
     xk = ag.token_shift(xx, st.ffn_prev, store[f"{pre}.mu_k"])
     kk = ag.relu_square(ag.matmul(xk, store[f"{pre}.w_k"]))
     out = ag.sigmoid_mul(ag.matmul(xr, store[f"{pre}.w_r"]), ag.matmul(kk, store[f"{pre}.w_v"]))
-    return out, xx.data[-1].copy()
+    return out, (xx.data if isinstance(xx, Tensor) else xx)[-1].copy()
+
+
+def _check_states(states, n_layers: int, shape) -> None:
+    """Raise ShapeError unless states holds one StreamState per layer and
+    each of its arrays has the shape ([B,] n, d)."""
+    if len(states) != n_layers:
+        raise ag.ShapeError(f"run_stream: {len(states)} states for {n_layers} layers")
+    for l, st in enumerate(states):
+        a, b, p = st.wkv_state
+        for name, array in (("att_prev", st.att_prev), ("wkv_state a", a), ("wkv_state b", b),
+                            ("wkv_state p", p), ("ffn_prev", st.ffn_prev)):
+            if getattr(array, "shape", None) != shape:
+                raise ag.ShapeError(f"run_stream: layer {l}'s {name} must be an array of "
+                                    f"shape {shape}, got {type(array).__name__} "
+                                    f"{np.shape(array)}")
 
 
 def run_stream(cfg: ModelConfig, store: ParamStore, tokens: np.ndarray,
@@ -253,33 +282,40 @@ def run_stream(cfg: ModelConfig, store: ParamStore, tokens: np.ndarray,
     """Full stack for all cfg.n_perspectives streams in one pass.
 
     tokens: (T,) or (T, B). Returns the pre-head embeddings (T, [B,] n, d)
-    and one new StreamState per layer.
+    and one new StreamState per layer. The tokens and the shape of every
+    state array are checked here, once. Under no_grad this is the plain
+    path: the same composition on the leaves' arrays, with wkv.wkv_forward
+    for the WKV, bitwise the tape's numbers, and no Tensor until the result.
     """
     tokens = np.asarray(tokens)
     check_token_range(tokens, cfg.vocab_size)
+    shape = tokens.shape[1:] + (cfg.n_perspectives, cfg.d_model)
     if states is None:
-        shape = tokens.shape[1:] + (cfg.n_perspectives, cfg.d_model)
         states = [StreamState.zeros(shape, store["emb.weight"].data.dtype)
                   for _ in range(cfg.n_layers)]
-    x = ag.embed(store["emb.weight"], tokens[..., None])     # (T, [B,] 1, d)
-    x = ag.layer_norm(x, store["ln0.g"], store["ln0.b"])
+    else:
+        _check_states(states, cfg.n_layers, shape)
+    tape = ag._grad_enabled
+    leaves = store if tape else store.arrays()
+    x = ag.embed(leaves["emb.weight"], tokens[..., None])     # (T, [B,] 1, d)
+    x = ag.layer_norm(x, leaves["ln0.g"], leaves["ln0.b"])
     new_states = []
-    for l in range(cfg.n_layers):
-        st = states[l]
-        xx = ag.layer_norm(x, store[f"layer{l}.ln1.g"], store[f"layer{l}.ln1.b"])
-        delta, att_prev, wkv_state = time_mixing(store, l, xx, st)
+    for l, st in enumerate(states):
+        xx = ag.layer_norm(x, leaves[f"layer{l}.ln1.g"], leaves[f"layer{l}.ln1.b"])
+        delta, att_prev, wkv_state = time_mixing(leaves, l, xx, st)
         x = ag.add(x, delta)
-        xx = ag.layer_norm(x, store[f"layer{l}.ln2.g"], store[f"layer{l}.ln2.b"])
-        delta, ffn_prev = channel_mixing(store, l, xx, st)
+        xx = ag.layer_norm(x, leaves[f"layer{l}.ln2.g"], leaves[f"layer{l}.ln2.b"])
+        delta, ffn_prev = channel_mixing(leaves, l, xx, st)
         x = ag.add(x, delta)
         new_states.append(StreamState(att_prev, wkv_state, ffn_prev))
-    return x, new_states
+    return (x if tape else Tensor(x)), new_states
 
 
-def head_logits(store: ParamStore, p: Tensor, weights: Tensor | None = None) -> Tensor:
+def head_logits(store, p, weights=None):
     """Shared head: final LN then unembedding projection. Given weights
     (..., n) for p (..., n, d), the normalised rows are mixed by them over
-    the perspective axis first, so the projection runs once, on (..., d)."""
+    the perspective axis first, so the projection runs once, on (..., d).
+    store and p as in time_mixing."""
     x = ag.layer_norm(p, store["ln_out.g"], store["ln_out.b"])
     if weights is not None:
         x = ag.sum_(ag.mul(ag.reshape(weights, weights.shape + (1,)), x), axis=-2)

@@ -56,6 +56,12 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Each leaf's array by name, as bound now: what a forward under
+        no_grad reads. Read it once per forward and never keep it, since
+        flatten and the noise injections rebind a leaf's array."""
+        return {name: t.data for name, t in self._params.items()}
+
     def total_size(self) -> int:
         return sum(t.data.size for t in self._params.values())
 

@@ -5,9 +5,9 @@ B = b*e^p, with p a running log-scale maximum that keeps every exp argument
 <= 0. The empty state is a = b = 0, p = -inf.
 
 `wkv_step` is the plain one-token update: the reference the tests compare
-against, and what `wkv_sequence` runs for a one-token chunk that needs no
-gradient (T=1 decoding), where the scan buffers and the tiled w and u would
-cost more than the step itself. `wkv_sequence` takes the time-mix block's
+against, and what `wkv_forward` runs for a one-token chunk (T=1 decoding).
+`wkv_forward` is the WKV's entry in a forward under no_grad: plain arrays
+in and out, and for a longer chunk `wkv_sequence` itself. `wkv_sequence` takes the time-mix block's
 r, k and v as one stacked (3, T, ..., d) chunk, the batched projection's
 output, and returns sigmoid(r) * wkv inside a single autograd node with a
 hand-written backward over r, k, v, w, u. The gate is r's only use, so it
@@ -74,10 +74,43 @@ def wkv_step(state, k_t: np.ndarray, v_t: np.ndarray, w: np.ndarray, u: np.ndarr
     e1 = np.exp(p - q)
     e2 = np.exp(uk - q)
     y = (e1 * a + e2 * v_t) / (e1 * b + e2)
-    q2 = np.maximum(p - w, k_t)
-    f1 = np.exp(p - w - q2)
+    pw = p - w
+    q2 = np.maximum(pw, k_t)
+    f1 = np.exp(pw - q2)
     f2 = np.exp(k_t - q2)
     return y, (f1 * a + f2 * v_t, f1 * b + f2, q2)
+
+
+def _gate(r: np.ndarray) -> np.ndarray:
+    """sigmoid(r) in ag.sigmoid_mul's operations, 1 / (1 + exp(-r)), in place
+    in one new array."""
+    gate = np.negative(r)
+    np.exp(gate, out=gate)
+    gate += 1.0
+    np.divide(1.0, gate, out=gate)
+    return gate
+
+
+def wkv_forward(rkv: np.ndarray, w: np.ndarray, u: np.ndarray, state):
+    """wkv_sequence on plain arrays, for a forward under no_grad.
+
+    rkv (3, T, ..., d), w and u (d,), state the (a, b, p) triple, each
+    (..., d), whose shapes the caller has checked. Returns (out (T, ..., d),
+    final_state), bitwise wkv_sequence's. A one-token chunk runs wkv_step,
+    with w and u broadcast over the leading axes, where the scan buffers and
+    the tiled w and u would cost more than the step. A longer chunk runs
+    wkv_sequence, the scans' one entry, which builds no node under no_grad;
+    wrapping its inputs costs nothing next to the scans. A non-finite r, k
+    or v raises NonFiniteError.
+    """
+    if rkv.shape[1] > 1:
+        out, final_state = wkv_sequence(Tensor(rkv), Tensor(w), Tensor(u), state)
+        return out.data, final_state
+    if not np.isfinite(rkv).all():
+        raise ag.NonFiniteError("wkv_forward: non-finite r, k or v")
+    r, k, v = rkv
+    y, final_state = wkv_step(state, k[0], v[0], w, u)
+    return _gate(r) * y, final_state
 
 
 def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state=None):
@@ -88,7 +121,7 @@ def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state=None):
     (a, b, p) numpy triple, each (..., d), for handing off to the next
     chunk. The final state owns its memory: a view into the chunk's scan
     buffers would keep them alive for as long as the state is carried. A
-    non-finite value in rkv raises NonFiniteError on every route.
+    non-finite value in rkv raises NonFiniteError.
     """
     if rkv.data.ndim < 3 or rkv.shape[0] != 3:
         raise ag.ShapeError(f"wkv_sequence: rkv {rkv.shape}, need (3, T, ..., d)")
@@ -104,15 +137,7 @@ def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state=None):
     if not np.isfinite(rkv.data).all():
         raise ag.NonFiniteError("wkv_sequence: non-finite r, k or v")
     r, k, v = rkv.data
-    # sigmoid(r) in ag.sigmoid_mul's operations, 1 / (1 + exp(-r)), in place
-    gate = np.negative(r)
-    np.exp(gate, out=gate)
-    gate += 1.0
-    np.divide(1.0, gate, out=gate)
-    if T == 1 and not ag._needs_grad(rkv, w, u):
-        # the same formula as the scans below, bitwise; w and u broadcast over lead
-        y, final_state = wkv_step(state, k[0], v[0], w.data, u.data)
-        return Tensor(gate * y, _op="wkv_sequence"), final_state
+    gate = _gate(r)
     groups = math.prod(lead)
     D = groups * d
     kd, vd = k.reshape(T, D), v.reshape(T, D)

@@ -115,6 +115,22 @@ def test_perplexity_rejects_a_chunk_below_one(chunk):
         evaluation.perplexity(model, np.arange(10) % 4, chunk=chunk)
 
 
+@pytest.mark.parametrize("chunk", [2.5, 3.0, True, np.bool_(True), "3"])
+def test_perplexity_rejects_a_chunk_that_is_not_an_integer(chunk):
+    """A float chunk used to end in a raw TypeError and True ran as 1."""
+    model = StubModel(lambda pos, tok: np.zeros(4))
+    with pytest.raises(m.ConfigError, match="chunk must be an integer"):
+        evaluation.perplexity(model, np.arange(10) % 4, chunk=chunk)
+
+
+def test_perplexity_takes_a_numpy_integer_chunk():
+    rows = np.random.default_rng(2).uniform(-2, 2, (20, 4))
+    model = StubModel(lambda pos, tok: rows[pos])
+    tokens = np.arange(10) % 4
+    assert (evaluation.perplexity(model, tokens, chunk=np.int64(3))
+            == evaluation.perplexity(model, tokens, chunk=3))
+
+
 def test_perplexity_defaults_the_chunk_to_the_context_length(monkeypatch):
     chunks = []
     stream = evaluation._stream

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -112,14 +113,24 @@ def test_forward_rejects_out_of_range_token():
             model.forward(np.array([3, bad]))
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.timedelta64, object])
 def test_non_integer_token_array_raises_corpus_error(dtype):
-    """Float or bool ids are refused by name, not left to numpy's indexing."""
+    """Float, bool, timedelta (which numpy ranks under np.integer) or object
+    ids are refused by name, not left to numpy's indexing."""
     from rwkvp.corpus import CorpusError
     cfg = tiny_config()
     model = m.Model(cfg, *m.init_base_params(cfg, seed=0))
     with pytest.raises(CorpusError, match="integers"):
         model.forward(np.array([1, 0, 1], dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint16, np.uint64])
+def test_signed_and_unsigned_token_ids_are_accepted(dtype):
+    cfg = tiny_config()
+    model = m.Model(cfg, *m.init_base_params(cfg, seed=0))
+    tokens = np.array([1, 16, 0, 5])
+    logits, _, _ = model.forward(tokens.astype(dtype))
+    assert logits.data.tobytes() == model.forward(tokens)[0].data.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(0,), (2, 0)])
@@ -287,14 +298,16 @@ def test_time_mixing_is_one_shift_one_projection_wkv_and_output(monkeypatch):
 
 DECODE_POSITIONS = (16, 2999)     # an early and a late token of a 3000-token decode
 DECODE_OPS_PER_TOKEN = 41         # autograd op calls per token of the README n=4 model
+DECODE_TENSORS_PER_TOKEN = 3      # the embeddings run_stream returns, the logits and weights
 
 
 def test_decode_cost_per_token_does_not_grow_with_position(base_config, monkeypatch):
     """The paper's linear cost of inference, counted rather than timed: the
     README n=4 model decodes 3000 tokens one at a time, and a late token
-    makes the same autograd op calls (at most DECODE_OPS_PER_TOKEN) and has
-    the same tracemalloc peak as an early one, while the carried state holds
-    the same bytes at every position."""
+    makes the same autograd op calls (DECODE_OPS_PER_TOKEN) and has the same
+    tracemalloc peak as an early one, while the carried state holds the same
+    bytes at every position. Under no_grad the ops take and return arrays:
+    a token builds no Tensor but its DECODE_TENSORS_PER_TOKEN results."""
     import tracemalloc
 
     from rwkvp import perspectives, training
@@ -306,21 +319,99 @@ def test_decode_cost_per_token_does_not_grow_with_position(base_config, monkeypa
     model = m.Model(cfg, store, mask)
     tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, DECODE_POSITIONS[-1] + 1)
     counts = _count_ops(monkeypatch, (ag,))
-    state_bytes, ops, peaks = set(), [], []
+    built = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    state_bytes, ops, tensors, peaks = set(), [], [], []
     with ag.no_grad():
         states = model.init_states()
         for t in range(len(tokens)):
             measured = t in DECODE_POSITIONS
             if measured:
                 counts.clear()
+                built.clear()
                 tracemalloc.start()
             _, _, states = model.forward(tokens[t:t + 1], states)
             if measured:
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
                 ops.append(sum(counts.values()))
+                tensors.append(len(built))
             state_bytes.add(sum(a.nbytes for st in states
                                 for a in (st.att_prev, *st.wkv_state, st.ffn_prev)))
-    assert ops[0] == ops[1] <= DECODE_OPS_PER_TOKEN, ops
+    assert ops == [DECODE_OPS_PER_TOKEN] * 2, ops
+    assert tensors == [DECODE_TENSORS_PER_TOKEN] * 2, tensors
     assert peaks[0] == peaks[1], peaks
     assert len(state_bytes) == 1
+
+
+def _noisy_extension(n, aggregation, dtype):
+    """A tiny base extended to n perspectives with the given head, its
+    selector or aggregator and every mu row perturbed, leaves cast to dtype."""
+    from rwkvp import perspectives, training
+    base_cfg = tiny_config()
+    base, _ = m.init_base_params(base_cfg, seed=0)
+    cfg, store, mask = perspectives.extend_to_perspectives(base, base_cfg, n, aggregation)
+    training.inject_selector_noise(store, 0.5, 0.0, 1)
+    training.inject_temporal_noise(store, cfg, 0.05, 0.0, 1)
+    return m.Model(cfg, store.astype(dtype), mask)
+
+
+def _run(model, tokens, chunk, tape):
+    """Model.forward over tokens in chunks with state handoff, on the tape
+    (leaves that need a gradient) or on the plain path (no_grad): the logits,
+    weights and state arrays of every chunk, as byte strings."""
+    out = []
+    states = None
+    for start in range(0, len(tokens), chunk):
+        with (contextlib.nullcontext() if tape else ag.no_grad()):
+            logits, weights, states = model.forward(tokens[start:start + chunk], states)
+        assert isinstance(logits, Tensor) and logits.requires_grad == tape
+        out.append(logits.data.tobytes())
+        out.append(None if weights is None else weights.tobytes())
+        out += [a.tobytes() for st in states for a in (st.att_prev, *st.wkv_state, st.ffn_prev)]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["unbatched", "B=2"])
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("aggregation", m.AGGREGATION_MODES)
+def test_plain_path_is_bitwise_the_tape(aggregation, n, batch, dtype):
+    """A forward under no_grad (the plain path: arrays through the ops, no
+    Tensor until the result) gives the tape's logits, weights and every state
+    array bit for bit: T=1 decoding, and 64-token chunks with state handoff."""
+    model = _noisy_extension(n, aggregation, dtype)
+    tokens = np.random.default_rng(3).integers(0, model.config.vocab_size, (128,) + batch)
+    for chunk, length in ((1, 12), (64, 128)):
+        assert _run(model, tokens[:length], chunk, tape=False) == \
+            _run(model, tokens[:length], chunk, tape=True)
+
+
+STATE_ARRAYS = ("att_prev", "wkv_state a", "wkv_state b", "wkv_state p", "ffn_prev")
+
+
+@pytest.mark.parametrize("T", [1, 4])
+@pytest.mark.parametrize("name", STATE_ARRAYS)
+def test_plain_path_refuses_a_state_array_of_the_wrong_shape(name, T):
+    model = _noisy_extension(4, "weighted_softmax", np.float32)
+    states = model.init_states()
+    st = states[1]
+    arrays = dict(zip(STATE_ARRAYS, (st.att_prev, *st.wkv_state, st.ffn_prev)))
+    arrays[name] = np.zeros((4, 17), np.float32)
+    states[1] = m.StreamState(arrays["att_prev"], tuple(arrays[f"wkv_state {c}"] for c in "abp"),
+                              arrays["ffn_prev"])
+    with ag.no_grad(), pytest.raises(ag.ShapeError, match=f"layer 1's {name} "):
+        model.forward(np.arange(T), states)
+
+
+@pytest.mark.parametrize("T", [1, 4])
+def test_plain_path_refuses_a_non_finite_key(T):
+    model = _noisy_extension(4, "weighted_softmax", np.float32)
+    model.store["layer0.att.w_rkv"].data[1, 0, 3] = np.inf   # k's channel 3
+    with ag.no_grad(), pytest.raises(ag.NonFiniteError, match="non-finite r, k or v"):
+        model.forward(np.arange(T), model.init_states())

@@ -265,7 +265,7 @@ def test_shape_validation():
 
 
 def test_step_rejects_non_finite_inputs():
-    # wkv_sequence checks r, k and v once per call, on the step route too
+    # wkv_sequence checks r, k and v once per call, on a one-token chunk too
     rkv = np.zeros((3, 1, 2))
     rkv[1, 0, 0] = np.nan
     with ag.no_grad(), pytest.raises(ag.NonFiniteError):
@@ -275,8 +275,8 @@ def test_step_rejects_non_finite_inputs():
 @pytest.mark.parametrize("grad", [False, True], ids=["no-grad", "grad"])
 @pytest.mark.parametrize("bad", ["k", "v", "r"])
 def test_scans_reject_non_finite_inputs(grad, bad):
-    """A chunk of T >= 2, or any chunk in grad mode, raises rather than
-    carrying NaN into y and the state."""
+    """A chunk raises, with or without the tape, rather than carrying NaN
+    into y and the state."""
     rkv = np.zeros((3, 2, 2, 3))
     rkv["rkv".index(bad), 0, 1, 2] = np.inf
     with (contextlib.nullcontext() if grad else ag.no_grad()), \
@@ -420,30 +420,31 @@ def test_final_state_owns_its_memory():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("carried", [False, True])
 def test_one_token_no_grad_route_changes_no_number(dtype, carried):
-    """T=1 under no_grad runs wkv_step; the same call on leaves that need a
-    gradient runs the scans. y and the three state arrays are bitwise equal."""
+    """wkv_forward, the plain entry, runs wkv_step for one token; wkv_sequence
+    on leaves that need a gradient runs the scans. y and the three state
+    arrays are bitwise equal."""
     rng = np.random.default_rng(12)
     lead, d = (2, 3), 4
     k, v = (rng.uniform(-2, 2, (1,) + lead + (d,)).astype(dtype) for _ in range(2))
     w = rng.uniform(0.05, 2.0, d).astype(dtype)
     u = rng.uniform(-1, 1, d).astype(dtype)
-    state = _carried_state(rng, lead, d, dtype) if carried else None
+    state = (_carried_state(rng, lead, d, dtype) if carried
+             else wkv.empty_state(lead + (d,), dtype))
     r = rng.uniform(-2, 2, (1,) + lead + (d,)).astype(dtype)
-    with ag.no_grad():
-        y, final, _ = _seq(r, k, v, w, u, state=state)
+    y, final = wkv.wkv_forward(np.stack([r, k, v]), w, u, state)
     scan_y, scan_final, _ = _seq(r, k, v, w, u, state=state, grad=True)
-    assert scan_y._backward is not None and y._backward is None
-    assert y.data.dtype == dtype and y.shape == k.shape
-    assert y.data.tobytes() == scan_y.data.tobytes()
+    assert scan_y._backward is not None
+    assert type(y) is np.ndarray and y.dtype == dtype and y.shape == k.shape
+    assert y.tobytes() == scan_y.data.tobytes()
     for got, want in zip(final, scan_final):
         assert got.dtype == dtype and got.shape == lead + (d,)
         assert got.tobytes() == want.tobytes()
-        assert got.base is None and not np.shares_memory(got, y.data)
-        assert state is None or not any(np.shares_memory(got, s) for s in state)
+        assert got.base is None and not np.shares_memory(got, y)
+        assert not any(np.shares_memory(got, s) for s in state)
 
 
 def test_one_token_no_grad_rejects_non_finite_key():
     rkv = np.zeros((3, 1, 2, 3))
     rkv[1, 0, 1, 2] = np.inf
-    with ag.no_grad(), pytest.raises(ag.NonFiniteError):
-        wkv.wkv_sequence(Tensor(rkv), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+    with pytest.raises(ag.NonFiniteError):
+        wkv.wkv_forward(rkv, np.ones(3), np.zeros(3), wkv.empty_state((2, 3)))
