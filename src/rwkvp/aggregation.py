@@ -7,16 +7,14 @@ All operate position-wise on the stacked pre-head embeddings p
 mixes the normalised embeddings and projects once, which equals mixing the
 per-perspective logits up to rounding. With n=1 every mode reduces to the
 plain RWKV-v4 head. Each head takes p and the store as run_stream's composition
-does: Tensors and the ParamStore on the tape path, arrays and the leaves'
-arrays by name on the plain path.
+does, and returns results of their kind: Tensors and the ParamStore on the
+tape path, arrays and the leaves' arrays by name on the plain path.
 """
 
 from __future__ import annotations
 
 from rwkvp import autograd as ag
 from rwkvp import model as m
-from rwkvp.autograd import Tensor
-from rwkvp.params import ParamStore
 
 
 def _mean_embedding(p):
@@ -52,21 +50,10 @@ def aggregate_weighted(p, store):
     return m.head_logits(store, p, weights), weights
 
 
-def aggregate(cfg: m.ModelConfig, store: ParamStore, p: Tensor
-              ) -> tuple[Tensor, Tensor | None]:
-    """Dispatch on cfg.aggregation; returns (logits, weights-or-None).
-
-    Under no_grad the head runs on p's and the leaves' arrays (the plain
-    path, see rwkvp.model) and wraps its results in Tensors.
-    """
-    tape = ag._grad_enabled
-    leaves, x = (store, p) if tape else (store.arrays(), p.data)
+def aggregate(cfg: m.ModelConfig, store, p):
+    """Dispatch on cfg.aggregation; returns (logits, weights-or-None)."""
     if cfg.aggregation == "average":
-        logits, weights = aggregate_average(x, leaves), None
-    elif cfg.aggregation == "transformer_like":
-        logits, weights = aggregate_transformer(x, leaves), None
-    else:
-        logits, weights = aggregate_weighted(x, leaves)
-    if tape:
-        return logits, weights
-    return Tensor(logits), None if weights is None else Tensor(weights)
+        return aggregate_average(p, store), None
+    if cfg.aggregation == "transformer_like":
+        return aggregate_transformer(p, store), None
+    return aggregate_weighted(p, store)

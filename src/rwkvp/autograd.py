@@ -138,6 +138,10 @@ class Tensor:
         return self.data.shape
 
     @property
+    def dtype(self):
+        return self.data.dtype
+
+    @property
     def _backward(self):
         """The closure of this tensor's node, None for a leaf or a result
         that needs no gradient. Settable, so a caller can wrap it (the

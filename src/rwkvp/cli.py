@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -222,7 +223,9 @@ def cmd_trace(args) -> int:
     model = m.Model(cfg, store, mask)
     if args.prompt is not None:
         from rwkvp import tokenizer
-        tokens = tokenizer.tokenize(args.prompt)
+        # the argument's bytes as the shell passed them: argv is decoded with
+        # surrogateescape, so a byte that is not UTF-8 comes back as itself
+        tokens = tokenizer.tokenize(os.fsencode(args.prompt))
     else:
         tokens = corpus_mod.load_corpus(args.corpus)[:args.max_tokens]
     weights = evaluation.trace_weights(model, tokens)

@@ -58,8 +58,10 @@ def perplexity(model: m.Model, tokens: np.ndarray, chunk: int | None = None) -> 
     for start, logits, _ in _stream(model, tokens, chunk):
         # row t predicts token start + t + 1; the stream's last row predicts nothing
         targets = tokens[start + 1:start + 1 + len(logits)]
+        # freed before the next chunk's forward, which would otherwise fault in pages
         logp = ag._log_softmax(logits[:len(targets)])
         nll_sum -= logp[np.arange(len(targets)), targets].sum()
+        del logp
     mean = nll_sum / (len(tokens) - 1)
     with np.errstate(over="ignore"):    # an overflow is the inf refused below
         ppl = float(np.exp(mean))

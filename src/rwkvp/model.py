@@ -26,19 +26,20 @@ runs run_stream and then its aggregation head through Model.forward; a base's
 "average" head at n=1 is the plain RWKV-v4 head, so a base's Model.forward
 is the n=1 reference that an extended model reduces to. It returns the
 head's logits (T, [B,] V) as they are (the weighted head also its weights
-(T, [B,] n)). The recurrent parts cross chunk boundaries as detached numpy
-state: one StreamState per layer, each array ([B,] n, d), with no time axis.
+(T, [B,] n)). The recurrent parts cross chunk boundaries as one detached
+numpy array (L, 5, [B,] n, d), with no time axis: per layer, the rows
+att_prev, the WKV's a, b and p, and ffn_prev (empty_states builds it).
 
 Two paths run this one composition (run_stream, time_mixing,
-channel_mixing, head_logits and the aggregation heads). With the tape on,
-the ops take the store's Tensors. Under ag.no_grad, run_stream and
-aggregation.aggregate read the leaves' arrays once per call
-(ParamStore.arrays) and the ops take those (the plain path; see
-rwkvp.autograd), with wkv.wkv_forward for the WKV: no Tensor, no graph node
-and no per-op check, the tokens and the state's shapes being checked once at
-run_stream's entry. The ops run the same forward arithmetic on both paths,
-so the numbers are bitwise equal; the results come back wrapped in a
-Tensor, as on the tape path.
+channel_mixing, head_logits and the aggregation heads), and Model.forward
+picks one per call. With the tape on, the ops take the store's Tensors.
+Under ag.no_grad it reads the leaves' arrays once (ParamStore.arrays) and
+the ops take those (the plain path; see rwkvp.autograd), with
+wkv.wkv_forward for the WKV: no Tensor, no graph node and no per-op check,
+the tokens and the state being checked once at run_stream's entry. Each
+function returns what its inputs are made of, so only the logits are
+wrapped, once, in Model.forward. The ops run the same forward arithmetic on
+both paths, so the numbers are bitwise equal.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from rwkvp import aggregation, perspectives
 from rwkvp import autograd as ag
 from rwkvp import wkv
 from rwkvp.autograd import Tensor
-from rwkvp.corpus import check_token_range
+from rwkvp.corpus import CorpusError, check_token_range
 from rwkvp.params import FreezeMask, ParamStore
 from rwkvp.tokenizer import VOCAB_SIZE
 
@@ -212,103 +213,83 @@ def init_base_params(cfg: ModelConfig, seed: int) -> tuple[ParamStore, FreezeMas
     return store, FreezeMask.fromkeys(store.names(), True)
 
 
-@dataclass
-class StreamState:
-    """Recurrent state of one layer for every stream: arrays ([B,] n, d)."""
-    att_prev: np.ndarray          # last post-LN row seen by the time-mix block
-    wkv_state: tuple              # (a, b, p)
-    ffn_prev: np.ndarray          # last post-LN row seen by the channel-mix block
-
-    @classmethod
-    def zeros(cls, shape, dtype=np.float32) -> "StreamState":
-        """Empty state; shape is ([B,] n, d)."""
-        return cls(np.zeros(shape, dtype=dtype), wkv.empty_state(shape, dtype),
-                   np.zeros(shape, dtype=dtype))
+def empty_states(shape, dtype) -> np.ndarray:
+    """The recurrent state with no history, shape (L, 5, [B,] n, d): zeros,
+    but the WKV's p (row 3) starts at -inf."""
+    states = np.zeros(shape, dtype)
+    states[:, 3] = -np.inf
+    return states
 
 
-def time_mixing(store, layer: int, xx, st: StreamState):
+def time_mixing(store, layer: int, xx, state, new_state):
     """Time-mix block over post-LN chunks xx (T, [B,] n, d), one per perspective
     (at layer 0 one (T, [B,] 1, d) chunk that all n share).
 
-    On the tape path store is the ParamStore and xx a Tensor; on the plain
-    path (see run_stream) store maps each leaf's name to its array
-    (ParamStore.arrays) and xx is an array, as is the delta returned.
-    Returns (residual delta, new att_prev rows ([B,] n, d), new wkv state).
+    store as in run_stream, and xx and the residual delta returned of its
+    kind. state is the layer's rows (5, [B,] n, d) of the carried state,
+    new_state those of the state run_stream returns: this writes rows 0
+    (att_prev, the last row of xx) and 1-3 (the WKV's a, b, p).
     """
-    tape = isinstance(xx, Tensor)
     pre = f"layer{layer}.att"
     # r, k and v as one stack (3, T, [B,] n, d): one shift, one batched GEMM
-    rkv = ag.matmul(ag.token_shift(xx, st.att_prev, store[f"{pre}.mu_rkv"]),
+    rkv = ag.matmul(ag.token_shift(xx, state[0], store[f"{pre}.mu_rkv"]),
                     store[f"{pre}.w_rkv"])
+    tape = isinstance(rkv, Tensor)
     y, wkv_state = (wkv.wkv_sequence if tape else wkv.wkv_forward)(
-        rkv, store[f"{pre}.decay"], store[f"{pre}.bonus"], st.wkv_state)
-    out = ag.matmul(y, store[f"{pre}.w_o"])
-    att_prev = np.empty_like(st.att_prev)
-    att_prev[...] = (xx.data if tape else xx)[-1]
-    return out, att_prev, wkv_state
+        rkv, store[f"{pre}.decay"], store[f"{pre}.bonus"], state[1:4])
+    new_state[0] = (xx.data if tape else xx)[-1]
+    new_state[1], new_state[2], new_state[3] = wkv_state
+    return ag.matmul(y, store[f"{pre}.w_o"])
 
 
-def channel_mixing(store, layer: int, xx, st: StreamState):
+def channel_mixing(store, layer: int, xx, state, new_state):
     """Channel-mix block over post-LN chunks xx (T, [B,] n, d), one per
-    perspective; store and xx as in time_mixing.
+    perspective; store, xx, state and new_state as in time_mixing.
 
-    Returns (residual delta, new ffn_prev rows).
+    Writes row 4 (ffn_prev, the last row of xx) and returns the residual delta.
     """
     pre = f"layer{layer}.ffn"
-    xr = ag.token_shift(xx, st.ffn_prev, store[f"{pre}.mu_r"])
-    xk = ag.token_shift(xx, st.ffn_prev, store[f"{pre}.mu_k"])
+    xr = ag.token_shift(xx, state[4], store[f"{pre}.mu_r"])
+    xk = ag.token_shift(xx, state[4], store[f"{pre}.mu_k"])
     kk = ag.relu_square(ag.matmul(xk, store[f"{pre}.w_k"]))
     out = ag.sigmoid_mul(ag.matmul(xr, store[f"{pre}.w_r"]), ag.matmul(kk, store[f"{pre}.w_v"]))
-    return out, (xx.data if isinstance(xx, Tensor) else xx)[-1].copy()
+    new_state[4] = (xx.data if isinstance(xx, Tensor) else xx)[-1]
+    return out
 
 
-def _check_states(states, n_layers: int, shape) -> None:
-    """Raise ShapeError unless states holds one StreamState per layer and
-    each of its arrays has the shape ([B,] n, d)."""
-    if len(states) != n_layers:
-        raise ag.ShapeError(f"run_stream: {len(states)} states for {n_layers} layers")
-    for l, st in enumerate(states):
-        a, b, p = st.wkv_state
-        for name, array in (("att_prev", st.att_prev), ("wkv_state a", a), ("wkv_state b", b),
-                            ("wkv_state p", p), ("ffn_prev", st.ffn_prev)):
-            if getattr(array, "shape", None) != shape:
-                raise ag.ShapeError(f"run_stream: layer {l}'s {name} must be an array of "
-                                    f"shape {shape}, got {type(array).__name__} "
-                                    f"{np.shape(array)}")
-
-
-def run_stream(cfg: ModelConfig, store: ParamStore, tokens: np.ndarray,
-               states: list[StreamState] | None = None) -> tuple[Tensor, list[StreamState]]:
+def run_stream(cfg: ModelConfig, store, tokens: np.ndarray, states: np.ndarray | None = None):
     """Full stack for all cfg.n_perspectives streams in one pass.
 
-    tokens: (T,) or (T, B). Returns the pre-head embeddings (T, [B,] n, d)
-    and one new StreamState per layer. The tokens and the shape of every
-    state array are checked here, once. Under no_grad this is the plain
-    path: the same composition on the leaves' arrays, with wkv.wkv_forward
-    for the WKV, bitwise the tape's numbers, and no Tensor until the result.
+    store is the ParamStore (the tape path: Tensors) or its leaves' arrays
+    by name, ParamStore.arrays() (the plain path: arrays, with
+    wkv.wkv_forward for the WKV). tokens: (T,) or (T, B); states: the array
+    (L, 5, [B,] n, d), or None for no history. The tokens and the state are
+    checked here, once. Returns the pre-head embeddings (T, [B,] n, d), of
+    the store's kind, and a new state array; the one passed in is not written.
     """
     tokens = np.asarray(tokens)
+    if tokens.ndim not in (1, 2):
+        raise CorpusError(f"tokens must be (T,) or (T, B), got shape {tokens.shape}")
     check_token_range(tokens, cfg.vocab_size)
-    shape = tokens.shape[1:] + (cfg.n_perspectives, cfg.d_model)
+    dtype = store["emb.weight"].dtype
+    shape = (cfg.n_layers, 5) + tokens.shape[1:] + (cfg.n_perspectives, cfg.d_model)
     if states is None:
-        states = [StreamState.zeros(shape, store["emb.weight"].data.dtype)
-                  for _ in range(cfg.n_layers)]
-    else:
-        _check_states(states, cfg.n_layers, shape)
-    tape = ag._grad_enabled
-    leaves = store if tape else store.arrays()
-    x = ag.embed(leaves["emb.weight"], tokens[..., None])     # (T, [B,] 1, d)
-    x = ag.layer_norm(x, leaves["ln0.g"], leaves["ln0.b"])
-    new_states = []
-    for l, st in enumerate(states):
-        xx = ag.layer_norm(x, leaves[f"layer{l}.ln1.g"], leaves[f"layer{l}.ln1.b"])
-        delta, att_prev, wkv_state = time_mixing(leaves, l, xx, st)
-        x = ag.add(x, delta)
-        xx = ag.layer_norm(x, leaves[f"layer{l}.ln2.g"], leaves[f"layer{l}.ln2.b"])
-        delta, ffn_prev = channel_mixing(leaves, l, xx, st)
-        x = ag.add(x, delta)
-        new_states.append(StreamState(att_prev, wkv_state, ffn_prev))
-    return (x if tape else Tensor(x)), new_states
+        states = empty_states(shape, dtype)
+    elif not isinstance(states, np.ndarray) or states.shape != shape or states.dtype != dtype:
+        raise ag.ShapeError(
+            f"run_stream: states must be an array of shape {shape} and dtype {dtype}, got "
+            f"{type(states).__name__} of shape {getattr(states, 'shape', None)} and dtype "
+            f"{getattr(states, 'dtype', None)}")
+    # allocated before the forward's temporaries, so it does not split their heap space
+    new_states = np.empty_like(states)
+    x = ag.embed(store["emb.weight"], tokens[..., None])     # (T, [B,] 1, d)
+    x = ag.layer_norm(x, store["ln0.g"], store["ln0.b"])
+    for l, (state, new_state) in enumerate(zip(states, new_states)):
+        xx = ag.layer_norm(x, store[f"layer{l}.ln1.g"], store[f"layer{l}.ln1.b"])
+        x = ag.add(x, time_mixing(store, l, xx, state, new_state))
+        xx = ag.layer_norm(x, store[f"layer{l}.ln2.g"], store[f"layer{l}.ln2.b"])
+        x = ag.add(x, channel_mixing(store, l, xx, state, new_state))
+    return x, new_states
 
 
 def head_logits(store, p, weights=None):
@@ -333,14 +314,21 @@ class Model:
         """All n perspective streams, then the configured aggregation head.
 
         tokens: (T,) or (T, B). Returns (logits Tensor (T, [B,] V), weights
-        ndarray (T, [B,] n) or None, new states: one StreamState per layer).
+        ndarray (T, [B,] n) or None, the new state array (L, 5, [B,] n, d)).
+        This is where the path is picked: on the tape the composition takes
+        the store's Tensors; under no_grad it takes the leaves' arrays, read
+        once here, and only the logits are wrapped in a Tensor.
         """
-        p, new_states = perspectives.multi_forward(self.config, self.store, tokens, states)
-        logits, weights = aggregation.aggregate(self.config, self.store, p)
-        return logits, None if weights is None else weights.data, new_states
+        tape = ag._grad_enabled
+        leaves = self.store if tape else self.store.arrays()
+        p, new_states = perspectives.multi_forward(self.config, leaves, tokens, states)
+        logits, weights = aggregation.aggregate(self.config, leaves, p)
+        if tape:
+            return logits, None if weights is None else weights.data, new_states
+        return Tensor(logits), weights, new_states
 
     def init_states(self):
-        """One empty StreamState per layer for one stream: arrays (n, d)."""
-        cfg, dtype = self.config, self.store["emb.weight"].data.dtype
-        return [StreamState.zeros((cfg.n_perspectives, cfg.d_model), dtype)
-                for _ in range(cfg.n_layers)]
+        """The empty state of one stream: an array (L, 5, n, d)."""
+        cfg = self.config
+        return empty_states((cfg.n_layers, 5, cfg.n_perspectives, cfg.d_model),
+                            self.store["emb.weight"].dtype)

@@ -5,8 +5,8 @@ before d, of every layer's mu leaves: att.mu_rkv (3, n, d) and ffn.mu_r,
 ffn.mu_k (n, d); store["layer0.att.mu_rkv"].data[1, i] is its key's) and
 its recurrent state; everything heavy is shared. The streams never mix before
 the aggregation head, so they run as one stacked, time-major pass (see
-rwkvp.model): tokens (T, [B]), activations (T, [B,] n, d), state arrays
-([B,] n, d) per layer, perspective i at index i of the axis before d.
+rwkvp.model): tokens (T, [B]), activations (T, [B,] n, d), the state array
+(L, 5, [B,] n, d), perspective i at index i of the axis before d.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import replace
 import numpy as np
 
 from rwkvp import model as m
-from rwkvp.autograd import Tensor
 from rwkvp.params import FreezeMask, ParamStore
 
 
@@ -60,10 +59,10 @@ def extend_to_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
     return cfg, store, mask
 
 
-def multi_forward(cfg: m.ModelConfig, store: ParamStore, tokens: np.ndarray,
-                  states=None) -> tuple[Tensor, list]:
+def multi_forward(cfg: m.ModelConfig, store, tokens: np.ndarray, states=None):
     """Run all n perspective streams over tokens (T,) or (T, B) in one pass.
 
-    Returns (p (T, [B,] n, d), new states: one StreamState per layer).
+    store and states as in model.run_stream. Returns (p (T, [B,] n, d), the
+    new state array (L, 5, [B,] n, d)).
     """
     return m.run_stream(cfg, store, tokens, states)

@@ -16,7 +16,8 @@ into one stacked array, in sigmoid_mul's operation order for r's. The axes
 between T and d (contexts, perspectives) are
 independent sequences that share w and u; time leads, so they are the G*d
 channels of a free (T, G*d) reshape. The chunk-boundary state is a detached
-numpy triple (gradients never cross it).
+numpy (a, b, p) triple (gradients never cross it): three arrays, or the
+(3, ..., d) rows 1-3 of the model's state array, which unpack as the triple.
 
 `wkv_sequence` splits the recurrence into two cheap scans and whole-chunk
 array ops, so the Python loop over time costs two ufunc calls per step per
@@ -92,12 +93,13 @@ def _gate(r: np.ndarray) -> np.ndarray:
 
 
 def wkv_forward(rkv: np.ndarray, w: np.ndarray, u: np.ndarray, state):
-    """wkv_sequence on plain arrays, for a forward under no_grad.
+    """wkv_sequence on plain arrays, for the model's plain path (a forward
+    under no_grad; see rwkvp.model).
 
     rkv (3, T, ..., d), w and u (d,), state the (a, b, p) triple, each
-    (..., d), whose shapes the caller has checked. Returns (out (T, ..., d),
-    final_state), bitwise wkv_sequence's. A one-token chunk runs wkv_step,
-    with w and u broadcast over the leading axes, where the scan buffers and
+    (..., d), such as a (3, ..., d) array, whose shape the caller has
+    checked. Returns (out (T, ..., d), final_state), bitwise
+    wkv_sequence's. A one-token chunk runs wkv_step, with w and u broadcast over the leading axes, where the scan buffers and
     the tiled w and u would cost more than the step. A longer chunk runs
     wkv_sequence, the scans' one entry, which builds no node under no_grad;
     wrapping its inputs costs nothing next to the scans. A non-finite r, k

@@ -296,6 +296,22 @@ def test_trace_empty_prompt_errors(tmp_path, capsys):
     assert "CorpusError" in capsys.readouterr().err
 
 
+def test_trace_prompt_is_the_argument_s_bytes(tmp_path):
+    """A prompt byte that is not UTF-8 reaches argv as a lone surrogate
+    (surrogateescape); it is traced as the byte itself, not refused by a
+    strict UTF-8 encode."""
+    base_cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
+    base_store, _ = m.init_base_params(base_cfg, seed=0)
+    cfg, store, mask = perspectives.extend_to_perspectives(base_store, base_cfg, 2)
+    path = tmp_path / "ft.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    rc = cli.main(["trace", "--checkpoint", str(path), "--prompt", "ab\udcff",
+                   "--out", str(tmp_path / "tr")])
+    assert rc == 0
+    rows = (tmp_path / "tr" / "trace.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[1]) for row in rows] == [97, 98, 255]
+
+
 def test_eval_version_1_checkpoint_errors(tmp_path, capsys, corpus_file):
     cfg = m.ModelConfig(n_layers=1, d_model=8, vocab_size=257, context_length=8)
     store, mask = m.init_base_params(cfg, seed=0)

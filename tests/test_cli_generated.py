@@ -1,18 +1,21 @@
-"""Generated config files for `rwkvp pretrain`: every outcome is a clean exit.
+"""Generated inputs for the CLI: every outcome is a clean exit.
 
-Each model and train field gets ints, bools, floats (nan, +-inf, 1e308,
-1e-300), strings, lists and objects over a tiny base config and corpus.
-Sizes are either at most 16 or at least 2**40: the run's size check refuses
-the large ones before anything is allocated, so nothing big is asked for.
-Whatever the config holds, the command exits 0, 1 or 2 with no traceback
-and no RuntimeWarning on stderr, and an exit 1 prints exactly one
-`error: <Type>:` line.
+`rwkvp pretrain --config`: each model and train field gets ints, bools,
+floats (nan, +-inf, 1e308, 1e-300), strings, lists and objects over a tiny
+base config and corpus. Sizes are either at most 16 or at least 2**40: the
+run's size check refuses the large ones before anything is allocated, so
+nothing big is asked for. `rwkvp trace --prompt` and `rwkvp eval --corpus`
+get generated bytes (a prompt holds no NUL, which argv cannot carry) over a
+tiny n=2 weighted_softmax checkpoint. Whatever the input holds, the command
+exits 0, 1 or 2 with no traceback and no RuntimeWarning on stderr, and an
+exit 1 prints exactly one `error: <Type>:` line.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
 import re
 import resource
 import tempfile
@@ -23,7 +26,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rwkvp import cli, synth, training
+from rwkvp import checkpoint as ckpt
+from rwkvp import cli, perspectives, synth, training
 from rwkvp import model as m
 
 BASE = {"model": {"n_layers": 1, "d_model": 4, "context_length": 4},
@@ -42,6 +46,8 @@ OVERRIDES = st.lists(st.tuples(st.sampled_from(
     [("model", f.name) for f in fields(m.ModelConfig)]
     + [("train", f.name) for f in fields(training.TrainConfig)]), VALUES), min_size=1, max_size=2)
 ERROR_LINE = re.compile(r"error: \w+: ")
+GENERATED = dict(max_examples=200, deadline=None, derandomize=True, database=None,
+                 suppress_health_check=[HealthCheck.too_slow])
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +77,17 @@ def _address_space_headroom(extra=1 << 30):
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    """A tiny n=2 weighted_softmax model, as trace and eval load it."""
+    base_cfg = m.ModelConfig(**BASE["model"])
+    base, _ = m.init_base_params(base_cfg, seed=0)
+    cfg, store, mask = perspectives.extend_to_perspectives(base, base_cfg, 2, "weighted_softmax")
+    path = tmp_path_factory.mktemp("generated") / "ft.ckpt"
+    ckpt.save_checkpoint(store, cfg, mask, path)
+    return path
+
+
 def _run(argv) -> tuple[int, str]:
     """cli.main's exit status and stderr."""
     err = io.StringIO()
@@ -96,6 +113,29 @@ def test_pretrain_exits_cleanly_on_any_config(corpus_dir, overrides):
         argv = ["pretrain", "--config", str(path), "--corpus", str(corpus_dir / "corpus.txt"),
                 "--out", str(Path(out) / "run")]
         code, err = _run(argv)
+    _assert_clean_exit(code, err)
+
+
+@settings(**GENERATED)
+@given(st.binary(max_size=40).map(lambda data: data.replace(b"\0", b"")))
+def test_trace_exits_cleanly_on_any_prompt(checkpoint_file, prompt):
+    with tempfile.TemporaryDirectory(dir=checkpoint_file.parent) as out:
+        code, err = _run(["trace", "--checkpoint", str(checkpoint_file),
+                          "--prompt", os.fsdecode(prompt), "--out", out])
+    _assert_clean_exit(code, err)
+
+
+@settings(**GENERATED)
+@given(st.binary(max_size=40))
+def test_eval_exits_cleanly_on_any_corpus(checkpoint_file, corpus):
+    with tempfile.TemporaryDirectory(dir=checkpoint_file.parent) as out:
+        path = Path(out) / "corpus.txt"
+        path.write_bytes(corpus)
+        code, err = _run(["eval", "--checkpoint", str(checkpoint_file), "--corpus", str(path)])
+    _assert_clean_exit(code, err)
+
+
+def _assert_clean_exit(code, err) -> None:
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err and "RuntimeWarning" not in err, err
     if code == 1:

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_forward_shapes():
     logits, weights, states = m.Model(cfg, store, mask).forward(tokens)
     assert logits.shape == (5, cfg.vocab_size)
     assert weights is None      # a base's head is "average"
-    assert len(states) == cfg.n_layers
+    assert states.shape == (cfg.n_layers, 5, 1, cfg.d_model)
     assert np.all(np.isfinite(logits.data))
     # a batch is time-major too: tokens (T, B) -> logits (T, B, V), weights (T, B, n)
     from rwkvp import perspectives
@@ -97,10 +98,8 @@ def test_forward_shapes():
         np.arange(T * B).reshape(T, B) % cfg.vocab_size)
     assert logits.shape == (T, B, cfg.vocab_size)
     assert weights.shape == (T, B, 3)
-    assert len(states) == cfg.n_layers
-    for st in states:
-        assert st.att_prev.shape == st.ffn_prev.shape == (B, 3, cfg.d_model)
-        assert all(a.shape == (B, 3, cfg.d_model) for a in st.wkv_state)
+    # the state: per layer, att_prev, the WKV's a, b, p and ffn_prev, each (B, n, d)
+    assert states.shape == (cfg.n_layers, 5, B, 3, cfg.d_model)
 
 
 def test_forward_rejects_out_of_range_token():
@@ -200,25 +199,28 @@ def test_handworked_channel_mix_d2():
     store["layer0.ffn.w_k"].data = np.hstack([np.eye(2)] * 4).astype(np.float32)
     store["layer0.ffn.w_v"].data = np.vstack([np.eye(2)] * 4).astype(np.float32)
     xx = Tensor(np.array([[[0.5, -1.0]]], dtype=np.float32))    # (n=1, T=1, d=2)
-    st = m.StreamState.zeros((1, 2))
+    state = m.empty_states((1, 5, 1, 2), np.float32)[0]      # layer 0's rows (5, 1, 2)
+    new_state = np.empty_like(state)
     with ag.no_grad():
-        out, prev = m.channel_mixing(store, 0, xx, st)
+        out = m.channel_mixing(store, 0, xx, state, new_state)
     # sigmoid(0)=0.5; relu(x)^2 per copy, 4 copies summed back
     expected = 0.5 * 4 * np.maximum(np.array([0.5, -1.0]), 0.0) ** 2
     np.testing.assert_allclose(out.data[0, 0], expected, rtol=1e-6)
-    np.testing.assert_array_equal(prev[0], [0.5, -1.0])
+    np.testing.assert_array_equal(new_state[4, 0], [0.5, -1.0])     # ffn_prev
 
 
 def test_time_mixing_state_advances():
     cfg = tiny_config()
     store, _ = m.init_base_params(cfg, seed=0)
     xx = Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 1, cfg.d_model)).astype(np.float32))
-    st = m.StreamState.zeros((1, cfg.d_model))
+    state = m.empty_states((1, 5, 1, cfg.d_model), np.float32)[0]
+    new_state = np.full_like(state, np.nan)
     with ag.no_grad():
-        out, att_prev, wkv_state = m.time_mixing(store, 0, xx, st)
+        out = m.time_mixing(store, 0, xx, state, new_state)
     assert out.shape == (3, 1, cfg.d_model)
-    np.testing.assert_array_equal(att_prev[0], xx.data[-1, 0])
-    assert np.all(np.isfinite(wkv_state[0]))
+    np.testing.assert_array_equal(new_state[0, 0], xx.data[-1, 0])      # att_prev
+    assert np.all(np.isfinite(new_state[:4]))                           # and a, b, p
+    assert np.isnan(new_state[4]).all()           # ffn_prev is channel mixing's
 
 
 def test_perspectives_split_at_layer_0_token_shift(monkeypatch):
@@ -245,8 +247,7 @@ def test_perspectives_split_at_layer_0_token_shift(monkeypatch):
     for key in ("embed", "ln0.g", "layer0.ln1.g"):
         assert shapes[key] == (T, B, 1, d), key
     assert shapes["layer0.ln2.g"] == shapes["layer1.ln1.g"] == x.shape == (T, B, 4, d)
-    for st in states:
-        assert all(a.shape == (B, 4, d) for a in (st.att_prev, st.ffn_prev, *st.wkv_state))
+    assert states.shape == (cfg.n_layers, 5, B, 4, d)
 
 
 def test_base_init_requires_average_aggregation():
@@ -289,16 +290,16 @@ def test_time_mixing_is_one_shift_one_projection_wkv_and_output(monkeypatch):
     cfg = tiny_config()
     store, _ = m.init_base_params(cfg, seed=0)
     xx = Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 1, cfg.d_model)).astype(np.float32))
-    st = m.StreamState.zeros((1, cfg.d_model))
+    state = m.empty_states((1, 5, 1, cfg.d_model), np.float32)[0]
     counts = _count_ops(monkeypatch, (ag, wkv))
-    m.time_mixing(store, 0, xx, st)
+    m.time_mixing(store, 0, xx, state, np.empty_like(state))
     assert counts == {"rwkvp.autograd.token_shift": 1, "rwkvp.autograd.matmul": 2,
                       "rwkvp.wkv.wkv_sequence": 1}
 
 
 DECODE_POSITIONS = (16, 2999)     # an early and a late token of a 3000-token decode
 DECODE_OPS_PER_TOKEN = 41         # autograd op calls per token of the README n=4 model
-DECODE_TENSORS_PER_TOKEN = 3      # the embeddings run_stream returns, the logits and weights
+DECODE_TENSORS_PER_TOKEN = 1      # the logits
 
 
 def test_decode_cost_per_token_does_not_grow_with_position(base_config, monkeypatch):
@@ -307,7 +308,7 @@ def test_decode_cost_per_token_does_not_grow_with_position(base_config, monkeypa
     makes the same autograd op calls (DECODE_OPS_PER_TOKEN) and has the same
     tracemalloc peak as an early one, while the carried state holds the same
     bytes at every position. Under no_grad the ops take and return arrays:
-    a token builds no Tensor but its DECODE_TENSORS_PER_TOKEN results."""
+    a token builds no Tensor but its logits (DECODE_TENSORS_PER_TOKEN)."""
     import tracemalloc
 
     from rwkvp import perspectives, training
@@ -341,12 +342,11 @@ def test_decode_cost_per_token_does_not_grow_with_position(base_config, monkeypa
                 tracemalloc.stop()
                 ops.append(sum(counts.values()))
                 tensors.append(len(built))
-            state_bytes.add(sum(a.nbytes for st in states
-                                for a in (st.att_prev, *st.wkv_state, st.ffn_prev)))
+            state_bytes.add(states.nbytes)
     assert ops == [DECODE_OPS_PER_TOKEN] * 2, ops
     assert tensors == [DECODE_TENSORS_PER_TOKEN] * 2, tensors
     assert peaks[0] == peaks[1], peaks
-    assert len(state_bytes) == 1
+    assert state_bytes == {7680}          # (L=2, 5, n=4, d=48) float32
 
 
 def _noisy_extension(n, aggregation, dtype):
@@ -364,7 +364,7 @@ def _noisy_extension(n, aggregation, dtype):
 def _run(model, tokens, chunk, tape):
     """Model.forward over tokens in chunks with state handoff, on the tape
     (leaves that need a gradient) or on the plain path (no_grad): the logits,
-    weights and state arrays of every chunk, as byte strings."""
+    weights and state array of every chunk, as byte strings."""
     out = []
     states = None
     for start in range(0, len(tokens), chunk):
@@ -373,7 +373,7 @@ def _run(model, tokens, chunk, tape):
         assert isinstance(logits, Tensor) and logits.requires_grad == tape
         out.append(logits.data.tobytes())
         out.append(None if weights is None else weights.tobytes())
-        out += [a.tobytes() for st in states for a in (st.att_prev, *st.wkv_state, st.ffn_prev)]
+        out.append(states.tobytes())
     return out
 
 
@@ -392,21 +392,59 @@ def test_plain_path_is_bitwise_the_tape(aggregation, n, batch, dtype):
             _run(model, tokens[:length], chunk, tape=True)
 
 
-STATE_ARRAYS = ("att_prev", "wkv_state a", "wkv_state b", "wkv_state p", "ffn_prev")
+def _bad_states(states, case):
+    """states (L, 5, n, d) made wrong in one way: one row left out (named by
+    the row), or a layer, a B axis, a perspective or a channel too many or
+    too few, a list of the layers' arrays, or another dtype."""
+    rows = ("att_prev", "wkv_state a", "wkv_state b", "wkv_state p", "ffn_prev")
+    if case in rows:
+        return np.delete(states, rows.index(case), axis=1)
+    return {"L": lambda: states[:-1], "B": lambda: states[:, :, None],
+            "n": lambda: states[..., :-1, :], "d": lambda: np.pad(states, [(0, 0)] * 3 + [(0, 1)]),
+            "list": lambda: list(states), "dtype": lambda: states.astype(np.float64)}[case]()
 
 
 @pytest.mark.parametrize("T", [1, 4])
-@pytest.mark.parametrize("name", STATE_ARRAYS)
+@pytest.mark.parametrize("name", ["att_prev", "wkv_state a", "wkv_state b", "wkv_state p",
+                                  "ffn_prev", "L", "B", "n", "d", "list", "dtype"])
 def test_plain_path_refuses_a_state_array_of_the_wrong_shape(name, T):
+    """The one state array is checked once, at run_stream's entry: any other
+    shape or dtype, or anything that is not an array, is one ShapeError that
+    names the wanted shape and dtype, on the plain path and the tape's."""
     model = _noisy_extension(4, "weighted_softmax", np.float32)
-    states = model.init_states()
-    st = states[1]
-    arrays = dict(zip(STATE_ARRAYS, (st.att_prev, *st.wkv_state, st.ffn_prev)))
-    arrays[name] = np.zeros((4, 17), np.float32)
-    states[1] = m.StreamState(arrays["att_prev"], tuple(arrays[f"wkv_state {c}"] for c in "abp"),
-                              arrays["ffn_prev"])
-    with ag.no_grad(), pytest.raises(ag.ShapeError, match=f"layer 1's {name} "):
-        model.forward(np.arange(T), states)
+    states = _bad_states(model.init_states(), name)
+    for path in (ag.no_grad(), contextlib.nullcontext()):
+        with path, pytest.raises(ag.ShapeError, match=r"states must be an array of shape "
+                                 r"\(2, 5, 4, 16\) and dtype float32, got "):
+            model.forward(np.arange(T), states)
+
+
+@pytest.mark.parametrize("tape", [False, True], ids=["plain", "tape"])
+@pytest.mark.parametrize("shape", [(), (3, 2, 2)], ids=["0-d", "3-D"])
+def test_tokens_of_another_rank_are_refused(shape, tape):
+    """Tokens are (T,) or (T, B): a 0-d or 3-D array is a CorpusError naming
+    its shape at run_stream's entry, on either path, not numpy's ValueError,
+    a ShapeError from inside token_shift or a run over a third axis."""
+    from rwkvp.corpus import CorpusError
+    model = _noisy_extension(4, "weighted_softmax", np.float32)
+    with (contextlib.nullcontext() if tape else ag.no_grad()), pytest.raises(
+            CorpusError, match=re.escape(f"got shape {shape}")):
+        model.forward(np.ones(shape, dtype=np.int64))
+
+
+def test_a_no_grad_forward_reads_the_leaves_once(monkeypatch):
+    """Model.forward reads ParamStore.arrays once for the stack and the head."""
+    from rwkvp.params import ParamStore
+    model = _noisy_extension(4, "weighted_softmax", np.float32)
+    arrays, reads = ParamStore.arrays, []
+
+    def counting(self):
+        reads.append(1)
+        return arrays(self)
+    monkeypatch.setattr(ParamStore, "arrays", counting)
+    with ag.no_grad():
+        model.forward(np.arange(4))
+    assert len(reads) == 1
 
 
 @pytest.mark.parametrize("T", [1, 4])

@@ -89,12 +89,10 @@ def test_each_perspective_is_the_base_run_with_its_mu_rows(n, batch, chunks, see
 
     def run(cfg, store):
         ps, states = [], None
-        with ag.no_grad():
-            for piece in np.split(tokens, np.cumsum(chunks)[:-1]):
-                p, states = m.run_stream(cfg, store, piece, states)
-                ps.append(p.data)
-        return [np.concatenate(ps)] + [a for layer in states
-                                       for a in (layer.att_prev, *layer.wkv_state, layer.ffn_prev)]
+        for piece in np.split(tokens, np.cumsum(chunks)[:-1]):
+            p, states = m.run_stream(cfg, store.arrays(), piece, states)    # the plain path
+            ps.append(p)
+        return np.concatenate(ps), states
 
     tol = 0.0 if min(chunks) >= 2 else 1e-6
     stacked = run(cfg, store)
@@ -278,9 +276,7 @@ def test_t1_decode_at_n4(batch):
     assert not any(grads) and all(tape_grads)
     assert logits.tobytes() == tape_logits.tobytes()
     assert weights.tobytes() == tape_weights.tobytes()
-    for st, tape_st in zip(states, tape_states):
-        for got, want in zip((st.att_prev, *st.wkv_state, st.ffn_prev),
-                             (tape_st.att_prev, *tape_st.wkv_state, tape_st.ffn_prev)):
-            assert got.shape == batch + (4, cfg.d_model) and got.tobytes() == want.tobytes()
+    assert states.shape == (cfg.n_layers, 5) + batch + (4, cfg.d_model)
+    assert states.tobytes() == tape_states.tobytes()
     assert np.abs(logits - full.data).max() <= 1e-5
     assert np.abs(weights - full_weights).max() <= 1e-5
