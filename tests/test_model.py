@@ -392,21 +392,22 @@ def test_plain_path_is_bitwise_the_tape(aggregation, n, batch, dtype):
             _run(model, tokens[:length], chunk, tape=True)
 
 
+STATE_ROWS = ("att_prev", "wkv_state a", "wkv_state b", "wkv_state p", "ffn_prev")
+
+
 def _bad_states(states, case):
     """states (L, 5, n, d) made wrong in one way: one row left out (named by
     the row), or a layer, a B axis, a perspective or a channel too many or
     too few, a list of the layers' arrays, or another dtype."""
-    rows = ("att_prev", "wkv_state a", "wkv_state b", "wkv_state p", "ffn_prev")
-    if case in rows:
-        return np.delete(states, rows.index(case), axis=1)
+    if case in STATE_ROWS:
+        return np.delete(states, STATE_ROWS.index(case), axis=1)
     return {"L": lambda: states[:-1], "B": lambda: states[:, :, None],
             "n": lambda: states[..., :-1, :], "d": lambda: np.pad(states, [(0, 0)] * 3 + [(0, 1)]),
             "list": lambda: list(states), "dtype": lambda: states.astype(np.float64)}[case]()
 
 
 @pytest.mark.parametrize("T", [1, 4])
-@pytest.mark.parametrize("name", ["att_prev", "wkv_state a", "wkv_state b", "wkv_state p",
-                                  "ffn_prev", "L", "B", "n", "d", "list", "dtype"])
+@pytest.mark.parametrize("name", [*STATE_ROWS, "L", "B", "n", "d", "list", "dtype"])
 def test_plain_path_refuses_a_state_array_of_the_wrong_shape(name, T):
     """The one state array is checked once, at run_stream's entry: any other
     shape or dtype, or anything that is not an array, is one ShapeError that
