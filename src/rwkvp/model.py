@@ -138,9 +138,10 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return {**below, **layers, **above, **aggregator}
 
 
-def param_count(cfg: ModelConfig) -> int:
-    """The size of param_shapes(cfg) in closed form: no layer is listed."""
-    below, per_layer, above, agg = (sum(math.prod(shape) for shape in part.values())
+def param_count(cfg: ModelConfig, keep=lambda name: True) -> int:
+    """The size of param_shapes(cfg), or of the leaves keep accepts by name (a
+    layer's by slot name), in closed form: no layer is listed."""
+    below, per_layer, above, agg = (sum(math.prod(s) for name, s in part.items() if keep(name))
                                     for part in _leaf_shapes(cfg))
     return below + cfg.n_layers * per_layer + above + agg
 
@@ -227,18 +228,17 @@ def time_mixing(store, layer: int, xx, state, new_state):
 
     store as in run_stream, and xx and the residual delta returned of its
     kind. state is the layer's rows (5, [B,] n, d) of the carried state,
-    new_state those of the state run_stream returns: this writes rows 0
-    (att_prev, the last row of xx) and 1-3 (the WKV's a, b, p).
+    new_state those of the state run_stream returns: this writes row 0
+    (att_prev, the last row of xx), and the WKV writes 1-3 (its a, b, p).
     """
     pre = f"layer{layer}.att"
     # r, k and v as one stack (3, T, [B,] n, d): one shift, one batched GEMM
     rkv = ag.matmul(ag.token_shift(xx, state[0], store[f"{pre}.mu_rkv"]),
                     store[f"{pre}.w_rkv"])
     tape = isinstance(rkv, Tensor)
-    y, wkv_state = (wkv.wkv_sequence if tape else wkv.wkv_forward)(
-        rkv, store[f"{pre}.decay"], store[f"{pre}.bonus"], state[1:4])
+    y = (wkv.wkv_sequence if tape else wkv.wkv_forward)(
+        rkv, store[f"{pre}.decay"], store[f"{pre}.bonus"], state[1:4], new_state[1:4])
     new_state[0] = (xx.data if tape else xx)[-1]
-    new_state[1], new_state[2], new_state[3] = wkv_state
     return ag.matmul(y, store[f"{pre}.w_o"])
 
 

@@ -28,6 +28,10 @@ def extended_config(base_cfg: m.ModelConfig, n: int,
     return replace(base_cfg, n_perspectives=n, aggregation=aggregation)
 
 
+def is_fine_tuned(name: str) -> bool:
+    return m.is_temporal(name) or m.is_aggregator(name)
+
+
 def extend_to_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
                            n: int, aggregation: str = "weighted_softmax"
                            ) -> tuple[m.ModelConfig, ParamStore, FreezeMask]:
@@ -44,7 +48,7 @@ def extend_to_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
     dtype = base_store["emb.weight"].data.dtype
     store, mask = ParamStore(), FreezeMask()
     for name, shape in m.param_shapes(cfg).items():
-        mask[name] = m.is_temporal(name) or m.is_aggregator(name)
+        mask[name] = is_fine_tuned(name)
         if name == "agghead.W":
             # stacked identities / n => plain average => identical to the base
             data = np.asarray(np.vstack([np.eye(cfg.d_model)] * n) / n, dtype=dtype)

@@ -229,21 +229,25 @@ def _steps(tc: TrainConfig) -> tuple[int, int]:
     return per_epoch, per_epoch * tc.mini_epochs
 
 
-def _check_fits(cfg: m.ModelConfig, tc: TrainConfig) -> None:
-    """Raise ConfigError, before anything is walked or allocated, if the run's
-    float32 parameters (cfg's, counted in closed form) and the int64 context
-    starts the sampler draws up front need more bytes than the machine's
-    physical memory. Where os.sysconf does not report it, nothing is checked."""
+def _check_fits(cfg: m.ModelConfig, tc: TrainConfig, trains=lambda name: True) -> None:
+    """Raise ConfigError, before anything is walked or allocated, if a step needs
+    more bytes than the machine's physical memory (where os.sysconf reports it):
+    cfg's float32 parameters, the int64 context starts drawn up front and seven
+    float32 arrays the size of the leaves trains accepts (their gradients, the
+    flat one, the clip's square, Adam's m, v and two scratch buffers). The
+    graph is not counted; the rest is counted in closed form."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    total_steps = _steps(tc)[1]
-    params, starts = 4 * m.param_count(cfg), 8 * total_steps * tc.batch_size
-    if 0 < memory < params + starts:
-        raise m.ConfigError(f"the run needs {params} bytes of float32 parameters and {starts} "
-                            f"bytes of context starts ({total_steps} steps of {tc.batch_size}), "
-                            f"more than the machine's {memory} bytes of memory")
+    total_steps, trainable = _steps(tc)[1], m.param_count(cfg, trains)
+    params, grads = 4 * m.param_count(cfg), 7 * 4 * trainable
+    starts = 8 * total_steps * tc.batch_size
+    if 0 < memory < params + grads + starts:
+        raise m.ConfigError(f"the run needs {params} bytes of float32 parameters, {grads} of "
+                            f"gradients and optimizer state ({trainable} trainable) and {starts} "
+                            f"of context starts ({total_steps} steps of {tc.batch_size}), more "
+                            f"than the machine's {memory} bytes of memory")
 
 
 def _train_loop(model: m.Model, train_tokens: np.ndarray, val_tokens: np.ndarray,
@@ -323,7 +327,7 @@ def finetune_perspectives(base_store: ParamStore, base_cfg: m.ModelConfig,
                           val_tokens: np.ndarray, tc: TrainConfig
                           ) -> tuple[m.ModelConfig, ParamStore, FreezeMask, TrainLog]:
     """Frozen-base fine-tuning of the temporal components and aggregator."""
-    _check_fits(persp_mod.extended_config(base_cfg, n, aggregation), tc)
+    _check_fits(persp_mod.extended_config(base_cfg, n, aggregation), tc, persp_mod.is_fine_tuned)
     cfg, store, mask = persp_mod.extend_to_perspectives(base_store, base_cfg, n,
                                                         aggregation)
     if tc.noise_target == "selector" and cfg.aggregation != "average":

@@ -7,17 +7,17 @@ B = b*e^p, with p a running log-scale maximum that keeps every exp argument
 `wkv_step` is the plain one-token update: the reference the tests compare
 against, and what `wkv_forward` runs for a one-token chunk (T=1 decoding).
 `wkv_forward` is the WKV's entry in a forward under no_grad: plain arrays
-in and out, and for a longer chunk `wkv_sequence` itself. `wkv_sequence` takes the time-mix block's
-r, k and v as one stacked (3, T, ..., d) chunk, the batched projection's
-output, and returns sigmoid(r) * wkv inside a single autograd node with a
+in and out, and for a longer chunk `wkv_sequence` itself. `wkv_sequence`
+takes the time-mix block's r, k and v as one stacked (3, T, ..., d) chunk
+and returns sigmoid(r) * wkv inside a single autograd node with a
 hand-written backward over r, k, v, w, u. The gate is r's only use, so it
-costs no node of its own, and r, k and v's gradients are written straight
-into one stacked array, in sigmoid_mul's operation order for r's. The axes
-between T and d (contexts, perspectives) are
-independent sequences that share w and u; time leads, so they are the G*d
-channels of a free (T, G*d) reshape. The chunk-boundary state is a detached
-numpy (a, b, p) triple (gradients never cross it): three arrays, or the
-(3, ..., d) rows 1-3 of the model's state array, which unpack as the triple.
+costs no node of its own, and r, k and v's gradients are written into one
+stacked array, in sigmoid_mul's operation order for r's. The axes between
+T and d (contexts, perspectives) are independent sequences that share w
+and u: the G*d channels of a free (T, G*d) reshape. Each entry reads the
+(a, b, p) rows entering the chunk and writes the final ones into the
+(3, ..., d) rows it is given, rows 1-3 of a layer's state in the model; no
+gradient crosses them.
 
 `wkv_sequence` splits the recurrence into two cheap scans and whole-chunk
 array ops, so the Python loop over time costs two ufunc calls per step per
@@ -27,8 +27,9 @@ scan instead of a few dozen:
   it alone and gives p for all T + 1 positions.
 - With p known, the output factors e1, e2 and the update factors f1, f2 are
   one array op each over the chunk, and (a, b) follow the linear recurrence
-  ab[t + 1] = f1[t] * ab[t] + (f2 v, f2)[t]. Scan 2 runs it on the stacked
-  (2, G*d) pair; y = (e1 a + e2 v) / (e1 b + e2) is then one expression.
+  ab[t + 1] = f1[t] * ab[t] + (f2 v, f2)[t]. Scan 2 steps it on flat
+  (2*G*d,) rows against f1 tiled twice, so no step broadcasts; y =
+  (e1 a + e2 v) / (e1 b + e2) is then one expression.
 
 Every value is the same formula, in the same order, as in `wkv_step`, so y
 and the final state are bitwise equal to stepping token by token. That is
@@ -42,12 +43,10 @@ y = (A + e^(u+k) v) / (B + e^(u+k)) and the update is A' = e^-w A + e^k v,
 B' = e^-w B + e^k, whichever p, q and p' the maxes picked. So y does not
 depend on them, and a gradient routed through the maxes would sum to zero
 (ties included). What is left is one reverse scan for the gradient of
-(a, b), whose coefficient is f1, and dk, dv, dw, du as whole-chunk
+(a, b), on scan 2's flat rows, and dk, dv, dw, du as whole-chunk
 expressions: u + k enters through e2, k through f2, w through f1. Under
 `no_grad` nothing is kept for it; otherwise its closure keeps only what the
-wanted gradients read (the (a, b) scan only for w's, v only for k's and
-u's, and f2 as a compact copy, not the (T, 2, G*d) buffer it is built in),
-as every autograd op does.
+wanted gradients read, as every autograd op does.
 """
 
 from __future__ import annotations
@@ -60,26 +59,26 @@ from rwkvp import autograd as ag
 from rwkvp.autograd import Tensor
 
 
-def empty_state(shape, dtype=np.float32):
-    """The (a, b, p) triple with no history; shape is d or (..., d)."""
-    return (np.zeros(shape, dtype=dtype),
-            np.zeros(shape, dtype=dtype),
-            np.full(shape, -np.inf, dtype=dtype))
-
-
-def wkv_step(state, k_t: np.ndarray, v_t: np.ndarray, w: np.ndarray, u: np.ndarray):
-    """One token of the recurrence. Returns (wkv_t, next_state)."""
+def wkv_step(state, k_t: np.ndarray, v_t: np.ndarray, w: np.ndarray, u: np.ndarray,
+             new_state) -> np.ndarray:
+    """One token of the recurrence: writes the next (a, b, p) into the rows
+    of new_state, which must not overlap state, and returns wkv_t."""
     a, b, p = state
+    a_row, b_row, p_row = new_state
     uk = u + k_t
     q = np.maximum(p, uk)
     e1 = np.exp(p - q)
     e2 = np.exp(uk - q)
     y = (e1 * a + e2 * v_t) / (e1 * b + e2)
     pw = p - w
-    q2 = np.maximum(pw, k_t)
+    q2 = np.maximum(pw, k_t, out=p_row)
     f1 = np.exp(pw - q2)
     f2 = np.exp(k_t - q2)
-    return y, (f1 * a + f2 * v_t, f1 * b + f2, q2)
+    np.multiply(f1, a, out=a_row)
+    a_row += f2 * v_t
+    np.multiply(f1, b, out=b_row)
+    b_row += f2
+    return y
 
 
 def _gate(r: np.ndarray) -> np.ndarray:
@@ -92,38 +91,32 @@ def _gate(r: np.ndarray) -> np.ndarray:
     return gate
 
 
-def wkv_forward(rkv: np.ndarray, w: np.ndarray, u: np.ndarray, state):
+def wkv_forward(rkv: np.ndarray, w: np.ndarray, u: np.ndarray, state, new_state) -> np.ndarray:
     """wkv_sequence on plain arrays, for the model's plain path (a forward
     under no_grad; see rwkvp.model).
 
-    rkv (3, T, ..., d), w and u (d,), state the (a, b, p) triple, each
-    (..., d), such as a (3, ..., d) array, whose shape the caller has
-    checked. Returns (out (T, ..., d), final_state), bitwise
-    wkv_sequence's. A one-token chunk runs wkv_step, with w and u broadcast over the leading axes, where the scan buffers and
-    the tiled w and u would cost more than the step. A longer chunk runs
-    wkv_sequence, the scans' one entry, which builds no node under no_grad;
-    wrapping its inputs costs nothing next to the scans. A non-finite r, k
-    or v raises NonFiniteError.
+    rkv (3, T, ..., d), w and u (d,), state and new_state as in wkv_sequence,
+    whose shapes the caller has checked. Returns out (T, ..., d); out and
+    the rows written are bitwise wkv_sequence's. A one-token chunk runs
+    wkv_step, with w and u broadcast over the leading axes, where the scan
+    buffers and the tiled w and u would cost more than the step; a longer
+    one runs wkv_sequence. A non-finite r, k or v raises NonFiniteError.
     """
     if rkv.shape[1] > 1:
-        out, final_state = wkv_sequence(Tensor(rkv), Tensor(w), Tensor(u), state)
-        return out.data, final_state
+        return wkv_sequence(Tensor(rkv), Tensor(w), Tensor(u), state, new_state).data
     if not np.isfinite(rkv).all():
         raise ag.NonFiniteError("wkv_forward: non-finite r, k or v")
     r, k, v = rkv
-    y, final_state = wkv_step(state, k[0], v[0], w, u)
-    return _gate(r) * y, final_state
+    return _gate(r) * wkv_step(state, k[0], v[0], w, u, new_state)
 
 
-def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state=None):
+def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state, new_state) -> Tensor:
     """Run the recurrence over a chunk and gate it: sigmoid(r) * wkv.
 
-    rkv stacks the receptance, key and value chunks, (3, T, ..., d). Returns
-    (out: Tensor (T, ..., d), final_state) where final_state is a detached
-    (a, b, p) numpy triple, each (..., d), for handing off to the next
-    chunk. The final state owns its memory: a view into the chunk's scan
-    buffers would keep them alive for as long as the state is carried. A
-    non-finite value in rkv raises NonFiniteError.
+    rkv stacks the receptance, key and value chunks, (3, T, ..., d). state
+    holds the (a, b, p) rows entering the chunk and new_state, which must not
+    overlap it, gets the final ones; each is (3, ..., d). Returns out: Tensor
+    (T, ..., d). A non-finite value in rkv raises NonFiniteError.
     """
     if rkv.data.ndim < 3 or rkv.shape[0] != 3:
         raise ag.ShapeError(f"wkv_sequence: rkv {rkv.shape}, need (3, T, ..., d)")
@@ -131,11 +124,6 @@ def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state=None):
     if w.shape != (d,) or u.shape != (d,):
         raise ag.ShapeError(f"wkv_sequence: w {w.shape} / u {u.shape} vs d={d}")
     dtype = rkv.data.dtype
-    if state is None:
-        state = empty_state(lead + (d,), dtype=dtype)
-    if any(np.shape(s) != lead + (d,) for s in state):
-        raise ag.ShapeError(f"wkv_sequence: state {[np.shape(s) for s in state]} "
-                            f"vs {lead + (d,)}")
     if not np.isfinite(rkv.data).all():
         raise ag.NonFiniteError("wkv_sequence: non-finite r, k or v")
     r, k, v = rkv.data
@@ -169,14 +157,16 @@ def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state=None):
     np.exp(f2, out=f2)                           # f2 = exp(k - p')
     np.multiply(f2, vd, out=inc[:, 0])
 
-    # scan 2: with p known, (a, b) is linear: ab[t + 1] = f1[t] * ab[t] + (f2 v, f2)[t]
+    # scan 2, on flat rows: with p known, ab[t + 1] = f1[t] * ab[t] + (f2 v, f2)[t]
     ab = np.empty((T + 1, 2, D), dtype=dtype)
-    ab[0, 0] = np.reshape(state[0], D)
-    ab[0, 1] = np.reshape(state[1], D)
-    for cur, nxt, f, i in zip(ab[:-1], ab[1:], f1, inc):
+    ab[0] = np.reshape(state[:2], (2, D))
+    rows = ab.reshape(T + 1, 2 * D)
+    for cur, nxt, f, i in zip(rows[:-1], rows[1:], np.tile(f1, 2), inc.reshape(T, 2 * D)):
         np.multiply(cur, f, out=nxt)
         np.add(nxt, i, out=nxt)
     a_in, b_in = ab[:-1, 0], ab[:-1, 1]
+    new_state[:2] = ab[T].reshape((2,) + lead + (d,))
+    new_state[2] = p[T].reshape(lead + (d,))
 
     # y = (e1 a + e2 v) / (e1 b + e2)
     den = np.multiply(e1, b_in)
@@ -186,7 +176,6 @@ def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state=None):
     y /= den
 
     out = Tensor(gate * y.reshape(k.shape), ag._needs_grad(rkv, w, u), "wkv_sequence")
-    final_state = tuple(s.reshape(lead + (d,)).copy() for s in (ab[T, 0], ab[T, 1], p[T]))
 
     if out.requires_grad:
         nrkv, nw, nu = (ag._node_of(t) for t in (rkv, w, u))
@@ -212,8 +201,10 @@ def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state=None):
             dab[T] = 0
             np.multiply(dN, e1, out=dab[:-1, 0])
             np.multiply(dD, e1, out=dab[:-1, 1])
-            for cur, nxt, f in zip(dab[-2::-1], dab[:0:-1], f1[::-1]):
-                cur += nxt * f
+            rows, tmp = dab.reshape(T + 1, 2 * D), np.empty(2 * D, dtype=dtype)
+            for cur, nxt, f in zip(rows[-2::-1], rows[:0:-1], np.tile(f1, 2)[::-1]):
+                np.multiply(nxt, f, out=tmp)
+                cur += tmp
             da, db = dab[1:, 0], dab[1:, 1]      # gradient of the state after step t
 
             # p and q are held constant: a gauge (see the module docstring).
@@ -245,4 +236,4 @@ def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state=None):
                 ag._accumulate(nu, g2.sum(axis=0).reshape(groups, d).sum(axis=0))
         out._node = ag._Node(bwd, nrkv, nw, nu)
 
-    return out, final_state
+    return out

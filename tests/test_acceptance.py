@@ -111,10 +111,12 @@ def test_criterion_05_wkv_chunking_and_extremes(capsys):
         u = rng.uniform(-1, 1, d)
         cut = int(rng.integers(1, T))
         rkv = np.stack([r_rng.uniform(-1, 1, (T, d)), k, v])
+        empty, mid, final = np.zeros((3, 3, d))     # the (a, b, p) rows of three states
+        empty[2] = -np.inf
         with ag.no_grad():
-            full, _ = wkv.wkv_sequence(Tensor(rkv), Tensor(w), Tensor(u))
-            y1, mid = wkv.wkv_sequence(Tensor(rkv[:, :cut]), Tensor(w), Tensor(u))
-            y2, _ = wkv.wkv_sequence(Tensor(rkv[:, cut:]), Tensor(w), Tensor(u), state=mid)
+            full = wkv.wkv_sequence(Tensor(rkv), Tensor(w), Tensor(u), empty, final)
+            y1 = wkv.wkv_sequence(Tensor(rkv[:, :cut]), Tensor(w), Tensor(u), empty, mid)
+            y2 = wkv.wkv_sequence(Tensor(rkv[:, cut:]), Tensor(w), Tensor(u), mid, final)
         worst = max(worst, float(np.abs(full.data - np.vstack([y1.data, y2.data])).max()))
     finite = True
     for extreme in (-200.0, 200.0):
@@ -122,7 +124,8 @@ def test_criterion_05_wkv_chunking_and_extremes(capsys):
         k[3] = extreme
         rkv = np.stack([r_rng.uniform(-1, 1, (8, 4)), k, rng.uniform(-1, 1, (8, 4))])
         with ag.no_grad():
-            y, _ = wkv.wkv_sequence(Tensor(rkv), Tensor(np.full(4, 0.5)), Tensor(np.zeros(4)))
+            y = wkv.wkv_sequence(Tensor(rkv), Tensor(np.full(4, 0.5)), Tensor(np.zeros(4)),
+                                 empty, final)
         finite = finite and bool(np.all(np.isfinite(y.data)))
     _report(capsys, 5, worst < 1e-5 and finite,
             f"max chunking deviation {worst:.2e} (limit 1e-5), "

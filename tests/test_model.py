@@ -392,6 +392,22 @@ def test_plain_path_is_bitwise_the_tape(aggregation, n, batch, dtype):
             _run(model, tokens[:length], chunk, tape=True)
 
 
+@pytest.mark.parametrize("T", [1, 4])
+@pytest.mark.parametrize("tape", [False, True], ids=["plain", "tape"])
+def test_a_forward_leaves_the_state_it_is_given_unchanged(tape, T):
+    """run_stream writes every layer's rows, the WKV's a, b and p included,
+    into the state array it allocates and returns, never into the one it is
+    given: a carried state's bytes are the same after the forward."""
+    model = _noisy_extension(4, "weighted_softmax", np.float32)
+    with ag.no_grad():
+        _, _, states = model.forward(np.arange(5))
+    before = states.tobytes()
+    with (contextlib.nullcontext() if tape else ag.no_grad()):
+        _, _, new_states = model.forward(np.arange(T), states)
+    assert states.tobytes() == before
+    assert not np.shares_memory(new_states, states)
+
+
 STATE_ROWS = ("att_prev", "wkv_state a", "wkv_state b", "wkv_state p", "ffn_prev")
 
 

@@ -71,25 +71,56 @@ def test_train_config_accepts_integer_rates():
 
 
 def test_the_size_check_compares_with_the_reported_memory(monkeypatch):
-    """The float32 parameters plus the int64 context starts (steps x batch)
-    must fit in the memory os.sysconf reports; where it reports none, the
-    check passes."""
+    """The float32 parameters, seven float32 arrays of the trainable
+    parameters' size and the int64 context starts (steps x batch) must fit
+    in the memory os.sysconf reports; where it reports none, the check
+    passes."""
     cfg = tiny_config()
     tc = training.TrainConfig(batch_size=2, mini_epochs=3, contexts_per_mini_epoch=3,
                               context_length=16)
-    params = 4 * m.param_count(cfg)
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": params + 8 * 6 * 2}   # 2 steps x 3 epochs
+    params, trainable = 4 * m.param_count(cfg), 2 * cfg.d_model
+    memory = {"SC_PAGE_SIZE": 1,
+              "SC_PHYS_PAGES": params + 7 * 4 * trainable + 8 * 6 * 2}   # 2 steps x 3 epochs
     monkeypatch.setattr(training.os, "sysconf", memory.__getitem__)
-    training._check_fits(cfg, tc)
+    trains = {"ln0.g", "ln0.b"}.__contains__
+    training._check_fits(cfg, tc, trains)
     memory["SC_PHYS_PAGES"] -= 1
-    with pytest.raises(m.ConfigError, match=f"{params} bytes of float32 parameters and 96 "
-                                            r"bytes of context starts \(6 steps of 2\)"):
-        training._check_fits(cfg, tc)
+    with pytest.raises(m.ConfigError, match=f"{params} bytes of float32 parameters, "
+                                            f"{28 * trainable} of gradients and optimizer state "
+                                            f"\\({trainable} trainable\\) and 96 of context "
+                                            r"starts \(6 steps of 2\)"):
+        training._check_fits(cfg, tc, trains)
 
     def unreported(name):
         raise ValueError(name)
     monkeypatch.setattr(training.os, "sysconf", unreported)
     training._check_fits(m.ModelConfig(n_layers=2 ** 70), tc)
+
+
+@pytest.mark.parametrize("n", [1, 3], ids=["pretrain", "finetune"])
+def test_the_size_check_counts_a_step_s_trainable_sized_arrays(monkeypatch, n):
+    """A memory that holds the parameters, the context starts and six float32
+    arrays of the trainable parameters' size, but not the step's seven
+    (gradients, flat gradient, its square, Adam's m, v and two scratch
+    buffers), is a ConfigError before a model is built. Fine-tuning counts
+    only the leaves its mask trains."""
+    base_cfg = tiny_config()
+    base_store, _ = m.init_base_params(base_cfg, seed=0)
+    tokens = np.arange(64) % base_cfg.vocab_size
+    tc = training.TrainConfig(mini_epochs=1, contexts_per_mini_epoch=2, context_length=16)
+    if n == 1:
+        cfg, trainable = base_cfg, base_store.total_size()
+        run = lambda: training.pretrain_base(base_cfg, tokens, tokens, tc)
+    else:
+        cfg, store, mask = perspectives.extend_to_perspectives(base_store, base_cfg, n)
+        trainable = sum(store[name].data.size for name in mask.trainable_names())
+        run = lambda: training.finetune_perspectives(base_store, base_cfg, n,
+                                                     "weighted_softmax", tokens, tokens, tc)
+    memory = 4 * m.param_count(cfg) + 6 * 4 * trainable + 8 * 1 * 2     # 1 step of 2
+    monkeypatch.setattr(training.os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}.get)
+    forbid_model_builds(monkeypatch)
+    with pytest.raises(m.ConfigError, match=f"\\({trainable} trainable\\)"):
+        run()
 
 
 def test_finetune_refuses_an_extension_that_cannot_fit(monkeypatch):

@@ -24,11 +24,27 @@ def _gate(r):
     return 1.0 / (1.0 + np.exp(-r))
 
 
+def _empty(shape, dtype=np.float64):
+    """The (a, b, p) rows with no history, (3, *shape): zeros, zeros, -inf."""
+    state = np.zeros((3,) + shape, dtype=dtype)
+    state[2] = -np.inf
+    return state
+
+
+def _step(state, k_t, v_t, w, u):
+    """wkv_step into fresh rows: (wkv_t, the next (a, b, p) rows)."""
+    nxt = np.empty_like(state)
+    return wkv.wkv_step(state, k_t, v_t, w, u, nxt), nxt
+
+
 def _seq(r, k, v, w, u, state=None, grad=False):
-    """wkv_sequence on the stacked (r, k, v) chunk: (out, final state, the
-    leaves rkv, w and u)."""
+    """wkv_sequence on the stacked (r, k, v) chunk from state (default: no
+    history): (out, the final state rows it wrote, the leaves rkv, w and u)."""
     leaves = [Tensor(x, requires_grad=grad) for x in (np.stack([r, k, v]), w, u)]
-    out, final = wkv.wkv_sequence(*leaves, state=state)
+    if state is None:
+        state = _empty(k.shape[1:], k.dtype)
+    final = np.empty_like(state)
+    out = wkv.wkv_sequence(*leaves, state, final)
     return out, final, leaves
 
 
@@ -54,18 +70,11 @@ def wkv_sequence_reference(k, v, w, u, dtype=np.float64):
     return y
 
 
-def test_empty_state_shape_and_values():
-    a, b, p = wkv.empty_state(4)
-    np.testing.assert_array_equal(a, 0.0)
-    np.testing.assert_array_equal(b, 0.0)
-    assert np.all(np.isneginf(p))
-
-
 def test_first_token_output_equals_value():
     # with an empty state the numerator/denominator reduce to v and 1
     rng = np.random.default_rng(0)
     _, k, v, w, u = _random_case(rng, 1, 6)
-    y, _ = wkv.wkv_step(wkv.empty_state(6, np.float64), k[0], v[0], w, u)
+    y, _ = _step(_empty((6,)), k[0], v[0], w, u)
     np.testing.assert_allclose(y, v[0], rtol=1e-12)
 
 
@@ -75,12 +84,11 @@ def test_sequence_matches_stepwise_bitwise():
         r, k, v, w, u = _random_case(rng, 12, 5)
         with ag.no_grad():
             y, final, _ = _seq(r, k, v, w, u)
-        state = wkv.empty_state(5, np.float64)
+        state = _empty((5,))
         for t in range(12):
-            yt, state = wkv.wkv_step(state, k[t], v[t], w, u)
+            yt, state = _step(state, k[t], v[t], w, u)
             assert np.array_equal(y.data[t], _gate(r[t]) * yt)
-        for got, want in zip(final, state):
-            assert np.array_equal(got, want)
+        assert np.array_equal(final, state)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -94,9 +102,9 @@ def test_gate_is_sigmoid_mul_of_the_stepwise_recurrence_bitwise(dtype):
     u = rng.uniform(-1, 1, d).astype(dtype)
     y, _, (rkv, _, _) = _seq(r, k, v, w, u, grad=True)
     ag.sum_(ag.mul(y, Tensor(weight))).backward()
-    state, ys = wkv.empty_state(lead + (d,), dtype), []
+    state, ys = _empty(lead + (d,), dtype), []
     for t in range(T):
-        yt, state = wkv.wkv_step(state, k[t], v[t], w, u)
+        yt, state = _step(state, k[t], v[t], w, u)
         ys.append(yt)
     tr = Tensor(r, requires_grad=True)
     gated = ag.sigmoid_mul(tr, Tensor(np.stack(ys)))
@@ -145,7 +153,9 @@ def _assert_gradients_match_fd(parts, weight, state=None):
     assert all(a.dtype == np.float64 for a in parts.values())
     rkv = Tensor(np.stack([parts["r"], parts["k"], parts["v"]]), requires_grad=True)
     w, u = (Tensor(parts[n].copy(), requires_grad=True) for n in "wu")
-    y, _ = wkv.wkv_sequence(rkv, w, u, state=state)
+    if state is None:
+        state = _empty(parts["k"].shape[1:])
+    y = wkv.wkv_sequence(rkv, w, u, state, np.empty_like(state))
     ag.sum_(ag.mul(y, Tensor(weight))).backward()
     grads = dict(zip("rkv", rkv.grad), w=w.grad, u=u.grad)
 
@@ -247,21 +257,24 @@ def test_gradient_flows_through_chunk_output_not_state():
     rkv = np.stack(_random_case(rng, 4, 2)[:3])
     w, u = Tensor(np.full(2, 0.5)), Tensor(np.zeros(2))
     rkv1 = Tensor(rkv[:, :2], requires_grad=True)
-    y1, mid = wkv.wkv_sequence(rkv1, w, u)
-    assert all(isinstance(s, np.ndarray) for s in mid)
+    mid, final = np.empty((2, 3, 2))
+    wkv.wkv_sequence(rkv1, w, u, _empty((2,)), mid)
     rkv2 = Tensor(rkv[:, 2:], requires_grad=True)
-    y2, _ = wkv.wkv_sequence(rkv2, w, u, state=mid)
+    y2 = wkv.wkv_sequence(rkv2, w, u, mid, final)
     ag.sum_(y2).backward()
     assert rkv2.grad is not None
     assert rkv1.grad is None
 
 
 def test_shape_validation():
+    state = _empty((2,))
     for rkv in (np.ones((2, 3, 2)), np.ones((3, 2))):       # not three slots; no time axis
         with pytest.raises(ag.ShapeError, match="rkv"):
-            wkv.wkv_sequence(Tensor(rkv), Tensor(np.ones(2)), Tensor(np.ones(2)))
+            wkv.wkv_sequence(Tensor(rkv), Tensor(np.ones(2)), Tensor(np.ones(2)), state,
+                             np.empty_like(state))
     with pytest.raises(ag.ShapeError):
-        wkv.wkv_sequence(Tensor(np.ones((3, 3, 2))), Tensor(np.ones(3)), Tensor(np.ones(2)))
+        wkv.wkv_sequence(Tensor(np.ones((3, 3, 2))), Tensor(np.ones(3)), Tensor(np.ones(2)),
+                         state, np.empty_like(state))
 
 
 def test_step_rejects_non_finite_inputs():
@@ -269,7 +282,8 @@ def test_step_rejects_non_finite_inputs():
     rkv = np.zeros((3, 1, 2))
     rkv[1, 0, 0] = np.nan
     with ag.no_grad(), pytest.raises(ag.NonFiniteError):
-        wkv.wkv_sequence(Tensor(rkv), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        wkv.wkv_sequence(Tensor(rkv), Tensor(np.ones(2)), Tensor(np.zeros(2)), _empty((2,)),
+                         np.empty((3, 2)))
 
 
 @pytest.mark.parametrize("grad", [False, True], ids=["no-grad", "grad"])
@@ -282,7 +296,7 @@ def test_scans_reject_non_finite_inputs(grad, bad):
     with (contextlib.nullcontext() if grad else ag.no_grad()), \
             pytest.raises(ag.NonFiniteError, match="non-finite"):
         wkv.wkv_sequence(Tensor(rkv, requires_grad=grad), Tensor(np.ones(3)),
-                         Tensor(np.zeros(3)))
+                         Tensor(np.zeros(3)), _empty((2, 3)), np.empty((3, 2, 3)))
 
 
 def test_strong_decay_and_bonus():
@@ -320,30 +334,21 @@ def test_stacked_sequences_match_per_slice_calls():
         return y.data, final, [*leaves[0].grad] + [t.grad for t in leaves[1:]]
 
     y, final, (dr, dk, dv, dw, du) = run(r, k, v, state, weight)
-    assert y.shape == (T, B, n, d) and all(s.shape == (B, n, d) for s in final)
+    assert y.shape == (T, B, n, d) and final.shape == (3, B, n, d)
     dw_sum, du_sum = np.zeros_like(w), np.zeros_like(u)
     for i in range(n):
         for b in range(B):
             ys, fs, (drs, dks, dvs, dws, dus) = run(r[:, b, i], k[:, b, i], v[:, b, i],
-                                                    tuple(s[b, i] for s in state),
-                                                    weight[:, b, i])
+                                                    state[:, b, i], weight[:, b, i])
             assert np.array_equal(y[:, b, i], ys)
             assert np.array_equal(dr[:, b, i], drs)
             assert np.array_equal(dk[:, b, i], dks)
             assert np.array_equal(dv[:, b, i], dvs)
-            for got, want in zip(final, fs):
-                assert np.array_equal(got[b, i], want)
+            assert np.array_equal(final[:, b, i], fs)
             dw_sum += dws
             du_sum += dus
     np.testing.assert_allclose(dw, dw_sum, rtol=0, atol=1e-6)
     np.testing.assert_allclose(du, du_sum, rtol=0, atol=1e-6)
-
-
-def test_state_shape_must_match_leading_axes():
-    rkv = Tensor(np.ones((3, 2, 3, 4)))
-    with pytest.raises(ag.ShapeError, match="state"):
-        wkv.wkv_sequence(rkv, Tensor(np.ones(4)), Tensor(np.ones(4)),
-                         state=wkv.empty_state(4, np.float64))
 
 
 def _carried_state(rng, lead, d, dtype):
@@ -371,12 +376,11 @@ def test_leading_axes_from_carried_state_match_stepwise_bitwise(dtype, T):
     assert y.data.dtype == dtype and y.shape == (T,) + lead + (d,)
     for i in range(lead[0]):
         for j in range(lead[1]):
-            st = tuple(s[i, j] for s in state)
+            st = state[:, i, j]
             for t in range(T):
-                yt, st = wkv.wkv_step(st, k[t, i, j], v[t, i, j], w, u)
+                yt, st = _step(st, k[t, i, j], v[t, i, j], w, u)
                 assert np.array_equal(y.data[t, i, j], _gate(r[t, i, j]) * yt)
-            for got, want in zip(final, st):
-                assert np.array_equal(got[i, j], want)
+            assert np.array_equal(final[:, i, j], st)
 
 
 @pytest.mark.parametrize("T", [1, 5])
@@ -396,25 +400,34 @@ def test_no_grad_output_keeps_no_backward():
     rng = np.random.default_rng(10)
     r, k, v, w, u = _random_case(rng, 6, 3)
     leaves = [Tensor(x, requires_grad=True) for x in (np.stack([r, k, v]), w, u)]
+    state = _empty((3,))
     with ag.no_grad():
-        y, _ = wkv.wkv_sequence(*leaves)
+        y = wkv.wkv_sequence(*leaves, state, np.empty_like(state))
     assert not y.requires_grad and y._backward is None
-    y, _ = wkv.wkv_sequence(*leaves)
+    y = wkv.wkv_sequence(*leaves, state, np.empty_like(state))
     assert y.requires_grad and y._backward is not None
 
 
-def test_final_state_owns_its_memory():
-    # a view into the chunk's scan buffers would keep them alive for as long
-    # as the state is carried from chunk to chunk
+@pytest.mark.parametrize("T", [1, 16])
+def test_written_rows_hold_the_stepwise_state_and_share_no_memory(T):
+    """The rows each entry writes hold the stepwise final state bitwise; the
+    output and the state read share no memory with them, so carrying the
+    rows keeps no chunk buffer alive and no later write reaches the output."""
     rng = np.random.default_rng(11)
-    r, k, v = (rng.uniform(-1, 1, (16, 2, 3, 4)) for _ in range(3))
+    r, k, v = (rng.uniform(-1, 1, (T, 2, 3, 4)) for _ in range(3))
     w, u = rng.uniform(0.05, 2.0, 4), rng.uniform(-1, 1, 4)
+    state = _carried_state(rng, (2, 3), 4, np.float64)
+    want = state
+    for t in range(T):
+        _, want = _step(want, k[t], v[t], w, u)
+    rkv, rows = np.stack([r, k, v]), np.empty_like(state)
+    written = [(wkv.wkv_forward(rkv, w, u, state, rows), rows, rkv)]
     for grad in (False, True):
-        y, final, _ = _seq(r, k, v, w, u, state=_carried_state(rng, (2, 3), 4, np.float64),
-                           grad=grad)
-        for s in final:
-            assert s.shape == (2, 3, 4) and s.base is None
-            assert not np.shares_memory(s, y.data)
+        y, final, (leaf, _, _) = _seq(r, k, v, w, u, state=state, grad=grad)
+        written.append((y.data, final, leaf.data))
+    for out, rows, inputs in written:
+        assert rows.tobytes() == want.tobytes()
+        assert not any(np.shares_memory(rows, x) for x in (out, state, inputs))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -428,23 +441,19 @@ def test_one_token_no_grad_route_changes_no_number(dtype, carried):
     k, v = (rng.uniform(-2, 2, (1,) + lead + (d,)).astype(dtype) for _ in range(2))
     w = rng.uniform(0.05, 2.0, d).astype(dtype)
     u = rng.uniform(-1, 1, d).astype(dtype)
-    state = (_carried_state(rng, lead, d, dtype) if carried
-             else wkv.empty_state(lead + (d,), dtype))
+    state = _carried_state(rng, lead, d, dtype) if carried else _empty(lead + (d,), dtype)
     r = rng.uniform(-2, 2, (1,) + lead + (d,)).astype(dtype)
-    y, final = wkv.wkv_forward(np.stack([r, k, v]), w, u, state)
+    final = np.empty_like(state)
+    y = wkv.wkv_forward(np.stack([r, k, v]), w, u, state, final)
     scan_y, scan_final, _ = _seq(r, k, v, w, u, state=state, grad=True)
     assert scan_y._backward is not None
     assert type(y) is np.ndarray and y.dtype == dtype and y.shape == k.shape
     assert y.tobytes() == scan_y.data.tobytes()
-    for got, want in zip(final, scan_final):
-        assert got.dtype == dtype and got.shape == lead + (d,)
-        assert got.tobytes() == want.tobytes()
-        assert got.base is None and not np.shares_memory(got, y)
-        assert not any(np.shares_memory(got, s) for s in state)
+    assert final.tobytes() == scan_final.tobytes()
 
 
 def test_one_token_no_grad_rejects_non_finite_key():
     rkv = np.zeros((3, 1, 2, 3))
     rkv[1, 0, 1, 2] = np.inf
     with pytest.raises(ag.NonFiniteError):
-        wkv.wkv_forward(rkv, np.ones(3), np.zeros(3), wkv.empty_state((2, 3)))
+        wkv.wkv_forward(rkv, np.ones(3), np.zeros(3), _empty((2, 3)), np.empty((3, 2, 3)))
