@@ -46,7 +46,9 @@ depend on them, and a gradient routed through the maxes would sum to zero
 (a, b), on scan 2's flat rows, and dk, dv, dw, du as whole-chunk
 expressions: u + k enters through e2, k through f2, w through f1. Under
 `no_grad` nothing is kept for it; otherwise its closure keeps only what the
-wanted gradients read, as every autograd op does.
+wanted gradients read, as every autograd op does, and v and f2 as compact
+copies: a view would pin the whole buffer it lies in (the stacked r/k/v
+projection, the inc buffer) until backward.
 """
 
 from __future__ import annotations
@@ -180,10 +182,10 @@ def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state, new_state) -> Tensor:
     if out.requires_grad:
         nrkv, nw, nu = (ag._node_of(t) for t in (rkv, w, u))
         gate, rkv_shape = gate.reshape(T, D), rkv.shape
-        # keep only what the wanted gradients read: v for k's and u's, a
-        # compact f2 for v's and k's (not the inc buffer it lies in), the
-        # (a, b) scan for w's
-        vd = vd if nrkv is not None or nu is not None else None
+        # keep only what the wanted gradients read: a compact v for k's and
+        # u's (not the stacked r/k/v projection it lies in), a compact f2 for
+        # v's and k's (not the inc buffer it lies in), the (a, b) scan for w's
+        vd = vd.copy() if nrkv is not None or nu is not None else None
         f2 = f2.copy() if nrkv is not None else None
         if nw is None:
             a_in = b_in = None

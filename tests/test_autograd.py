@@ -650,11 +650,13 @@ def _readme_finetune_model(base_config):
 
 
 # One step's array peak (numpy reports its buffers to tracemalloc) at the
-# README config: 5.2 MB with nodes that keep only what backward reads (5.6
-# MB while token_shift kept both x and prev, and the WKV node the whole inc
-# buffer around f2), 14.9 MB when every node held its forward value and
-# every interior gradient lived until the loss was dropped. The bound is
-# 54 % over the first and 46 % under the last.
+# README config: 4.69 MB with nodes that keep only what backward reads, v
+# and f2 as compact copies (5.09 MB while the WKV node kept v as a view that
+# pinned the stacked r/k/v projection, 5.6 MB while token_shift kept both x
+# and prev and the WKV node the whole inc buffer around f2), 14.9 MB when
+# every node held its forward value and every interior gradient lived until
+# the loss was dropped. The bound is 71 % over the first and 46 % under the
+# last.
 FINETUNE_STEP_PEAK_MB = 8.0
 
 
@@ -691,6 +693,50 @@ def test_dropped_op_outputs_are_freed_before_backward(base_config, monkeypatch):
     assert loss.requires_grad
     loss.backward()
     assert model.store["layer0.ffn.mu_k"].grad is not None
+
+
+def test_wkv_graph_pins_no_projection_buffer(base_config, monkeypatch):
+    """The WKV node keeps v as its own array, not a view into the stacked
+    (3, T, B, n, d) r/k/v projection, so the projection's buffer, r and k
+    slots included, is gone while the loss still waits for backward()."""
+    from rwkvp import wkv
+    model, tokens = _readme_finetune_model(base_config)
+    wkv_sequence, refs = wkv.wkv_sequence, []
+
+    def recording(rkv, *args):
+        owner = rkv.data
+        while owner.base is not None:
+            owner = owner.base
+        refs.append(weakref.ref(owner))
+        return wkv_sequence(rkv, *args)
+
+    monkeypatch.setattr(wkv, "wkv_sequence", recording)
+    loss = training._batch_loss(model, tokens)
+    assert len(refs) == base_config.n_layers
+    assert not [r() for r in refs if r() is not None]
+    loss.backward()
+    assert model.store["layer0.att.mu_rkv"].grad is not None
+
+
+def test_byte_tokens_train_bitwise(base_config):
+    """A pretraining step on uint8 ids (what tokenize returns) gives the int64
+    step's loss and every leaf's gradient bitwise, the embedding's included."""
+    from rwkvp import model as m
+    tokens = np.random.default_rng(0).integers(
+        0, 256, (base_config.context_length + 1, 2))
+    results = []
+    for ids in (tokens, tokens.astype(np.uint8)):
+        store, mask = m.init_base_params(base_config, seed=0)
+        loss = training._batch_loss(m.Model(base_config, store, mask), ids)
+        value = loss.item()
+        loss.backward()
+        results.append((value, {name: t.grad for name, t in store.items()}))
+    (want_loss, want), (got_loss, got) = results
+    assert got_loss == want_loss
+    assert want.keys() == got.keys() and want["emb.weight"] is not None
+    for name, g in want.items():
+        assert g is not None, name
+        assert got[name].dtype == g.dtype and got[name].tobytes() == g.tobytes(), name
 
 
 # autograd functions that build no graph node

@@ -34,7 +34,8 @@ def test_tokenize_bytes_and_str_agree():
 @settings(max_examples=100, deadline=None)
 def test_tokenizer_roundtrip_bytes(data):
     tokens = tokenizer.tokenize(data)
-    assert tokens.dtype == np.int64
+    assert tokens.dtype == np.uint8
+    assert tokens.flags.writeable and tokens.flags.owndata
     assert np.all(tokens >= 0) and np.all(tokens < 256)
     assert tokens.astype(np.uint8).tobytes() == data
 
