@@ -34,6 +34,8 @@ Fused primitives: token_shift, sigmoid_mul and relu_square each run a chain
 of the RWKV block's elementwise ops as one node with a hand-written backward,
 because at the model's sizes a node costs more in dispatch and temporaries
 than in arithmetic. They keep the chains' operation order and bitwise output.
+sigmoid_mul's kernels, _sigmoid_mul and _sigmoid_mul_grad, are the one
+receptance gate: the WKV node (rwkvp.wkv) runs them on its r as well.
 For the same reason token_shift takes a stacked (S, n, d) mu and matmul a
 stacked (S, d, k) weight: the time-mix block's r, k and v are one shift and
 one batched GEMM, each slot bitwise what its own call would give.
@@ -59,7 +61,9 @@ import numpy as np
 
 
 class ShapeError(ValueError):
-    """Raised when two operands have incompatible shapes."""
+    """Raised where an op's operand shapes do not fit but numpy would accept
+    them and return a result; shapes numpy refuses raise its own ValueError,
+    which names them."""
 
 
 class NonFiniteError(FloatingPointError):
@@ -225,9 +229,22 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def _sigmoid_mul(a: np.ndarray, b: np.ndarray):
-    """(sigmoid(a) * b, sigmoid(a))."""
-    s = 1.0 / (1.0 + np.exp(-a))
+    """(sigmoid(a) * b, sigmoid(a)), sigmoid as 1 / (1 + exp(-a)) in place in
+    one new array."""
+    s = np.negative(a)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
     return s * b, s
+
+
+def _sigmoid_mul_grad(g: np.ndarray, b: np.ndarray, s: np.ndarray, out=None) -> np.ndarray:
+    """The gradient of sigmoid(a) * b for a, g * b * s * (1 - s) in that order
+    (s = sigmoid(a)), written into out if given."""
+    out = np.multiply(g, b, out=out)
+    out *= s
+    out *= 1.0 - s
+    return out
 
 
 def _relu_square(a: np.ndarray):
@@ -284,11 +301,7 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 def add(a: Tensor, b: Tensor) -> Tensor:
     if not isinstance(a, Tensor):
         return a + b
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
-    out = Tensor(data, _needs_grad(a, b), "add")
+    out = Tensor(a.data + b.data, _needs_grad(a, b), "add")
     if out.requires_grad:
         na, nb, a_shape, b_shape = _node_of(a), _node_of(b), a.shape, b.shape
 
@@ -304,11 +317,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if not isinstance(a, Tensor):
         return a * b
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
-    out = Tensor(data, _needs_grad(a, b), "mul")
+    out = Tensor(a.data * b.data, _needs_grad(a, b), "mul")
     if out.requires_grad:
         na, nb, a_shape, b_shape = _node_of(a), _node_of(b), a.shape, b.shape
         # each operand is read only for the other's gradient
@@ -338,10 +347,7 @@ def sigmoid_mul(a: Tensor, b: Tensor) -> Tensor:
     """sigmoid(a) * b, the receptance gate, as one node."""
     if not isinstance(a, Tensor):
         return _sigmoid_mul(a, b)[0]
-    try:
-        data, s = _sigmoid_mul(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"sigmoid_mul: incompatible shapes {a.shape} and {b.shape}") from None
+    data, s = _sigmoid_mul(a.data, b.data)
     out = Tensor(data, _needs_grad(a, b), "sigmoid_mul")
     if out.requires_grad:
         na, nb, a_shape, b_shape = _node_of(a), _node_of(b), a.shape, b.shape
@@ -349,7 +355,7 @@ def sigmoid_mul(a: Tensor, b: Tensor) -> Tensor:
 
         def bwd(g):
             if na is not None:
-                _accumulate(na, _unbroadcast(g * bd * s * (1.0 - s), a_shape))
+                _accumulate(na, _unbroadcast(_sigmoid_mul_grad(g, bd, s), a_shape))
             if nb is not None:
                 _accumulate(nb, _unbroadcast(g * s, b_shape))
         out._node = _Node(bwd, na, nb)

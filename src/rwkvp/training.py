@@ -173,8 +173,6 @@ def clip_global_norm(grad: np.ndarray, sizes, max_norm: float) -> float:
 
 def inject_selector_noise(store: ParamStore, std: float, mean: float, seed: int) -> None:
     """One-time Gaussian perturbation of the aggregator's linear layer."""
-    if std < 0:
-        raise m.ConfigError(f"noise_std must be >= 0, got {std}")
     rng = np.random.default_rng(seed)
     for name, p in store.items():
         if m.is_aggregator(name):
@@ -188,8 +186,6 @@ def inject_temporal_noise(store: ParamStore, cfg: m.ModelConfig, std: float,
     Draws run perspective by perspective, then layer by layer and slot by
     slot (att r, k, v, the three slots of att.mu_rkv, then ffn r, k).
     """
-    if std < 0:
-        raise m.ConfigError(f"noise_std must be >= 0, got {std}")
     names = m.mu_names(cfg)
     slots = [math.prod(store[name].shape[:-2]) for name in names]   # 3 for att.mu_rkv
     noise = np.random.default_rng(seed).normal(

@@ -10,9 +10,10 @@ against, and what `wkv_forward` runs for a one-token chunk (T=1 decoding).
 in and out, and for a longer chunk `wkv_sequence` itself. `wkv_sequence`
 takes the time-mix block's r, k and v as one stacked (3, T, ..., d) chunk
 and returns sigmoid(r) * wkv inside a single autograd node with a
-hand-written backward over r, k, v, w, u. The gate is r's only use, so it
-costs no node of its own, and r, k and v's gradients are written into one
-stacked array, in sigmoid_mul's operation order for r's. The axes between
+hand-written backward over r, k, v, w, u. The gate runs ag.sigmoid_mul's
+kernels (`_sigmoid_mul` forward, `_sigmoid_mul_grad` for r's gradient) on
+both entries. It is r's only use, so it costs no node of its own, and r, k
+and v's gradients are written into one stacked array. The axes between
 T and d (contexts, perspectives) are independent sequences that share w
 and u: the G*d channels of a free (T, G*d) reshape. Each entry reads the
 (a, b, p) rows entering the chunk and writes the final ones into the
@@ -83,16 +84,6 @@ def wkv_step(state, k_t: np.ndarray, v_t: np.ndarray, w: np.ndarray, u: np.ndarr
     return y
 
 
-def _gate(r: np.ndarray) -> np.ndarray:
-    """sigmoid(r) in ag.sigmoid_mul's operations, 1 / (1 + exp(-r)), in place
-    in one new array."""
-    gate = np.negative(r)
-    np.exp(gate, out=gate)
-    gate += 1.0
-    np.divide(1.0, gate, out=gate)
-    return gate
-
-
 def wkv_forward(rkv: np.ndarray, w: np.ndarray, u: np.ndarray, state, new_state) -> np.ndarray:
     """wkv_sequence on plain arrays, for the model's plain path (a forward
     under no_grad; see rwkvp.model).
@@ -109,7 +100,7 @@ def wkv_forward(rkv: np.ndarray, w: np.ndarray, u: np.ndarray, state, new_state)
     if not np.isfinite(rkv).all():
         raise ag.NonFiniteError("wkv_forward: non-finite r, k or v")
     r, k, v = rkv
-    return _gate(r) * wkv_step(state, k[0], v[0], w, u, new_state)
+    return ag._sigmoid_mul(r, wkv_step(state, k[0], v[0], w, u, new_state))[0]
 
 
 def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state, new_state) -> Tensor:
@@ -120,16 +111,11 @@ def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state, new_state) -> Tensor:
     overlap it, gets the final ones; each is (3, ..., d). Returns out: Tensor
     (T, ..., d). A non-finite value in rkv raises NonFiniteError.
     """
-    if rkv.data.ndim < 3 or rkv.shape[0] != 3:
-        raise ag.ShapeError(f"wkv_sequence: rkv {rkv.shape}, need (3, T, ..., d)")
-    T, lead, d = rkv.shape[1], rkv.shape[2:-1], rkv.shape[-1]
-    if w.shape != (d,) or u.shape != (d,):
-        raise ag.ShapeError(f"wkv_sequence: w {w.shape} / u {u.shape} vs d={d}")
+    r, k, v = rkv.data
+    T, lead, d = k.shape[0], k.shape[1:-1], k.shape[-1]
     dtype = rkv.data.dtype
     if not np.isfinite(rkv.data).all():
         raise ag.NonFiniteError("wkv_sequence: non-finite r, k or v")
-    r, k, v = rkv.data
-    gate = _gate(r)
     groups = math.prod(lead)
     D = groups * d
     kd, vd = k.reshape(T, D), v.reshape(T, D)
@@ -177,7 +163,8 @@ def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state, new_state) -> Tensor:
     y += e2 * vd
     y /= den
 
-    out = Tensor(gate * y.reshape(k.shape), ag._needs_grad(rkv, w, u), "wkv_sequence")
+    data, gate = ag._sigmoid_mul(r, y.reshape(k.shape))
+    out = Tensor(data, ag._needs_grad(rkv, w, u), "wkv_sequence")
 
     if out.requires_grad:
         nrkv, nw, nu = (ag._node_of(t) for t in (rkv, w, u))
@@ -214,9 +201,7 @@ def wkv_sequence(rkv: Tensor, w: Tensor, u: Tensor, state, new_state) -> Tensor:
             if nrkv is not None:
                 drkv = np.empty((3, T, D), dtype=np.result_type(go, y))
                 dr, dk, dv = drkv
-                np.multiply(go, y, out=dr)       # via the gate, in sigmoid_mul's order
-                dr *= gate
-                dr *= 1.0 - gate
+                ag._sigmoid_mul_grad(go, y, gate, out=dr)   # via the gate
                 np.multiply(da, f2, out=dv)
                 dv += dN * e2
             if vd is not None:
