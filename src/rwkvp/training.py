@@ -171,12 +171,23 @@ def clip_global_norm(grad: np.ndarray, sizes, max_norm: float) -> float:
     return total
 
 
+def _add_noise(name: str, p, noise: np.ndarray, std: float) -> None:
+    """p.data + noise, the sum in p's dtype. A draw that sum cannot hold (a
+    std near float32's largest value) is a ConfigError naming noise_std."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = p.data + noise.astype(p.data.dtype)
+    if not np.isfinite(data).all():
+        raise m.ConfigError(f"noise_std={std!r} draws noise that {name}'s "
+                            f"{p.data.dtype} values cannot hold")
+    p.data = data
+
+
 def inject_selector_noise(store: ParamStore, std: float, mean: float, seed: int) -> None:
     """One-time Gaussian perturbation of the aggregator's linear layer."""
     rng = np.random.default_rng(seed)
     for name, p in store.items():
         if m.is_aggregator(name):
-            p.data = p.data + rng.normal(mean, std, size=p.shape).astype(p.data.dtype)
+            _add_noise(name, p, rng.normal(mean, std, size=p.shape), std)
 
 
 def inject_temporal_noise(store: ParamStore, cfg: m.ModelConfig, std: float,
@@ -191,8 +202,7 @@ def inject_temporal_noise(store: ParamStore, cfg: m.ModelConfig, std: float,
     noise = np.random.default_rng(seed).normal(
         mean, std, size=(cfg.n_perspectives, sum(slots), cfg.d_model)).swapaxes(0, 1)
     for name, part in zip(names, np.split(noise, np.cumsum(slots)[:-1])):
-        p = store[name]
-        p.data = p.data + part.reshape(p.shape).astype(p.data.dtype)
+        _add_noise(name, store[name], part.reshape(store[name].shape), std)
 
 
 # glibc's mallopt parameters, from <malloc.h>

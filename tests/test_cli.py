@@ -396,6 +396,23 @@ def test_pretrain_rate_float32_cannot_hold_errors(tmp_path, corpus_file, micro_c
     assert len(errors) == 1 and errors[0].startswith("error: ConfigError: lr_max"), errors
 
 
+@pytest.mark.parametrize("target", training.NOISE_TARGETS)
+def test_finetune_noise_float32_cannot_hold_errors(tmp_path, capsys, corpus_file, micro_config,
+                                                   pretrained_dir, target):
+    """A noise std of 3e38 is below float32's largest value, but its draws are
+    not: the run ends before step 0 in one typed error naming noise_std, with
+    no overflow warning."""
+    rc = cli.main(["finetune", "--config", str(micro_config),
+                   "--checkpoint", str(pretrained_dir / "base.ckpt"),
+                   "--corpus", str(corpus_file), "--out", str(tmp_path / "ft"),
+                   "--n-perspectives", "2", "--noise-target", target, "--noise-std", "3e38"])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "RuntimeWarning" not in err and "Traceback" not in err, err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and errors[0].startswith("error: ConfigError: noise_std"), errors
+
+
 def test_pretrain_diverging_rate_is_one_typed_error(tmp_path, capsys, corpus_file, micro_config):
     """A finite rate of 1e16 blows the weights up after one step, and the next
     forward overflows: one DivergenceError naming that step, with no numpy
