@@ -4,7 +4,10 @@
 floats (nan, +-inf, 1e308, 1e-300), strings, lists and objects over a tiny
 base config and corpus. Sizes are either at most 16 or at least 2**40: the
 run's size check refuses the large ones before anything is allocated, so
-nothing big is asked for. `rwkvp trace --prompt` and `rwkvp eval --corpus`
+nothing big is asked for. `rwkvp finetune` gets the same config overrides
+over a tiny base checkpoint, and generated text for each of its flags;
+`rwkvp ablate` gets generated text for --axis, --seeds, --n-perspectives
+and --noise-std. `rwkvp trace --prompt` and `rwkvp eval --corpus`
 get generated bytes (a prompt holds no NUL, which argv cannot carry) over a
 tiny n=2 weighted_softmax checkpoint. Whatever the input holds, the command
 exits 0, 1 or 2 with no traceback and no RuntimeWarning on stderr, and an
@@ -13,6 +16,7 @@ exit 1 prints exactly one `error: <Type>:` line.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -28,6 +32,7 @@ from hypothesis import strategies as st
 
 from rwkvp import checkpoint as ckpt
 from rwkvp import cli, perspectives, synth, training
+from rwkvp.evaluation import ABLATION_AXES
 from rwkvp import model as m
 
 BASE = {"model": {"n_layers": 1, "d_model": 4, "context_length": 4},
@@ -78,6 +83,16 @@ def _address_space_headroom(extra=1 << 30):
 
 
 @pytest.fixture(scope="module")
+def base_file(tmp_path_factory):
+    """A tiny n=1 base, as finetune and ablate load it."""
+    base_cfg = m.ModelConfig(**BASE["model"])
+    store, mask = m.init_base_params(base_cfg, seed=0)
+    path = tmp_path_factory.mktemp("generated") / "base.ckpt"
+    ckpt.save_checkpoint(store, base_cfg, mask, path)
+    return path
+
+
+@pytest.fixture(scope="module")
 def checkpoint_file(tmp_path_factory):
     """A tiny n=2 weighted_softmax model, as trace and eval load it."""
     base_cfg = m.ModelConfig(**BASE["model"])
@@ -104,14 +119,60 @@ def _run(argv) -> tuple[int, str]:
           suppress_health_check=[HealthCheck.too_slow])
 @given(OVERRIDES)
 def test_pretrain_exits_cleanly_on_any_config(corpus_dir, overrides):
+    with tempfile.TemporaryDirectory(dir=corpus_dir) as out:
+        argv = ["pretrain", "--config", _config_file(out, overrides),
+                "--corpus", str(corpus_dir / "corpus.txt"), "--out", str(Path(out) / "run")]
+        code, err = _run(argv)
+    _assert_clean_exit(code, err)
+
+
+def _config_file(out, overrides=()) -> str:
+    """BASE with the (section, field, value) overrides, written to out/config.json."""
     cfg = {section: dict(values) for section, values in BASE.items()}
     for (section, name), value in overrides:
         cfg[section][name] = value
+    path = Path(out) / "config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _arg(accepted):
+    """A flag's argument: mostly one the flag's parser accepts, else any short text."""
+    return st.one_of(accepted, accepted, accepted, st.text(max_size=6))
+
+
+SEED, STD = _arg(SIZES.map(str)), _arg(FLOATS.map(str))
+FINETUNE_FLAGS = st.fixed_dictionaries({}, optional={
+    "--seed": SEED, "--n-perspectives": SEED,
+    "--aggregation": _arg(st.sampled_from(m.AGGREGATION_MODES)),
+    "--noise-target": _arg(st.sampled_from(training.NOISE_TARGETS)), "--noise-std": STD})
+ABLATE_FLAGS = st.fixed_dictionaries({}, optional={
+    "--seeds": _arg(st.lists(SIZES, max_size=4).map(lambda seeds: ",".join(map(str, seeds)))),
+    "--n-perspectives": SEED, "--noise-std": STD})
+
+
+@settings(**GENERATED)
+@given(st.lists(st.tuples(st.sampled_from(
+    [("model", f.name) for f in fields(m.ModelConfig)]
+    + [("train", f.name) for f in fields(training.TrainConfig)]), VALUES), max_size=2),
+    FINETUNE_FLAGS)
+def test_finetune_exits_cleanly_on_any_config_and_flags(corpus_dir, base_file, overrides,
+                                                        flags):
     with tempfile.TemporaryDirectory(dir=corpus_dir) as out:
-        path = Path(out) / "config.json"
-        path.write_text(json.dumps(cfg))
-        argv = ["pretrain", "--config", str(path), "--corpus", str(corpus_dir / "corpus.txt"),
-                "--out", str(Path(out) / "run")]
+        argv = ["finetune", "--config", _config_file(out, overrides),
+                "--checkpoint", str(base_file), "--corpus", str(corpus_dir / "corpus.txt"),
+                "--out", str(Path(out) / "run"), *itertools.chain(*flags.items())]
+        code, err = _run(argv)
+    _assert_clean_exit(code, err)
+
+
+@settings(**{**GENERATED, "max_examples": 40})
+@given(st.one_of(st.sampled_from(ABLATION_AXES), st.text(max_size=6)), ABLATE_FLAGS)
+def test_ablate_exits_cleanly_on_any_flags(corpus_dir, base_file, axis, flags):
+    with tempfile.TemporaryDirectory(dir=corpus_dir) as out:
+        argv = ["ablate", "--config", _config_file(out), "--checkpoint", str(base_file),
+                "--corpus", str(corpus_dir / "corpus.txt"), "--out", str(Path(out) / "run"),
+                "--axis", axis, *itertools.chain(*flags.items())]
         code, err = _run(argv)
     _assert_clean_exit(code, err)
 
