@@ -172,8 +172,9 @@ def clip_global_norm(grad: np.ndarray, sizes, max_norm: float) -> float:
 
 
 def _add_noise(name: str, p, noise: np.ndarray, std: float) -> None:
-    """p.data + noise, the sum in p's dtype. A draw that sum cannot hold (a
-    std near float32's largest value) is a ConfigError naming noise_std."""
+    """Set p.data to p.data + noise, summed in p's dtype. A draw that the sum
+    cannot hold (a std near float32's largest value) is a ConfigError naming
+    noise_std, raised before p changes."""
     with np.errstate(over="ignore", invalid="ignore"):
         data = p.data + noise.astype(p.data.dtype)
     if not np.isfinite(data).all():

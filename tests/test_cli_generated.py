@@ -32,8 +32,8 @@ from hypothesis import strategies as st
 
 from rwkvp import checkpoint as ckpt
 from rwkvp import cli, perspectives, synth, training
-from rwkvp.evaluation import ABLATION_AXES
 from rwkvp import model as m
+from rwkvp.evaluation import ABLATION_AXES
 
 BASE = {"model": {"n_layers": 1, "d_model": 4, "context_length": 4},
         "train": {"batch_size": 1, "mini_epochs": 1, "contexts_per_mini_epoch": 2,
@@ -46,10 +46,10 @@ OTHERS = st.one_of(
     st.sampled_from([*m.AGGREGATION_MODES, *training.NOISE_TARGETS]),
     st.lists(SIZES, max_size=3), st.dictionaries(st.text(max_size=3), SIZES, max_size=2))
 VALUES = st.one_of(SIZES, FLOATS, OTHERS)
-# one or two (section, field, value) overrides of BASE
-OVERRIDES = st.lists(st.tuples(st.sampled_from(
+# a (section, field, value) override of BASE
+OVERRIDE = st.tuples(st.sampled_from(
     [("model", f.name) for f in fields(m.ModelConfig)]
-    + [("train", f.name) for f in fields(training.TrainConfig)]), VALUES), min_size=1, max_size=2)
+    + [("train", f.name) for f in fields(training.TrainConfig)]), VALUES)
 ERROR_LINE = re.compile(r"error: \w+: ")
 GENERATED = dict(max_examples=200, deadline=None, derandomize=True, database=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -117,7 +117,7 @@ def _run(argv) -> tuple[int, str]:
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(OVERRIDES)
+@given(st.lists(OVERRIDE, min_size=1, max_size=2))
 def test_pretrain_exits_cleanly_on_any_config(corpus_dir, overrides):
     with tempfile.TemporaryDirectory(dir=corpus_dir) as out:
         argv = ["pretrain", "--config", _config_file(out, overrides),
@@ -141,21 +141,18 @@ def _arg(accepted):
     return st.one_of(accepted, accepted, accepted, st.text(max_size=6))
 
 
-SEED, STD = _arg(SIZES.map(str)), _arg(FLOATS.map(str))
+SIZE_ARG, FLOAT_ARG = _arg(SIZES.map(str)), _arg(FLOATS.map(str))
 FINETUNE_FLAGS = st.fixed_dictionaries({}, optional={
-    "--seed": SEED, "--n-perspectives": SEED,
+    "--seed": SIZE_ARG, "--n-perspectives": SIZE_ARG,
     "--aggregation": _arg(st.sampled_from(m.AGGREGATION_MODES)),
-    "--noise-target": _arg(st.sampled_from(training.NOISE_TARGETS)), "--noise-std": STD})
+    "--noise-target": _arg(st.sampled_from(training.NOISE_TARGETS)), "--noise-std": FLOAT_ARG})
 ABLATE_FLAGS = st.fixed_dictionaries({}, optional={
     "--seeds": _arg(st.lists(SIZES, max_size=4).map(lambda seeds: ",".join(map(str, seeds)))),
-    "--n-perspectives": SEED, "--noise-std": STD})
+    "--n-perspectives": SIZE_ARG, "--noise-std": FLOAT_ARG})
 
 
 @settings(**GENERATED)
-@given(st.lists(st.tuples(st.sampled_from(
-    [("model", f.name) for f in fields(m.ModelConfig)]
-    + [("train", f.name) for f in fields(training.TrainConfig)]), VALUES), max_size=2),
-    FINETUNE_FLAGS)
+@given(st.lists(OVERRIDE, max_size=2), FINETUNE_FLAGS)
 def test_finetune_exits_cleanly_on_any_config_and_flags(corpus_dir, base_file, overrides,
                                                         flags):
     with tempfile.TemporaryDirectory(dir=corpus_dir) as out:
